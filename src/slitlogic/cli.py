@@ -372,44 +372,50 @@ def _certificate_body(cert: Certificate) -> str:
     lines = _scenario_lines(cert.scenario)
     lines.append("")
     lines.append(f"corner assignments ({len(cert.corner_results)}):")
+    # run_nogo hands each function its corner's result object, so each
+    # corner's line is rendered once; any other result is rendered on its own.
+    corner_lines = {id(r): _result_line(r) for r in cert.corner_results}
     for r in cert.corner_results:
-        lines.append(f"  {_result_line(r)}")
+        lines.append(f"  {corner_lines[id(r)]}")
     lines.append("")
     lines.append(f"bivalent truth functions ({len(cert.function_results)}):")
     for fr in cert.function_results:
         tf_text = "{" + ", ".join(f"{e}={_fmt(v)}" for e, v in fr.function_values) + "}"
-        lines.append(f"  {tf_text} -> {_result_line(fr.result)}")
+        result_line = corner_lines.get(id(fr.result)) or _result_line(fr.result)
+        lines.append(f"  {tf_text} -> {result_line}")
     lines.append("")
     lines.append("derivation traces:")
     for r in cert.corner_results:
-        lines.append(f"  {_result_line(r)}")
+        lines.append(f"  {corner_lines[id(r)]}")
         if r.violation:
             for step in r.violation.trace:
                 lines.append(f"    {step}")
     return "\n".join(lines)
 
 
+def _result_payload(result) -> dict:
+    return {
+        "assignment": {a: _jsonable(v) for a, v in result.assignment},
+        "violation": _violation_payload(result.violation),
+    }
+
+
 def _certificate_payload(cert: Certificate) -> dict:
+    """The nogo JSON payload. Every function in a corner's class shares that
+    corner's ``assignment`` and ``violation`` sub-dicts, so the payload must
+    be treated as read-only."""
+    corners = {id(r): _result_payload(r) for r in cert.corner_results}
+    functions = []
+    for fr in cert.function_results:
+        shared = corners.get(id(fr.result)) or _result_payload(fr.result)
+        functions.append({"values": {e: _jsonable(v) for e, v in fr.function_values}, **shared})
     return {
         "command": "nogo",
         "verdict": cert.verdict,
         "scenario": _scenario_payload(cert.scenario),
         "enumerated": cert.enumerated,
-        "corners": [
-            {
-                "assignment": {a: _jsonable(v) for a, v in r.assignment},
-                "violation": _violation_payload(r.violation),
-            }
-            for r in cert.corner_results
-        ],
-        "truth_functions": [
-            {
-                "values": {e: _jsonable(v) for e, v in fr.function_values},
-                "assignment": {a: _jsonable(v) for a, v in fr.result.assignment},
-                "violation": _violation_payload(fr.result.violation),
-            }
-            for fr in cert.function_results
-        ],
+        "corners": [corners[id(r)] for r in cert.corner_results],
+        "truth_functions": functions,
     }
 
 

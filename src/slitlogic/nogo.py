@@ -18,10 +18,11 @@ govern any assignment of truth values to the atoms before verification:
 ``check_assignment`` applies the constraints to one value pair and returns
 the first violation with a replayable derivation trace (an assignment can
 break several constraints; the rest land in ``also_violates``).
-``run_nogo`` certifies the four bivalent corner assignments together with
-every bivalent truth function on the scenario lattice, ``scan_grid`` sweeps
-a whole value grid, and ``check_supervaluation`` exercises the reading in
-which unverified propositions carry no truth value at all.
+``run_nogo`` certifies the four bivalent corner assignments and maps every
+bivalent truth function on the scenario lattice to its corner,
+``scan_grid`` sweeps a whole value grid, and ``check_supervaluation``
+exercises the reading in which unverified propositions carry no truth value
+at all.
 """
 
 from __future__ import annotations
@@ -340,40 +341,32 @@ def check_assignment(
 def run_nogo(scenario: Scenario) -> Certificate:
     """Certify every bivalent assignment of the scenario.
 
-    Covers the four corner value pairs directly, then every bivalent truth
-    function on the scenario lattice restricted to the bound elements. The
-    verdict is "no-go holds" exactly when all of them violate a constraint.
+    A bivalent truth function reaches the constraints only through its
+    values at the two bound elements, so its verdict is the verdict of the
+    corner (v(e1), v(e2)). The four corners are checked once each; every
+    bivalent truth function on the scenario lattice is then enumerated and
+    mapped to its corner's ``AssignmentResult``, so functions in one class
+    share one result object and one trace. The verdict is "no-go holds"
+    exactly when all four corners violate a constraint.
     """
     a1, a2 = scenario.atom_names
-    corner_results = []
-    for v1 in (_ZERO, _ONE):
-        for v2 in (_ZERO, _ONE):
-            violation = check_assignment(scenario, v1, v2)
-            corner_results.append(
-                AssignmentResult(((a1, v1), (a2, v2)), violation)
-            )
-
-    system = ValueSystem.bivalent()
+    corners = {
+        (v1, v2): AssignmentResult(((a1, v1), (a2, v2)), check_assignment(scenario, v1, v2))
+        for v1 in (_ZERO, _ONE)
+        for v2 in (_ZERO, _ONE)
+    }
     e1, e2 = scenario.bound_elements
-    function_results = []
-    for tf in enumerate_truth_functions(scenario.lattice, system):
-        w1, w2 = tf(e1), tf(e2)
-        violation = check_assignment(scenario, w1, w2, value_system=system)
-        function_results.append(FunctionResult(
-            tuple(tf.values.items()),
-            AssignmentResult(((a1, w1), (a2, w2)), violation),
-        ))
-
-    all_violated = all(r.violation for r in corner_results) and all(
-        f.result.violation for f in function_results
+    function_results = tuple(
+        FunctionResult(tuple(tf.values.items()), corners[tf(e1), tf(e2)])
+        for tf in enumerate_truth_functions(scenario.lattice, ValueSystem.bivalent())
     )
-    verdict = "no-go holds" if all_violated else "no-go fails"
+    all_violated = all(r.violation for r in corners.values())
     return Certificate(
         scenario=scenario,
-        corner_results=tuple(corner_results),
-        function_results=tuple(function_results),
-        verdict=verdict,
-        enumerated=len(corner_results) + len(function_results),
+        corner_results=tuple(corners.values()),
+        function_results=function_results,
+        verdict="no-go holds" if all_violated else "no-go fails",
+        enumerated=len(corners) + len(function_results),
     )
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "UNDEFINED",
     "TruthValue",
     "as_value",
-    "is_defined",
     "lukasiewicz_neg",
     "lukasiewicz_or",
     "lukasiewicz_and",
@@ -100,10 +99,6 @@ def as_value(value) -> TruthValue:
     if not _ZERO <= v <= _ONE:
         raise ValueError(f"truth value {v} outside [0, 1]")
     return v
-
-
-def is_defined(value: TruthValue) -> bool:
-    return value is not UNDEFINED
 
 
 def lukasiewicz_neg(t) -> TruthValue:
@@ -206,6 +201,16 @@ class TruthFunction:
         if normalized[self.lattice.top] != _ONE:
             raise ValueError("top element must have truth value 1")
         object.__setattr__(self, "values", normalized)
+
+    @classmethod
+    def _trusted(cls, lattice: Lattice, values: dict[str, TruthValue]) -> "TruthFunction":
+        """Wrap ``values`` without re-validating it. The caller guarantees
+        what ``__post_init__`` would establish: one exact value per element,
+        in declaration order, with bottom at 0 and top at 1."""
+        tf = object.__new__(cls)
+        object.__setattr__(tf, "lattice", lattice)
+        object.__setattr__(tf, "values", values)
+        return tf
 
     def __call__(self, element: str) -> TruthValue:
         try:
@@ -359,7 +364,13 @@ def enumerate_truth_functions(
     values ascending, so the stream is deterministic and its length is
     |admissible| ** free. Under the partial system the non-extreme elements
     have no defined value, so exactly one function is produced.
+
+    The value system's values and the frozen entries are validated once, on
+    the first ``next()``; each function is then assembled from those checked
+    values, total and with the boundary conditions by construction, so it
+    skips the per-function validation of ``TruthFunction``.
     """
+    values = tuple(as_value(v) for v in value_system.values)
     pinned: dict[str, TruthValue] = {
         lattice.bottom: _ZERO,
         lattice.top: _ONE,
@@ -377,13 +388,10 @@ def enumerate_truth_functions(
             )
         pinned[element] = value
 
-    free = [e for e in lattice.elements if e not in pinned]
-    domain: tuple[TruthValue, ...]
-    if value_system.allows_undefined:
-        domain = (UNDEFINED,)
-    else:
-        domain = value_system.values
-    for combo in product(domain, repeat=len(free)):
-        values = dict(pinned)
-        values.update(zip(free, combo))
-        yield TruthFunction(lattice, values)
+    domain = (UNDEFINED,) if value_system.allows_undefined else values
+    elements = lattice.elements
+    # A pinned element contributes a one-value axis, so the product advances
+    # the free elements in declaration order with values ascending.
+    axes = [(pinned[e],) if e in pinned else domain for e in elements]
+    for row in product(*axes):
+        yield TruthFunction._trusted(lattice, dict(zip(elements, row)))

@@ -1,16 +1,21 @@
 """Scenario construction, assignment checking, certificates, and grids."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from slitlogic import cli, nogo
 from slitlogic.lattice import builtin
 from slitlogic.probability import InterferenceInputs, amplitude_interference, bridge
 from slitlogic.nogo import (
     C_COLLAPSE,
     C_INT,
     C_TRUE,
+    AssignmentResult,
     BindingAtExtreme,
+    Certificate,
+    FunctionResult,
     Scenario,
     ScenarioError,
     check_assignment,
@@ -194,6 +199,128 @@ def test_certificates_are_deterministic():
     a = run_nogo(default_scenario())
     b = run_nogo(default_scenario())
     assert a == b
+
+
+# ------------------------------------------------- brute-force reference
+
+
+def reference_certificate(scenario):
+    """The per-function path that run_nogo factors by corner: every bivalent
+    truth function, enumerated here by hand, gets its own check_assignment."""
+    system = ValueSystem.bivalent()
+    lat = scenario.lattice
+    a1, a2 = scenario.atom_names
+    e1, e2 = scenario.bound_elements
+    corners = tuple(
+        AssignmentResult(((a1, v1), (a2, v2)), check_assignment(scenario, v1, v2))
+        for v1 in (F(0), F(1))
+        for v2 in (F(0), F(1))
+    )
+    free = [e for e in lat.elements if e not in (lat.bottom, lat.top)]
+    functions = []
+    for combo in product((F(0), F(1)), repeat=len(free)):
+        tf = {lat.bottom: F(0), lat.top: F(1), **dict(zip(free, combo))}
+        w1, w2 = tf[e1], tf[e2]
+        violation = check_assignment(scenario, w1, w2, value_system=system)
+        functions.append(FunctionResult(
+            tuple((e, tf[e]) for e in lat.elements),
+            AssignmentResult(((a1, w1), (a2, w2)), violation),
+        ))
+    holds = all(r.violation for r in corners) and all(f.result.violation for f in functions)
+    verdict = "no-go holds" if holds else "no-go fails"
+    return Certificate(scenario, corners, tuple(functions), verdict, 4 + len(functions))
+
+
+def reference_rendering(cert, fmt):
+    """Render a certificate one function at a time, sharing nothing."""
+    lines = cli._scenario_lines(cert.scenario)
+    lines += ["", f"corner assignments ({len(cert.corner_results)}):"]
+    lines += [f"  {cli._result_line(r)}" for r in cert.corner_results]
+    lines += ["", f"bivalent truth functions ({len(cert.function_results)}):"]
+    for fr in cert.function_results:
+        tf_text = "{" + ", ".join(f"{e}={cli._fmt(v)}" for e, v in fr.function_values) + "}"
+        lines.append(f"  {tf_text} -> {cli._result_line(fr.result)}")
+    lines += ["", "derivation traces:"]
+    for r in cert.corner_results:
+        lines.append(f"  {cli._result_line(r)}")
+        if r.violation:
+            lines += [f"    {step}" for step in r.violation.trace]
+
+    def result_payload(r):
+        return {
+            "assignment": {a: cli._jsonable(v) for a, v in r.assignment},
+            "violation": cli._violation_payload(r.violation),
+        }
+
+    payload = {
+        "command": "nogo",
+        "verdict": cert.verdict,
+        "scenario": cli._scenario_payload(cert.scenario),
+        "enumerated": cert.enumerated,
+        "corners": [result_payload(r) for r in cert.corner_results],
+        "truth_functions": [
+            {"values": {e: cli._jsonable(v) for e, v in fr.function_values},
+             **result_payload(fr.result)}
+            for fr in cert.function_results
+        ],
+    }
+    code = 0 if cert.holds else 1
+    return cli.Report(cert.verdict, "\n".join(lines), payload, code, fmt).render()
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [("boolean", n) for n in (1, 2, 3)]
+    + [("chain", n) for n in (1, 2, 3, 4)]
+    + [("lantern", n) for n in (1, 2, 3, 4)],
+)
+def test_run_nogo_matches_per_function_reference(family, n):
+    lat = builtin(family, n)
+    inputs = amplitude_interference(*IN_PHASE)
+    # A rendering reads only the per-function results compared below, so on
+    # lattices past six elements one pair of non-extreme elements suffices
+    # for the byte comparison, which costs more than the engine comparison.
+    rendered_pairs = None if len(lat.elements) <= 6 else {tuple(lat.non_extremes()[:2])}
+    for e1, e2 in product(lat.elements, repeat=2):
+        if e1 == e2:
+            continue
+        for equal_priors in (True, False):
+            scenario = Scenario.build(lat, {"X1": e1, "X2": e2}, inputs, equal_priors)
+            cert = run_nogo(scenario)
+            ref = reference_certificate(scenario)
+            assert cert.verdict == ref.verdict
+            assert cert.enumerated == ref.enumerated
+            assert cert.corner_results == ref.corner_results
+            # per function: the values, the assignment and the violation's
+            # constraint, also_violates and trace
+            assert cert.function_results == ref.function_results
+            if rendered_pairs is not None and (e1, e2) not in rendered_pairs:
+                continue
+            argv = [
+                "nogo", f"--lattice=builtin:{family}:{n}", f"--bind=X1={e1},X2={e2}",
+                "--equal-priors" if equal_priors else "--no-equal-priors",
+            ]
+            for fmt in ("text", "json"):
+                report = cli.dispatch(argv + [f"--format={fmt}"])
+                assert report.render() == reference_rendering(ref, fmt)
+
+
+def test_run_nogo_checks_only_the_four_corners(monkeypatch):
+    calls = []
+    real = nogo.check_assignment
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nogo, "check_assignment", counting)
+    lat = builtin("lantern", 6)
+    inputs = amplitude_interference(*IN_PHASE)
+    cert = run_nogo(Scenario.build(lat, {"X1": "a1", "X2": "a2"}, inputs))
+    assert len(calls) == 4
+    assert len(cert.function_results) == 2 ** (len(lat.elements) - 2)
+    corner_ids = {id(r) for r in cert.corner_results}
+    assert all(id(fr.result) in corner_ids for fr in cert.function_results)
 
 
 # ------------------------------------------------------------------ scan

@@ -399,6 +399,34 @@ def test_enumerate_counts_match_formula():
         assert len({tuple(tf.values[e] for e in lat.elements) for tf in tfs}) == len(tfs)
 
 
+@pytest.mark.parametrize(
+    "family, n, system, frozen",
+    [
+        ("boolean", 3, ValueSystem.bivalent(), None),
+        ("lantern", 2, ValueSystem.finite(3), None),
+        ("boolean", 2, ValueSystem.partial(), None),
+        ("boolean", 2, ValueSystem.finite(3), {"a": HALF, "0": 0}),
+        ("chain", 3, ValueSystem.bivalent(), {"m2": 1}),
+    ],
+)
+def test_enumerated_functions_equal_validated_construction(family, n, system, frozen):
+    lat = builtin(family, n)
+    tfs = list(enumerate_truth_functions(lat, system, frozen=frozen))
+    assert tfs
+    for tf in tfs:
+        assert list(tf.values) == list(lat.elements)
+        assert all(v is UNDEFINED or type(v) is Fraction for v in tf.values.values())
+        assert tf == TruthFunction(lat, dict(tf.values))
+
+
+@pytest.mark.parametrize("bad, error", [(0.5, TypeError), (F(3, 2), ValueError)])
+def test_enumerate_rejects_invalid_value_system_on_first_next(bad, error):
+    system = ValueSystem("hand-built", (F(0), bad, F(1)))
+    stream = enumerate_truth_functions(builtin("boolean", 2), system)
+    with pytest.raises(error):
+        next(stream)
+
+
 def test_enumerate_partial_yields_single_gap_function():
     lat = builtin("boolean", 2)
     tfs = list(enumerate_truth_functions(lat, ValueSystem.partial()))
