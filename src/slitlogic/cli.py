@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: lattice-check, parse, eval, interference, nogo, scan, super.
-Every run produces a verdict line plus a body, or the same facts as JSON
-with ``--format json``. Exit codes: 0 for pass/consistent, 1 when a check
+Every run builds one JSON payload. ``--format json`` prints it; the text
+report, a verdict line plus a body, is rendered from it, so both forms carry
+the same facts. Exit codes: 0 for pass/consistent, 1 when a check
 fails (lattice violations, no-go fails, corners survive a scan), 2 for
 usage or input errors. Output is deterministic: identical inputs give
 byte-identical reports.
@@ -22,16 +23,15 @@ from .formula import Atom, Not, ParseError, desugar_xor, parse, render
 from .nogo import (
     BindingAtExtreme,
     Certificate,
-    GridReport,
     Scenario,
     ScenarioError,
+    TraceStep,
     check_supervaluation,
     run_nogo,
     scan_grid,
 )
 from .probability import (
     InterferenceInputs,
-    MissingEntry,
     OutOfRange,
     amplitude_interference,
     interference_term,
@@ -63,18 +63,23 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 @dataclass
 class Report:
-    verdict: str
-    body: str
+    """One command's outcome. ``payload`` holds every fact of the report;
+    ``render`` prints it as JSON or derives the text report from it."""
+
     payload: dict
     exit_code: int
     format: str = "text"
 
+    @property
+    def verdict(self) -> str:
+        return self.payload["verdict"]
+
     def render(self) -> str:
         if self.format == "json":
             return json.dumps(self.payload, indent=2)
-        if self.body:
-            return f"{self.verdict}\n{self.body}"
-        return self.verdict
+        # an error payload has no command and renders as its verdict
+        body = _TEXT_BODIES.get(self.payload.get("command"))
+        return "\n".join([self.verdict, *(body(self.payload) if body else ())])
 
 
 def _fraction(text: str, what: str = "value") -> Fraction:
@@ -82,14 +87,6 @@ def _fraction(text: str, what: str = "value") -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot read {what} {text!r} as an exact rational") from None
-
-
-def _fmt(value) -> str:
-    if value is UNDEFINED:
-        return "undefined"
-    if value is None:
-        return "unconstrained"
-    return str(value)
 
 
 def _jsonable(value):
@@ -184,12 +181,8 @@ def _cmd_lattice_check(ns) -> Report:
     violations = lattice_mod.verify_axioms(lat)
     if violations:
         verdict = f"{len(violations)} lattice law violation(s)"
-        body = "\n".join(f"  {v}" for v in violations)
-        code = 1
     else:
         verdict = f"ok: all lattice laws hold ({lat.describe()})"
-        body = ""
-        code = 0
     payload = {
         "command": "lattice-check",
         "verdict": verdict,
@@ -201,17 +194,7 @@ def _cmd_lattice_check(ns) -> Report:
             for v in violations
         ],
     }
-    return Report(verdict, body, payload, code, ns.format)
-
-
-def _tree_lines(f, depth: int = 0) -> list[str]:
-    pad = "  " * depth
-    if isinstance(f, Atom):
-        return [f"{pad}Atom {f.name}"]
-    if isinstance(f, Not):
-        return [f"{pad}Not"] + _tree_lines(f.child, depth + 1)
-    label = type(f).__name__
-    return [f"{pad}{label}"] + _tree_lines(f.left, depth + 1) + _tree_lines(f.right, depth + 1)
+    return Report(payload, 1 if violations else 0, ns.format)
 
 
 def _tree_payload(f):
@@ -228,18 +211,14 @@ def _tree_payload(f):
 
 def _cmd_parse(ns) -> Report:
     f = parse(ns.text)
-    desugared = desugar_xor(f)
-    body_lines = _tree_lines(f)
-    body_lines.append(f"desugared: {render(desugared)}")
-    verdict = f"ok: {render(f)}"
     payload = {
         "command": "parse",
-        "verdict": verdict,
+        "verdict": f"ok: {render(f)}",
         "formula": render(f),
         "tree": _tree_payload(f),
-        "desugared": render(desugared),
+        "desugared": render(desugar_xor(f)),
     }
-    return Report(verdict, "\n".join(body_lines), payload, 0, ns.format)
+    return Report(payload, 0, ns.format)
 
 
 def _cmd_eval(ns) -> Report:
@@ -274,48 +253,31 @@ def _cmd_eval(ns) -> Report:
                 )
             tf = TruthFunction(lat, tf_values)
             value = evaluate_lattice(f, binding, tf)
-    verdict = f"value: {_fmt(value)}"
-    body = f"element: {element}" if element is not None else ""
+    value = _jsonable(value)
     payload = {
         "command": "eval",
-        "verdict": verdict,
+        "verdict": f"value: {value}",
         "mode": ns.mode,
         "formula": render(f),
-        "value": _jsonable(value),
+        "value": value,
     }
     if element is not None:
         payload["element"] = element
-    return Report(verdict, body, payload, 0, ns.format)
+    return Report(payload, 0, ns.format)
 
 
 def _cmd_interference(ns) -> Report:
     inputs = _interference_from_args(ns)
     term = interference_term(inputs)
-    verdict = f"I12 = {term}"
-    body = f"p_or = {inputs.p_or}; p1 = {inputs.p1}; p2 = {inputs.p2}"
     payload = {
         "command": "interference",
-        "verdict": verdict,
+        "verdict": f"I12 = {term}",
         "p_or": _jsonable(inputs.p_or),
         "p1": _jsonable(inputs.p1),
         "p2": _jsonable(inputs.p2),
         "i12": _jsonable(term),
     }
-    return Report(verdict, body, payload, 0, ns.format)
-
-
-def _assignment_text(assignment) -> str:
-    return "(" + ", ".join(f"{a}={_fmt(v)}" for a, v in assignment) + ")"
-
-
-def _result_line(result) -> str:
-    if result.violation is None:
-        return f"{_assignment_text(result.assignment)} -> consistent"
-    v = result.violation
-    line = f"{_assignment_text(result.assignment)} -> violates {v.constraint}"
-    if v.also_violates:
-        line += f" (also: {', '.join(v.also_violates)})"
-    return line
+    return Report(payload, 0, ns.format)
 
 
 def _violation_payload(violation) -> dict | None:
@@ -337,19 +299,6 @@ def _violation_payload(violation) -> dict | None:
     }
 
 
-def _scenario_lines(scenario: Scenario) -> list[str]:
-    inp = scenario.interference
-    return [
-        f"lattice: {scenario.lattice.describe()}",
-        "binding: " + ", ".join(f"{a}={e}" for a, e in scenario.binding),
-        (
-            f"observed: P[R|both]={inp.p_or}, P[R|path1]={inp.p1}, "
-            f"P[R|path2]={inp.p2}, I12={scenario.observed_interference()}"
-        ),
-        f"equal priors: {'yes' if scenario.equal_priors else 'no'}",
-    ]
-
-
 def _scenario_payload(scenario: Scenario) -> dict:
     return {
         "lattice": {
@@ -366,31 +315,6 @@ def _scenario_payload(scenario: Scenario) -> dict:
         },
         "equal_priors": scenario.equal_priors,
     }
-
-
-def _certificate_body(cert: Certificate) -> str:
-    lines = _scenario_lines(cert.scenario)
-    lines.append("")
-    lines.append(f"corner assignments ({len(cert.corner_results)}):")
-    # run_nogo hands each function its corner's result object, so each
-    # corner's line is rendered once; any other result is rendered on its own.
-    corner_lines = {id(r): _result_line(r) for r in cert.corner_results}
-    for r in cert.corner_results:
-        lines.append(f"  {corner_lines[id(r)]}")
-    lines.append("")
-    lines.append(f"bivalent truth functions ({len(cert.function_results)}):")
-    for fr in cert.function_results:
-        tf_text = "{" + ", ".join(f"{e}={_fmt(v)}" for e, v in fr.function_values) + "}"
-        result_line = corner_lines.get(id(fr.result)) or _result_line(fr.result)
-        lines.append(f"  {tf_text} -> {result_line}")
-    lines.append("")
-    lines.append("derivation traces:")
-    for r in cert.corner_results:
-        lines.append(f"  {corner_lines[id(r)]}")
-        if r.violation:
-            for step in r.violation.trace:
-                lines.append(f"    {step}")
-    return "\n".join(lines)
 
 
 def _result_payload(result) -> dict:
@@ -420,46 +344,8 @@ def _certificate_payload(cert: Certificate) -> dict:
 
 
 def _cmd_nogo(ns) -> Report:
-    scenario = _scenario_from_args(ns)
-    cert = run_nogo(scenario)
-    body = _certificate_body(cert)
-    return Report(
-        cert.verdict,
-        body,
-        _certificate_payload(cert),
-        0 if cert.holds else 1,
-        ns.format,
-    )
-
-
-def _grid_body(report: GridReport) -> str:
-    lines = _scenario_lines(report.scenario)
-    values = ", ".join(_fmt(v) for v in report.value_system.scan_values())
-    lines.append(f"value system: {report.value_system.kind} over {{{values}}}")
-    violated = report.violated_pairs()
-    consistent = report.consistent_pairs()
-    lines.append(
-        f"assignments checked: {len(report.results)}; "
-        f"violated: {len(violated)}; consistent: {len(consistent)}"
-    )
-    corner_text = "; ".join(
-        f"({_fmt(r.values[0])}, {_fmt(r.values[1])}) -> "
-        + (r.violation.constraint if r.violation else "consistent")
-        for r in report.corner_results()
-    )
-    lines.append(f"corners: {corner_text}")
-    lines.append(
-        "consistent: "
-        + (
-            ", ".join(f"({_fmt(a)}, {_fmt(b)})" for a, b in consistent)
-            if consistent
-            else "none"
-        )
-    )
-    lines.append("table:")
-    for r in report.results:
-        lines.append(f"  {_result_line(r)}")
-    return "\n".join(lines)
+    cert = run_nogo(_scenario_from_args(ns))
+    return Report(_certificate_payload(cert), 0 if cert.holds else 1, ns.format)
 
 
 def _cmd_scan(ns) -> Report:
@@ -474,48 +360,34 @@ def _cmd_scan(ns) -> Report:
     corner_results = report.corner_results()
     corners_violated = sum(1 for r in corner_results if r.violation)
     consistent = report.consistent_pairs()
-    verdict = (
-        f"corners violated: {corners_violated}/{len(corner_results)}; "
-        f"consistent: {len(consistent)}/{len(report.results)}"
-    )
     payload = {
         "command": "scan",
-        "verdict": verdict,
+        "verdict": (
+            f"corners violated: {corners_violated}/{len(corner_results)}; "
+            f"consistent: {len(consistent)}/{len(report.results)}"
+        ),
         "scenario": _scenario_payload(scenario),
         "value_system": report.value_system.kind,
         "values": _jsonable(report.value_system.scan_values()),
-        "results": [
-            {
-                "assignment": {a: _jsonable(v) for a, v in r.assignment},
-                "violation": _violation_payload(r.violation),
-            }
-            for r in report.results
-        ],
+        "results": [_result_payload(r) for r in report.results],
         "consistent": [_jsonable(pair) for pair in consistent],
         "corners": {
-            f"({_fmt(r.values[0])}, {_fmt(r.values[1])})": (
+            f"({r.values[0]}, {r.values[1]})": (
                 r.violation.constraint if r.violation else "consistent"
             )
             for r in corner_results
         },
     }
     code = 0 if corners_violated == len(corner_results) else 1
-    return Report(verdict, _grid_body(report), payload, code, ns.format)
+    return Report(payload, code, ns.format)
 
 
 def _cmd_super(ns) -> Report:
     scenario = _scenario_from_args(ns)
     report = check_supervaluation(scenario)
-    verdict = "supervaluation consistent" if report.consistent else "supervaluation inconsistent"
-    lines = ["binding: " + ", ".join(f"{a}={e}" for a, e in scenario.binding)]
-    for atom, value in report.atom_values:
-        lines.append(f"{atom} -> {_fmt(value)}")
-    lines.append(f"compound reduces to element: {report.compound_element}")
-    lines.append(f"compound value: {_fmt(report.compound_value)}")
-    lines.append(f"bridges fired: {'yes' if report.bridges_fired else 'no'}")
     payload = {
         "command": "super",
-        "verdict": verdict,
+        "verdict": f"supervaluation {'consistent' if report.consistent else 'inconsistent'}",
         "scenario": _scenario_payload(scenario),
         "atoms": {a: _jsonable(v) for a, v in report.atom_values},
         "compound_element": report.compound_element,
@@ -523,14 +395,155 @@ def _cmd_super(ns) -> Report:
         "bridges_fired": report.bridges_fired,
         "consistent": report.consistent,
     }
-    return Report(verdict, "\n".join(lines), payload, 0 if report.consistent else 1, ns.format)
+    return Report(payload, 0 if report.consistent else 1, ns.format)
+
+
+# ---------------------------------------------------------------- text bodies
+#
+# Each formatter reads only its payload, so a payload that went through
+# json.dumps and json.loads renders to the same text.
+
+
+def _tree_text(tree: dict) -> list[str]:
+    lines, stack = [], [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        label = f"Atom {node['name']}" if node["node"] == "Atom" else node["node"]
+        lines.append("  " * depth + label)
+        stack += [(node[k], depth + 1) for k in ("right", "left", "child") if k in node]
+    return lines
+
+
+def _binding_text(scenario: dict) -> str:
+    return "binding: " + ", ".join(f"{a}={e}" for a, e in scenario["binding"].items())
+
+
+def _scenario_text(scenario: dict) -> list[str]:
+    elements = scenario["lattice"]["elements"]
+    inp = scenario["interference"]
+    return [
+        # the text of Lattice.describe(), which the payload does not carry
+        f"lattice: {len(elements)} elements [{', '.join(elements)}]",
+        _binding_text(scenario),
+        (
+            f"observed: P[R|both]={inp['p_or']}, P[R|path1]={inp['p1']}, "
+            f"P[R|path2]={inp['p2']}, I12={inp['i12']}"
+        ),
+        f"equal priors: {'yes' if scenario['equal_priors'] else 'no'}",
+    ]
+
+
+def _result_text(result: dict) -> str:
+    line = "(" + ", ".join(f"{a}={v}" for a, v in result["assignment"].items()) + ") -> "
+    v = result["violation"]
+    if v is None:
+        return line + "consistent"
+    line += f"violates {v['constraint']}"
+    if v["also_violates"]:
+        line += f" (also: {', '.join(v['also_violates'])})"
+    return line
+
+
+def _lattice_check_text(p: dict) -> list[str]:
+    return [
+        f"  {lattice_mod.LawViolation(v['law'], tuple(v['elements']), v['message'])}"
+        for v in p["violations"]
+    ]
+
+
+def _parse_text(p: dict) -> list[str]:
+    return _tree_text(p["tree"]) + [f"desugared: {p['desugared']}"]
+
+
+def _eval_text(p: dict) -> list[str]:
+    return [f"element: {p['element']}"] if "element" in p else []
+
+
+def _interference_text(p: dict) -> list[str]:
+    return [f"p_or = {p['p_or']}; p1 = {p['p1']}; p2 = {p['p2']}"]
+
+
+def _nogo_text(p: dict) -> list[str]:
+    corners = [_result_text(c) for c in p["corners"]]
+    functions = p["truth_functions"]
+    lines = _scenario_text(p["scenario"])
+    lines += ["", f"corner assignments ({len(corners)}):"]
+    lines += [f"  {c}" for c in corners]
+    lines += ["", f"bivalent truth functions ({len(functions)}):"]
+    for f in functions:
+        values = ", ".join(f"{e}={v}" for e, v in f["values"].items())
+        lines.append(f"  {{{values}}} -> {_result_text(f)}")
+    lines += ["", "derivation traces:"]
+    for corner, text in zip(p["corners"], corners):
+        lines.append(f"  {text}")
+        if corner["violation"]:
+            lines += [
+                f"    {TraceStep(s['rule'], tuple(s['operands']), s['result'], s['note'])}"
+                for s in corner["violation"]["trace"]
+            ]
+    return lines
+
+
+def _scan_text(p: dict) -> list[str]:
+    results = p["results"]
+    violated = sum(1 for r in results if r["violation"])
+    consistent = ", ".join(f"({a}, {b})" for a, b in p["consistent"])
+    lines = _scenario_text(p["scenario"])
+    lines += [
+        f"value system: {p['value_system']} over {{{', '.join(p['values'])}}}",
+        (
+            f"assignments checked: {len(results)}; "
+            f"violated: {violated}; consistent: {len(p['consistent'])}"
+        ),
+        "corners: " + "; ".join(f"{pair} -> {c}" for pair, c in p["corners"].items()),
+        f"consistent: {consistent or 'none'}",
+        "table:",
+    ]
+    lines += [f"  {_result_text(r)}" for r in results]
+    return lines
+
+
+def _super_text(p: dict) -> list[str]:
+    return [
+        _binding_text(p["scenario"]),
+        *(f"{atom} -> {value}" for atom, value in p["atoms"].items()),
+        f"compound reduces to element: {p['compound_element']}",
+        f"compound value: {p['compound_value']}",
+        f"bridges fired: {'yes' if p['bridges_fired'] else 'no'}",
+    ]
+
+
+_TEXT_BODIES = {
+    "lattice-check": _lattice_check_text,
+    "parse": _parse_text,
+    "eval": _eval_text,
+    "interference": _interference_text,
+    "nogo": _nogo_text,
+    "scan": _scan_text,
+    "super": _super_text,
+}
 
 
 # ---------------------------------------------------------------- parser
 
 
+_FORMATS = ("text", "json")
+
+
 def _add_format(p) -> None:
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--format", choices=_FORMATS, default="text")
+
+
+def _requested_format(argv: Sequence[str]) -> str:
+    """The format an error report is rendered in: the last ``--format X`` or
+    ``--format=X`` of argv, or text when that is absent or not a choice."""
+    fmt = "text"
+    for flag, value in zip(argv, [*argv[1:], None]):
+        if flag == "--format":
+            fmt = value
+        elif flag.startswith("--format="):
+            fmt = flag[len("--format="):]
+    return fmt if fmt in _FORMATS else "text"
 
 
 def _add_scenario_args(p) -> None:
@@ -611,7 +624,6 @@ _INPUT_ERRORS = (
     InadmissibleValue,
     ScenarioError,
     BindingAtExtreme,
-    MissingEntry,
     OutOfRange,
     ValueError,
     TypeError,
@@ -623,7 +635,6 @@ _INPUT_ERRORS = (
 def dispatch(argv: Sequence[str]) -> Report:
     """Route argv to a subcommand; every failure becomes an exit-2 report."""
     parser = build_parser()
-    fmt = "json" if "--format" in argv and "json" in argv else "text"
     try:
         ns = parser.parse_args(list(argv))
         if getattr(ns, "command", None) is None:
@@ -632,7 +643,7 @@ def dispatch(argv: Sequence[str]) -> Report:
     except _INPUT_ERRORS as exc:
         message = str(exc) or type(exc).__name__
         verdict = f"error: {message}"
-        return Report(verdict, "", {"verdict": verdict, "error": message}, 2, fmt)
+        return Report({"verdict": verdict, "error": message}, 2, _requested_format(argv))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

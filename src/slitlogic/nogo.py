@@ -223,11 +223,6 @@ class GridReport:
     def consistent_pairs(self) -> tuple[tuple[TruthValue, TruthValue], ...]:
         return tuple(r.values for r in self.results if r.consistent)
 
-    def violated_pairs(self) -> tuple[tuple[tuple[TruthValue, TruthValue], str], ...]:
-        return tuple(
-            (r.values, r.violation.constraint) for r in self.results if r.violation
-        )
-
     def corner_results(self) -> tuple[AssignmentResult, ...]:
         corners = {(_ZERO, _ZERO), (_ZERO, _ONE), (_ONE, _ZERO), (_ONE, _ONE)}
         return tuple(r for r in self.results if r.values in corners)

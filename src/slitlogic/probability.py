@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .formula import And, Formula, Or, render
 from .valuation import UNDEFINED, as_value
 
 __all__ = [
@@ -21,16 +20,8 @@ __all__ = [
     "InterferenceInputs",
     "interference_term",
     "amplitude_interference",
-    "ProbabilityAssignment",
-    "AdditivityViolation",
-    "check_additivity",
-    "MissingEntry",
     "OutOfRange",
 ]
-
-
-class MissingEntry(Exception):
-    """A probability assignment lacks an entry the check needs."""
 
 
 class OutOfRange(Exception):
@@ -102,69 +93,3 @@ def amplitude_interference(a1, a2) -> InterferenceInputs:
     if p_or > 1:
         raise OutOfRange(f"|a1+a2|^2/2 = {p_or} exceeds 1")
     return InterferenceInputs(p_or, p1, p2)
-
-
-def _key(proposition) -> str:
-    if isinstance(proposition, str):
-        return proposition
-    return render(proposition)
-
-
-class ProbabilityAssignment:
-    """Exact probabilities keyed by rendered formula text.
-
-    Marginal entries map a proposition to [0, 1]; conditional entries are
-    keyed by a (region, proposition) pair. Additivity is checked on demand
-    by :func:`check_additivity`, never silently enforced.
-    """
-
-    def __init__(self):
-        self._marginal: dict[str, Fraction] = {}
-        self._conditional: dict[tuple[str, str], Fraction] = {}
-
-    def set(self, proposition, value) -> None:
-        self._marginal[_key(proposition)] = _unit(value, "probability")
-
-    def get(self, proposition) -> Fraction:
-        key = _key(proposition)
-        if key not in self._marginal:
-            raise MissingEntry(f"no probability for {key!r}")
-        return self._marginal[key]
-
-    def set_conditional(self, region: str, proposition, value) -> None:
-        self._conditional[(region, _key(proposition))] = _unit(value, "probability")
-
-    def get_conditional(self, region: str, proposition) -> Fraction:
-        key = (region, _key(proposition))
-        if key not in self._conditional:
-            raise MissingEntry(f"no conditional probability for {key!r}")
-        return self._conditional[key]
-
-    def __len__(self) -> int:
-        return len(self._marginal) + len(self._conditional)
-
-
-@dataclass(frozen=True)
-class AdditivityViolation:
-    """P[Y or Z] fails to equal P[Y] + P[Z] - P[Y and Z]."""
-
-    disjunction: str
-    lhs: Fraction
-    rhs: Fraction
-
-    def __str__(self) -> str:
-        return f"P[{self.disjunction}] = {self.lhs} but the inclusion-exclusion sum is {self.rhs}"
-
-
-def check_additivity(
-    assignment: ProbabilityAssignment, y: Formula, z: Formula
-) -> AdditivityViolation | None:
-    """Check P[Y or Z] = P[Y] + P[Z] - P[Y and Z]; None means it holds."""
-    p_y = assignment.get(y)
-    p_z = assignment.get(z)
-    p_or = assignment.get(Or(y, z))
-    p_and = assignment.get(And(y, z))
-    rhs = p_y + p_z - p_and
-    if p_or == rhs:
-        return None
-    return AdditivityViolation(_key(Or(y, z)), p_or, rhs)

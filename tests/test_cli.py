@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from slitlogic.cli import dispatch
-from slitlogic.lattice import builtin
+from slitlogic import cli
+from slitlogic.cli import Report, dispatch
+from slitlogic.lattice import Lattice, builtin, verify_axioms
 
 NOGO_ARGS = [
     "nogo",
@@ -20,9 +21,9 @@ def test_nogo_default_run():
     report = dispatch(NOGO_ARGS)
     assert report.exit_code == 0
     assert report.verdict == "no-go holds"
-    assert "(X1=0, X2=1) -> violates C-INT" in report.body
-    assert "(X1=1, X2=1) -> violates C-COLLAPSE" in report.body
-    assert "derivation traces:" in report.body
+    assert "(X1=0, X2=1) -> violates C-INT" in report.render()
+    assert "(X1=1, X2=1) -> violates C-COLLAPSE" in report.render()
+    assert "derivation traces:" in report.render()
 
 
 def test_nogo_defaults_match_explicit_flags():
@@ -62,14 +63,14 @@ def test_nogo_rejects_degenerate_without_flag():
 def test_nogo_direct_probability_inputs():
     report = dispatch(["nogo", "--p-or", "1", "--p1", "1/2", "--p2", "1/2"])
     assert report.exit_code == 0
-    assert "I12=1/2" in report.body
+    assert "I12=1/2" in report.render()
 
 
 def test_scan_values_3():
     report = dispatch(["scan", "--values", "3"])
     assert report.exit_code == 0
     assert report.verdict == "corners violated: 4/4; consistent: 5/9"
-    assert "(X1=1/2, X2=1/2) -> consistent" in report.body
+    assert "(X1=1/2, X2=1/2) -> consistent" in report.render()
     payload = dispatch(["scan", "--values", "3", "--format", "json"]).payload
     assert ["1/2", "1/2"] in payload["consistent"]
     assert payload["corners"] == {
@@ -83,8 +84,8 @@ def test_scan_values_3():
 def test_scan_default_denominator_is_10():
     report = dispatch(["scan"])
     assert report.exit_code == 0
-    assert "infinite(10)" in report.body
-    assert "assignments checked: 121" in report.body
+    assert "infinite(10)" in report.render()
+    assert "assignments checked: 121" in report.render()
 
 
 def test_scan_rejects_conflicting_grid_flags():
@@ -95,7 +96,7 @@ def test_scan_rejects_conflicting_grid_flags():
 def test_parse_command():
     report = dispatch(["parse", "(X1 | X2) & !(X1 & X2)"])
     assert report.exit_code == 0
-    lines = report.body.splitlines()
+    lines = report.render().splitlines()[1:]
     assert lines[0] == "And"
     assert "  Or" in lines
     assert report.payload["desugared"] == "(X1 | X2) & !(X1 & X2)"
@@ -199,8 +200,8 @@ def test_super_command():
     report = dispatch(["super"])
     assert report.exit_code == 0
     assert report.verdict == "supervaluation consistent"
-    assert "X1 -> undefined" in report.body
-    assert "compound value: 1" in report.body
+    assert "X1 -> undefined" in report.render()
+    assert "compound value: 1" in report.render()
 
 
 def test_super_rejects_extreme_binding():
@@ -235,4 +236,116 @@ def test_builtin_reference_validation():
 def test_scan_degenerate_corners_survive():
     report = dispatch(["scan", "--values", "3", "--amp2", "0,0", "--allow-degenerate"])
     assert report.exit_code == 1
-    assert "(X1=1, X2=0) -> consistent" in report.body
+    assert "(X1=1, X2=0) -> consistent" in report.render()
+
+
+@pytest.mark.parametrize("argv, fmt", [
+    (["nogo", "--format", "text", "--lattice", "json"], "text"),
+    (["nogo", "--format=json", "--lattice", "nope"], "json"),
+    (["nogo", "--format", "json", "--lattice", "nope"], "json"),
+    (["nogo", "--format=json", "--format", "xml"], "text"),
+    (["nogo", "--lattice", "nope"], "text"),
+])
+def test_error_report_takes_the_last_format_flag(argv, fmt):
+    report = dispatch(argv)
+    assert report.exit_code == 2
+    assert report.format == fmt
+    if fmt == "json":
+        assert json.loads(report.render())["verdict"] == report.verdict
+    else:
+        assert report.render() == report.verdict
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["lattice-check", "builtin:lantern:2"], 0),
+    (["parse", "(X1 | X2) & !(X1 ^ X2)"], 0),
+    (["eval", "--formula", "X1 ^ X2", "--mode", "lukasiewicz", "--assign", "X1=1/2,X2=1/3"], 0),
+    (["eval", "--formula", "X1 | X2", "--mode", "lattice", "--lattice", "builtin:boolean:2",
+      "--assign", "X1=a,X2=b", "--values", "a=1/2,b=undefined"], 0),
+    (["interference", "--amp1", "3/5,0", "--amp2", "0,4/5"], 0),
+    (NOGO_ARGS + ["--lattice", "builtin:lantern:2", "--bind", "X1=a1,X2=b2"], 0),
+    (["nogo", "--amp2", "0,0", "--allow-degenerate", "--no-equal-priors"], 1),
+    (["scan", "--values", "4"], 0),
+    (["scan", "--values", "3", "--amp2", "0,0", "--allow-degenerate"], 1),
+    (["super"], 0),
+    (["parse", "X1 &"], 2),
+])
+def test_text_report_is_rendered_from_the_json_payload(argv, code):
+    text = dispatch(argv)
+    assert text.exit_code == code
+    payload = json.loads(dispatch(argv + ["--format=json"]).render())
+    assert Report(payload, code, "text").render() == text.render()
+
+
+def test_lattice_check_lists_each_violation(monkeypatch):
+    # files and builtins are checked while they are built, so a lattice that
+    # breaks a law reaches lattice-check only by hand
+    lat = builtin("boolean", 2)
+    broken = Lattice(lat.elements, lat.leq, lat.join_table, lat.meet_table,
+                     (0, 1, 2, 3), lat.bottom, lat.top)
+    monkeypatch.setattr(cli, "_resolve_lattice", lambda ref: broken)
+    violations = verify_axioms(broken)
+    report = dispatch(["lattice-check", "broken"])
+    assert report.exit_code == 1
+    assert report.render().splitlines() == (
+        [f"{len(violations)} lattice law violation(s)"] + [f"  {v}" for v in violations]
+    )
+    payload = json.loads(dispatch(["lattice-check", "broken", "--format=json"]).render())
+    assert Report(payload, 1, "text").render() == report.render()
+
+
+SCAN_HEAD = """\
+lattice: 4 elements [0, a, b, 1]
+binding: X1=a, X2=b
+observed: P[R|both]=1, P[R|path1]=1/2, P[R|path2]=1/2, I12=1/2
+"""
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["parse", "(X1 ^ !X2) & X3"], """\
+ok: (X1 ^ !X2) & X3
+And
+  Xor
+    Atom X1
+    Not
+      Atom X2
+  Atom X3
+desugared: (X1 | !X2) & !(X1 & !X2) & X3"""),
+    (["eval", "--formula=X1 ^ X2", "--mode=super", "--lattice=builtin:boolean:2",
+      "--assign=X1=a,X2=b"], "value: 1\nelement: 1"),
+    (["interference", "--p-or=1", "--p1=1/4", "--p2=1/2"],
+     "I12 = 5/8\np_or = 1; p1 = 1/4; p2 = 1/2"),
+    (["scan", "--values=2"], "corners violated: 4/4; consistent: 0/4\n" + SCAN_HEAD + """\
+equal priors: yes
+value system: finite(2) over {0, 1}
+assignments checked: 4; violated: 4; consistent: 0
+corners: (0, 0) -> C-TRUE; (0, 1) -> C-INT; (1, 0) -> C-INT; (1, 1) -> C-COLLAPSE
+consistent: none
+table:
+  (X1=0, X2=0) -> violates C-TRUE
+  (X1=0, X2=1) -> violates C-INT
+  (X1=1, X2=0) -> violates C-INT
+  (X1=1, X2=1) -> violates C-COLLAPSE (also: C-TRUE)"""),
+    (["scan", "--values=2", "--no-equal-priors"],
+     "corners violated: 2/4; consistent: 2/4\n" + SCAN_HEAD + """\
+equal priors: no
+value system: finite(2) over {0, 1}
+assignments checked: 4; violated: 2; consistent: 2
+corners: (0, 0) -> C-TRUE; (0, 1) -> consistent; (1, 0) -> consistent; (1, 1) -> C-COLLAPSE
+consistent: (0, 1), (1, 0)
+table:
+  (X1=0, X2=0) -> violates C-TRUE
+  (X1=0, X2=1) -> consistent
+  (X1=1, X2=0) -> consistent
+  (X1=1, X2=1) -> violates C-COLLAPSE (also: C-TRUE)"""),
+    (["super", "--amp2=1/2,0"], """\
+supervaluation consistent
+binding: X1=a, X2=b
+X1 -> undefined
+X2 -> undefined
+compound reduces to element: 1
+compound value: 1
+bridges fired: no"""),
+])
+def test_text_reports_keep_their_layout(argv, text):
+    assert dispatch(argv).render() == text

@@ -1,5 +1,6 @@
 """Scenario construction, assignment checking, certificates, and grids."""
 
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -231,41 +232,88 @@ def reference_certificate(scenario):
     return Certificate(scenario, corners, tuple(functions), verdict, 4 + len(functions))
 
 
+def _ref_value(value):
+    if value is UNDEFINED:
+        return "undefined"
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return [_ref_value(v) for v in value]
+    return value
+
+
+def _ref_result_line(result):
+    text = "(" + ", ".join(f"{a}={_ref_value(v)}" for a, v in result.assignment) + ") -> "
+    v = result.violation
+    if v is None:
+        return text + "consistent"
+    text += f"violates {v.constraint}"
+    if v.also_violates:
+        text += f" (also: {', '.join(v.also_violates)})"
+    return text
+
+
+def _ref_result_payload(result):
+    v = result.violation
+    return {
+        "assignment": {a: _ref_value(x) for a, x in result.assignment},
+        "violation": None if v is None else {
+            "constraint": v.constraint,
+            "also_violates": list(v.also_violates),
+            "assignment": {a: _ref_value(x) for a, x in v.assignment},
+            "trace": [
+                {"rule": s.rule, "operands": _ref_value(s.operands),
+                 "result": _ref_value(s.result), "note": s.note}
+                for s in v.trace
+            ],
+        },
+    }
+
+
 def reference_rendering(cert, fmt):
-    """Render a certificate one function at a time, sharing nothing."""
-    lines = cli._scenario_lines(cert.scenario)
+    """Render a certificate one function at a time from the domain objects,
+    sharing no code with the CLI it is compared against."""
+    scenario = cert.scenario
+    lat, inp = scenario.lattice, scenario.interference
+    i12 = scenario.observed_interference()
+    if fmt == "json":
+        return json.dumps({
+            "command": "nogo",
+            "verdict": cert.verdict,
+            "scenario": {
+                "lattice": {"elements": list(lat.elements), "bottom": lat.bottom, "top": lat.top},
+                "binding": dict(scenario.binding),
+                "interference": {k: str(x) for k, x in
+                                 (("p_or", inp.p_or), ("p1", inp.p1), ("p2", inp.p2), ("i12", i12))},
+                "equal_priors": scenario.equal_priors,
+            },
+            "enumerated": cert.enumerated,
+            "corners": [_ref_result_payload(r) for r in cert.corner_results],
+            "truth_functions": [
+                {"values": {e: _ref_value(v) for e, v in fr.function_values},
+                 **_ref_result_payload(fr.result)}
+                for fr in cert.function_results
+            ],
+        }, indent=2)
+    lines = [
+        cert.verdict,
+        f"lattice: {len(lat.elements)} elements [{', '.join(lat.elements)}]",
+        "binding: " + ", ".join(f"{a}={e}" for a, e in scenario.binding),
+        f"observed: P[R|both]={inp.p_or}, P[R|path1]={inp.p1}, P[R|path2]={inp.p2}, I12={i12}",
+        f"equal priors: {'yes' if scenario.equal_priors else 'no'}",
+    ]
     lines += ["", f"corner assignments ({len(cert.corner_results)}):"]
-    lines += [f"  {cli._result_line(r)}" for r in cert.corner_results]
+    lines += [f"  {_ref_result_line(r)}" for r in cert.corner_results]
     lines += ["", f"bivalent truth functions ({len(cert.function_results)}):"]
     for fr in cert.function_results:
-        tf_text = "{" + ", ".join(f"{e}={cli._fmt(v)}" for e, v in fr.function_values) + "}"
-        lines.append(f"  {tf_text} -> {cli._result_line(fr.result)}")
+        tf_text = "{" + ", ".join(f"{e}={_ref_value(v)}" for e, v in fr.function_values) + "}"
+        lines.append(f"  {tf_text} -> {_ref_result_line(fr.result)}")
     lines += ["", "derivation traces:"]
     for r in cert.corner_results:
-        lines.append(f"  {cli._result_line(r)}")
+        lines.append(f"  {_ref_result_line(r)}")
         if r.violation:
             lines += [f"    {step}" for step in r.violation.trace]
-
-    def result_payload(r):
-        return {
-            "assignment": {a: cli._jsonable(v) for a, v in r.assignment},
-            "violation": cli._violation_payload(r.violation),
-        }
-
-    payload = {
-        "command": "nogo",
-        "verdict": cert.verdict,
-        "scenario": cli._scenario_payload(cert.scenario),
-        "enumerated": cert.enumerated,
-        "corners": [result_payload(r) for r in cert.corner_results],
-        "truth_functions": [
-            {"values": {e: cli._jsonable(v) for e, v in fr.function_values},
-             **result_payload(fr.result)}
-            for fr in cert.function_results
-        ],
-    }
-    code = 0 if cert.holds else 1
-    return cli.Report(cert.verdict, "\n".join(lines), payload, code, fmt).render()
+    return "\n".join(lines)
 
 
 @pytest.mark.parametrize(

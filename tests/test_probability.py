@@ -10,14 +10,10 @@ from hypothesis import strategies as st
 
 from slitlogic.formula import And, Atom, Or
 from slitlogic.probability import (
-    AdditivityViolation,
     InterferenceInputs,
-    MissingEntry,
     OutOfRange,
-    ProbabilityAssignment,
     amplitude_interference,
     bridge,
-    check_additivity,
     interference_term,
 )
 from slitlogic.valuation import UNDEFINED, evaluate_degrees
@@ -42,59 +38,15 @@ def test_bridge_respects_negation():
             assert bridge(1 - t) == F(1)
 
 
-def test_additivity_pass_cases():
-    p = ProbabilityAssignment()
-    p.set(X1, F(1, 2))
-    p.set(X2, F(1, 2))
-    p.set(And(X1, X2), F(0))
-    p.set(Or(X1, X2), F(1))
-    assert check_additivity(p, X1, X2) is None
-
-    q = ProbabilityAssignment()
-    q.set(X1, F(1))
-    q.set(X2, F(0))
-    q.set(And(X1, X2), F(0))
-    q.set(Or(X1, X2), F(1))
-    assert check_additivity(q, X1, X2) is None
-
-
-def test_additivity_violation():
-    p = ProbabilityAssignment()
-    p.set(X1, F(3, 5))
-    p.set(X2, F(3, 5))
-    p.set(And(X1, X2), F(0))
-    p.set(Or(X1, X2), F(1))
-    violation = check_additivity(p, X1, X2)
-    assert isinstance(violation, AdditivityViolation)
-    assert violation.lhs == F(1)
-    assert violation.rhs == F(6, 5)
-
-
-def test_additivity_missing_entry():
-    p = ProbabilityAssignment()
-    p.set(X1, F(1, 2))
-    with pytest.raises(MissingEntry):
-        check_additivity(p, X1, X2)
-
-
-def test_assignment_validates_range_and_conditionals():
-    p = ProbabilityAssignment()
-    with pytest.raises(OutOfRange):
-        p.set(X1, F(3, 2))
-    p.set_conditional("R", Or(X1, X2), F(1, 4))
-    assert p.get_conditional("R", Or(X1, X2)) == F(1, 4)
-    with pytest.raises(MissingEntry):
-        p.get_conditional("R", X1)
-
-
 def test_assignment_from_bivalent_truth_is_additive():
     # {0,1}-valued probabilities from the bridge reduce additivity to the
     # boolean identity; exhaustive over the four atom assignments
     for a, b in product([0, 1], repeat=2):
-        p = ProbabilityAssignment()
-        for f in (X1, X2, Or(X1, X2), And(X1, X2)):
-            p.set(f, bridge(evaluate_degrees(f, {"X1": a, "X2": b})))
-        assert check_additivity(p, X1, X2) is None
+        p1, p2, p_or, p_and = (
+            bridge(evaluate_degrees(f, {"X1": a, "X2": b}))
+            for f in (X1, X2, Or(X1, X2), And(X1, X2))
+        )
+        assert p1 + p2 == p_or + p_and
 
 
 def test_interference_zero_when_pattern_is_mixture():
