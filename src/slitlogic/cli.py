@@ -38,8 +38,6 @@ from .probability import (
 )
 from .valuation import (
     UNDEFINED,
-    InadmissibleValue,
-    InfeasibleFrozen,
     TruthFunction,
     UnboundAtom,
     ValueSystem,
@@ -620,8 +618,6 @@ _INPUT_ERRORS = (
     ParseError,
     lattice_mod.LatticeError,
     UnboundAtom,
-    InfeasibleFrozen,
-    InadmissibleValue,
     ScenarioError,
     BindingAtExtreme,
     OutOfRange,

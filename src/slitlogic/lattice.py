@@ -159,19 +159,13 @@ class Lattice:
 
 
 def _lub(leq: Sequence[Sequence[bool]], i: int, j: int) -> int | None:
+    """The least upper bound of ``i`` and ``j`` under ``leq``, or None. Over
+    the transposed order, ``tuple(zip(*leq))``, it is the greatest lower
+    bound."""
     n = len(leq)
     uppers = [k for k in range(n) if leq[i][k] and leq[j][k]]
     for k in uppers:
         if all(leq[k][u] for u in uppers):
-            return k
-    return None
-
-
-def _glb(leq: Sequence[Sequence[bool]], i: int, j: int) -> int | None:
-    n = len(leq)
-    lowers = [k for k in range(n) if leq[k][i] and leq[k][j]]
-    for k in lowers:
-        if all(leq[l][k] for l in lowers):
             return k
     return None
 
@@ -225,6 +219,10 @@ def build_from_order(
                     f"{names[i]!r} and {names[j]!r} are below each other"
                 )
 
+    # Frozen before the bound search, so _lub sees one row type for joins
+    # and meets; alternating lists and tuples defeats its specialisation.
+    leq = tuple(tuple(row) for row in leq)
+    geq = tuple(zip(*leq))
     join_table = [[0] * n for _ in range(n)]
     meet_table = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -234,7 +232,7 @@ def build_from_order(
                 raise NoUniqueBound(
                     f"no least upper bound for ({names[i]}, {names[j]})"
                 )
-            down = _glb(leq, i, j)
+            down = _lub(geq, i, j)
             if down is None:
                 raise NoUniqueBound(
                     f"no greatest lower bound for ({names[i]}, {names[j]})"
@@ -267,7 +265,7 @@ def build_from_order(
 
     return Lattice(
         elements=names,
-        leq=tuple(tuple(row) for row in leq),
+        leq=leq,
         join_table=tuple(tuple(row) for row in join_table),
         meet_table=tuple(tuple(row) for row in meet_table),
         involution=tuple(inv[i] for i in range(n)),
@@ -387,6 +385,7 @@ def verify_axioms(lat: Lattice) -> list[LawViolation]:
     names = lat.elements
     n = len(names)
     leq = lat.leq
+    geq = tuple(zip(*leq))
     jt, mt = lat.join_table, lat.meet_table
 
     for i in range(n):
@@ -418,7 +417,7 @@ def verify_axioms(lat: Lattice) -> list[LawViolation]:
                 out.append(LawViolation(
                     "join-is-lub", (names[i], names[j]),
                     f"table gives {names[jt[i][j]]}, least upper bound is {names[up]}"))
-            down = _glb(leq, i, j)
+            down = _lub(geq, i, j)
             if down is None:
                 out.append(LawViolation(
                     "no-unique-bound", (names[i], names[j]),

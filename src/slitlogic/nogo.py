@@ -35,7 +35,6 @@ from .formula import Atom, Formula, Xor
 from .lattice import Lattice
 from .probability import InterferenceInputs, bridge, interference_term
 from .valuation import (
-    InadmissibleValue,
     TruthValue,
     ValueSystem,
     as_value,
@@ -239,37 +238,20 @@ class SupervaluationReport:
     consistent: bool
 
 
-def check_assignment(
-    scenario: Scenario,
-    v1,
-    v2,
-    value_system: ValueSystem | None = None,
-) -> Violation | None:
+def check_assignment(scenario: Scenario, v1, v2) -> Violation | None:
     """Check one pre-assigned value pair against the scenario constraints.
 
     Evaluates the disjunction, conjunction, and exactly-one compound through
     the degree functions, then applies the constraints in the fixed
     reporting order. Returns the first violation (others recorded in
-    ``also_violates``), or None when the pair is consistent.
+    ``also_violates``), or None when the pair is consistent. The derivation
+    trace is built only when a constraint fires.
     """
     v1, v2 = as_value(v1), as_value(v2)
-    if value_system is not None:
-        for v in (v1, v2):
-            if not value_system.admits(v):
-                raise InadmissibleValue(
-                    f"value {v} is not admissible in {value_system.kind}"
-                )
-
-    a1, a2 = scenario.atom_names
-    steps: list[TraceStep] = []
     or12 = lukasiewicz_or(v1, v2)
-    steps.append(TraceStep("degree-or", (v1, v2), or12, f"value of {a1} | {a2}"))
     and12 = lukasiewicz_and(v1, v2)
-    steps.append(TraceStep("degree-and", (v1, v2), and12, f"value of {a1} & {a2}"))
     neg_and = lukasiewicz_neg(and12)
-    steps.append(TraceStep("degree-neg", (and12,), neg_and, f"value of !({a1} & {a2})"))
     x12 = lukasiewicz_and(or12, neg_and)
-    steps.append(TraceStep("degree-and", (or12, neg_and), x12, f"value of {a1} ^ {a2}"))
 
     observed = scenario.observed_interference()
     fired: list[str] = []
@@ -292,6 +274,14 @@ def check_assignment(
 
     primary = next(c for c in _CHECK_ORDER if c in fired)
     also = tuple(c for c in _CHECK_ORDER if c in fired and c != primary)
+
+    a1, a2 = scenario.atom_names
+    steps = [
+        TraceStep("degree-or", (v1, v2), or12, f"value of {a1} | {a2}"),
+        TraceStep("degree-and", (v1, v2), and12, f"value of {a1} & {a2}"),
+        TraceStep("degree-neg", (and12,), neg_and, f"value of !({a1} & {a2})"),
+        TraceStep("degree-and", (or12, neg_and), x12, f"value of {a1} ^ {a2}"),
+    ]
 
     if primary == C_COLLAPSE:
         steps.append(TraceStep(
@@ -371,7 +361,7 @@ def scan_grid(scenario: Scenario, value_system: ValueSystem) -> GridReport:
     results = []
     for v1 in value_system.scan_values():
         for v2 in value_system.scan_values():
-            violation = check_assignment(scenario, v1, v2, value_system=value_system)
+            violation = check_assignment(scenario, v1, v2)
             results.append(AssignmentResult(((a1, v1), (a2, v2)), violation))
     return GridReport(scenario, value_system, tuple(results))
 

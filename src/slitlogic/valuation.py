@@ -45,21 +45,11 @@ __all__ = [
     "check_valuational_axioms",
     "enumerate_truth_functions",
     "UnboundAtom",
-    "InfeasibleFrozen",
-    "InadmissibleValue",
 ]
 
 
 class UnboundAtom(Exception):
     """A formula atom has no entry in the binding or value map."""
-
-
-class InfeasibleFrozen(Exception):
-    """Frozen truth-function entries contradict the boundary conditions."""
-
-
-class InadmissibleValue(Exception):
-    """A truth value outside the governing value system's admissible set."""
 
 
 class _UndefinedType:
@@ -131,12 +121,17 @@ class ValueSystem:
 
     ``values`` holds the defined admissible values in ascending order;
     ``allows_undefined`` marks the partial system, where every non-extreme
-    element carries no value at all.
+    element carries no value at all. Each value is validated by
+    :func:`as_value` when the system is built, so consumers take them as
+    exact Fractions in [0, 1] without checking again.
     """
 
     kind: str
     values: tuple[Fraction, ...]
     allows_undefined: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", tuple(as_value(v) for v in self.values))
 
     @classmethod
     def bivalent(cls) -> "ValueSystem":
@@ -353,45 +348,26 @@ def check_valuational_axioms(lattice: Lattice, truth_function: TruthFunction) ->
 
 
 def enumerate_truth_functions(
-    lattice: Lattice,
-    value_system: ValueSystem,
-    frozen: Mapping[str, object] | None = None,
+    lattice: Lattice, value_system: ValueSystem
 ) -> Iterator[TruthFunction]:
     """Yield every admissible truth function, in a fixed order.
 
-    Bottom and top are pinned to 0 and 1; ``frozen`` pins further elements.
-    Enumeration runs over the remaining elements in declaration order with
-    values ascending, so the stream is deterministic and its length is
-    |admissible| ** free. Under the partial system the non-extreme elements
-    have no defined value, so exactly one function is produced.
+    Bottom and top are pinned to 0 and 1. Enumeration runs over the other
+    elements in declaration order with values ascending, so the stream is
+    deterministic and its length is |admissible| ** free. Under the partial
+    system the non-extreme elements have no defined value, so exactly one
+    function is produced.
 
-    The value system's values and the frozen entries are validated once, on
-    the first ``next()``; each function is then assembled from those checked
-    values, total and with the boundary conditions by construction, so it
-    skips the per-function validation of ``TruthFunction``.
+    The value system's values were validated when it was built; each
+    function is assembled from them, total and with the boundary conditions
+    by construction, so it skips the per-function validation of
+    ``TruthFunction``.
     """
-    values = tuple(as_value(v) for v in value_system.values)
-    pinned: dict[str, TruthValue] = {
-        lattice.bottom: _ZERO,
-        lattice.top: _ONE,
-    }
-    for element, raw in (frozen or {}).items():
-        value = as_value(raw)
-        lattice.index(element)
-        if element in (lattice.bottom, lattice.top) and pinned[element] != value:
-            raise InfeasibleFrozen(
-                f"frozen value {value} for {element!r} contradicts the boundary conditions"
-            )
-        if not value_system.admits(value):
-            raise InfeasibleFrozen(
-                f"frozen value {value} for {element!r} is not admissible in {value_system.kind}"
-            )
-        pinned[element] = value
-
-    domain = (UNDEFINED,) if value_system.allows_undefined else values
+    pinned = {lattice.bottom: (_ZERO,), lattice.top: (_ONE,)}
+    domain = (UNDEFINED,) if value_system.allows_undefined else value_system.values
     elements = lattice.elements
     # A pinned element contributes a one-value axis, so the product advances
     # the free elements in declaration order with values ascending.
-    axes = [(pinned[e],) if e in pinned else domain for e in elements]
+    axes = [pinned.get(e, domain) for e in elements]
     for row in product(*axes):
         yield TruthFunction._trusted(lattice, dict(zip(elements, row)))

@@ -11,7 +11,6 @@ from slitlogic.formula import And, Atom, Not, Or, Xor, parse
 from slitlogic.lattice import build_from_order, builtin
 from slitlogic.valuation import (
     UNDEFINED,
-    InfeasibleFrozen,
     TruthFunction,
     UnboundAtom,
     ValueSystem,
@@ -369,27 +368,6 @@ def test_enumerate_order_is_declaration_then_ascending():
     assert pairs == [(F(0), F(0)), (F(0), F(1)), (F(1), F(0)), (F(1), F(1))]
 
 
-def test_enumerate_respects_frozen():
-    lat = builtin("boolean", 2)
-    tfs = list(
-        enumerate_truth_functions(lat, ValueSystem.finite(3), frozen={"a": HALF})
-    )
-    assert len(tfs) == 3
-    assert all(tf("a") == HALF for tf in tfs)
-
-
-def test_enumerate_infeasible_frozen():
-    lat = builtin("boolean", 2)
-    with pytest.raises(InfeasibleFrozen):
-        list(enumerate_truth_functions(lat, ValueSystem.bivalent(), frozen={"0": 1}))
-    with pytest.raises(InfeasibleFrozen):
-        list(
-            enumerate_truth_functions(
-                lat, ValueSystem.bivalent(), frozen={"a": F(1, 3)}
-            )
-        )
-
-
 def test_enumerate_counts_match_formula():
     system = ValueSystem.finite(4)
     for family, n, free in [("boolean", 2, 2), ("chain", 3, 2), ("lantern", 2, 4)]:
@@ -400,18 +378,17 @@ def test_enumerate_counts_match_formula():
 
 
 @pytest.mark.parametrize(
-    "family, n, system, frozen",
+    "family, n, system",
     [
-        ("boolean", 3, ValueSystem.bivalent(), None),
-        ("lantern", 2, ValueSystem.finite(3), None),
-        ("boolean", 2, ValueSystem.partial(), None),
-        ("boolean", 2, ValueSystem.finite(3), {"a": HALF, "0": 0}),
-        ("chain", 3, ValueSystem.bivalent(), {"m2": 1}),
+        ("boolean", 3, ValueSystem.bivalent()),
+        ("lantern", 2, ValueSystem.finite(3)),
+        ("boolean", 2, ValueSystem.partial()),
+        ("chain", 3, ValueSystem.finite(3)),
     ],
 )
-def test_enumerated_functions_equal_validated_construction(family, n, system, frozen):
+def test_enumerated_functions_equal_validated_construction(family, n, system):
     lat = builtin(family, n)
-    tfs = list(enumerate_truth_functions(lat, system, frozen=frozen))
+    tfs = list(enumerate_truth_functions(lat, system))
     assert tfs
     for tf in tfs:
         assert list(tf.values) == list(lat.elements)
@@ -420,11 +397,9 @@ def test_enumerated_functions_equal_validated_construction(family, n, system, fr
 
 
 @pytest.mark.parametrize("bad, error", [(0.5, TypeError), (F(3, 2), ValueError)])
-def test_enumerate_rejects_invalid_value_system_on_first_next(bad, error):
-    system = ValueSystem("hand-built", (F(0), bad, F(1)))
-    stream = enumerate_truth_functions(builtin("boolean", 2), system)
+def test_value_system_rejects_invalid_value_when_built(bad, error):
     with pytest.raises(error):
-        next(stream)
+        ValueSystem("hand-built", (F(0), bad, F(1)))
 
 
 def test_enumerate_partial_yields_single_gap_function():
