@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,6 +56,12 @@ class UsageError(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # No option of this CLI looks like a number, so an argument such as
+        # "-1/2,0" or "-.5" is a value, as in "--amp1 -1/2,0".
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -94,8 +101,6 @@ def _jsonable(value):
         return str(value)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
     return value
 
 
@@ -326,17 +331,17 @@ def _certificate_payload(cert: Certificate) -> dict:
     """The nogo JSON payload. Every function in a corner's class shares that
     corner's ``assignment`` and ``violation`` sub-dicts, so the payload must
     be treated as read-only."""
-    corners = {id(r): _result_payload(r) for r in cert.corner_results}
+    corners = {r.values: _result_payload(r) for r in cert.corner_results}
     functions = []
     for fr in cert.function_results:
-        shared = corners.get(id(fr.result)) or _result_payload(fr.result)
-        functions.append({"values": {e: _jsonable(v) for e, v in fr.function_values}, **shared})
+        values = {e: _jsonable(v) for e, v in fr.function_values}
+        functions.append({"values": values, **corners[fr.result.values]})
     return {
         "command": "nogo",
         "verdict": cert.verdict,
         "scenario": _scenario_payload(cert.scenario),
         "enumerated": cert.enumerated,
-        "corners": [corners[id(r)] for r in cert.corner_results],
+        "corners": list(corners.values()),
         "truth_functions": functions,
     }
 
@@ -366,7 +371,7 @@ def _cmd_scan(ns) -> Report:
         ),
         "scenario": _scenario_payload(scenario),
         "value_system": report.value_system.kind,
-        "values": _jsonable(report.value_system.scan_values()),
+        "values": _jsonable(report.value_system.values),
         "results": [_result_payload(r) for r in report.results],
         "consistent": [_jsonable(pair) for pair in consistent],
         "corners": {

@@ -27,7 +27,6 @@ __all__ = [
     "LatticeError",
     "NotAPartialOrder",
     "NoUniqueBound",
-    "NoBoundedExtremes",
     "BadInvolution",
     "UnknownElement",
     "UnsupportedFamily",
@@ -44,10 +43,6 @@ class NotAPartialOrder(LatticeError):
 
 class NoUniqueBound(LatticeError):
     """Some pair lacks a least upper or greatest lower bound."""
-
-
-class NoBoundedExtremes(LatticeError):
-    """No global least or greatest element exists."""
 
 
 class BadInvolution(LatticeError):
@@ -182,9 +177,9 @@ def build_from_order(
     is taken internally. ``involution_pairs`` must mention every element in
     exactly one pair (fixed points as (y, y)).
 
-    Raises :class:`NotAPartialOrder`, :class:`NoUniqueBound`,
-    :class:`NoBoundedExtremes`, or :class:`BadInvolution` rather than
-    returning a structure that breaks a lattice invariant.
+    Raises :class:`NotAPartialOrder`, :class:`NoUniqueBound`, or
+    :class:`BadInvolution` rather than returning a structure that breaks a
+    lattice invariant.
     """
     names = tuple(elements)
     if not names:
@@ -240,10 +235,10 @@ def build_from_order(
             join_table[i][j] = join_table[j][i] = up
             meet_table[i][j] = meet_table[j][i] = down
 
-    bottom = next((i for i in range(n) if all(leq[i][j] for j in range(n))), None)
-    top = next((i for i in range(n) if all(leq[j][i] for j in range(n))), None)
-    if bottom is None or top is None:
-        raise NoBoundedExtremes("order has no global least or greatest element")
+    # Every pair has a join and a meet, so the join of all elements is the
+    # top and their meet is the bottom: both searches below find one.
+    bottom = next(i for i in range(n) if all(leq[i][j] for j in range(n)))
+    top = next(i for i in range(n) if all(leq[j][i] for j in range(n)))
 
     inv: dict[int, int] = {}
     for pair in involution_pairs:

@@ -253,7 +253,6 @@ def check_assignment(scenario: Scenario, v1, v2) -> Violation | None:
     neg_and = lukasiewicz_neg(and12)
     x12 = lukasiewicz_and(or12, neg_and)
 
-    observed = scenario.observed_interference()
     fired: list[str] = []
     if and12 == _ONE:
         fired.append(C_COLLAPSE)
@@ -261,11 +260,11 @@ def check_assignment(scenario: Scenario, v1, v2) -> Violation | None:
         fired.append(C_TRUE)
     int_fires = (
         scenario.equal_priors
-        and observed != 0
         and bridge(or12) == _ONE
         and bridge(and12) == _ZERO
         and bridge(v1) is not None
         and bridge(v2) is not None
+        and scenario.observed_interference() != 0
     )
     if int_fires:
         fired.append(C_INT)
@@ -317,7 +316,7 @@ def check_assignment(scenario: Scenario, v1, v2) -> Violation | None:
             "the predicted pattern has no interference term"))
         steps.append(TraceStep(
             "contradiction", (scenario.interference.p_or, p1, p2), C_INT,
-            f"observed interference term {observed} is nonzero"))
+            f"observed interference term {scenario.observed_interference()} is nonzero"))
 
     assignment = ((a1, v1), (a2, v2))
     return Violation(primary, assignment, tuple(steps), also)
@@ -328,22 +327,19 @@ def run_nogo(scenario: Scenario) -> Certificate:
 
     A bivalent truth function reaches the constraints only through its
     values at the two bound elements, so its verdict is the verdict of the
-    corner (v(e1), v(e2)). The four corners are checked once each; every
-    bivalent truth function on the scenario lattice is then enumerated and
-    mapped to its corner's ``AssignmentResult``, so functions in one class
-    share one result object and one trace. The verdict is "no-go holds"
-    exactly when all four corners violate a constraint.
+    corner (v(e1), v(e2)). The four corners are checked once each, by
+    ``scan_grid`` over the bivalent system; every bivalent truth function on
+    the scenario lattice is then enumerated and mapped to its corner's
+    ``AssignmentResult``, so functions in one class share one result object
+    and one trace. The verdict is "no-go holds" exactly when all four
+    corners violate a constraint.
     """
-    a1, a2 = scenario.atom_names
-    corners = {
-        (v1, v2): AssignmentResult(((a1, v1), (a2, v2)), check_assignment(scenario, v1, v2))
-        for v1 in (_ZERO, _ONE)
-        for v2 in (_ZERO, _ONE)
-    }
+    bivalent = ValueSystem.bivalent()
+    corners = {r.values: r for r in scan_grid(scenario, bivalent).results}
     e1, e2 = scenario.bound_elements
     function_results = tuple(
         FunctionResult(tuple(tf.values.items()), corners[tf(e1), tf(e2)])
-        for tf in enumerate_truth_functions(scenario.lattice, ValueSystem.bivalent())
+        for tf in enumerate_truth_functions(scenario.lattice, bivalent)
     )
     all_violated = all(r.violation for r in corners.values())
     return Certificate(
@@ -359,8 +355,8 @@ def scan_grid(scenario: Scenario, value_system: ValueSystem) -> GridReport:
     """Check every admissible value pair of the system, in ascending order."""
     a1, a2 = scenario.atom_names
     results = []
-    for v1 in value_system.scan_values():
-        for v2 in value_system.scan_values():
+    for v1 in value_system.values:
+        for v2 in value_system.values:
             violation = check_assignment(scenario, v1, v2)
             results.append(AssignmentResult(((a1, v1), (a2, v2)), violation))
     return GridReport(scenario, value_system, tuple(results))

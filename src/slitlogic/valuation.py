@@ -119,16 +119,13 @@ def lukasiewicz_and(s, t) -> TruthValue:
 class ValueSystem:
     """The admissible truth values for an analysis run.
 
-    ``values`` holds the defined admissible values in ascending order;
-    ``allows_undefined`` marks the partial system, where every non-extreme
-    element carries no value at all. Each value is validated by
-    :func:`as_value` when the system is built, so consumers take them as
-    exact Fractions in [0, 1] without checking again.
+    ``values`` holds the admissible values in ascending order. Each value is
+    validated by :func:`as_value` when the system is built, so consumers
+    take them as exact Fractions in [0, 1] without checking again.
     """
 
     kind: str
     values: tuple[Fraction, ...]
-    allows_undefined: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(as_value(v) for v in self.values))
@@ -154,20 +151,8 @@ class ValueSystem:
             tuple(Fraction(k, denominator) for k in range(denominator + 1)),
         )
 
-    @classmethod
-    def partial(cls) -> "ValueSystem":
-        return cls("partial", (_ZERO, _ONE), allows_undefined=True)
-
     def admits(self, value: TruthValue) -> bool:
-        if value is UNDEFINED:
-            return self.allows_undefined
         return value in self.values
-
-    def scan_values(self) -> tuple[TruthValue, ...]:
-        """Admissible values in enumeration order, undefined last."""
-        if self.allows_undefined:
-            return self.values + (UNDEFINED,)
-        return self.values
 
 
 @dataclass(frozen=True)
@@ -289,13 +274,6 @@ class AxiomViolation:
     lattice_value: TruthValue
     degree_value: TruthValue
 
-    def __str__(self) -> str:
-        where = ", ".join(self.elements)
-        return (
-            f"{self.operation} at ({where}): truth function gives "
-            f"{self.lattice_value}, degree function gives {self.degree_value}"
-        )
-
 
 @dataclass(frozen=True)
 class AxiomReport:
@@ -315,35 +293,22 @@ def check_valuational_axioms(lattice: Lattice, truth_function: TruthFunction) ->
     every element. Comparisons touching an undefined value are skipped and
     counted, since the degree functions only constrain defined values.
     """
+    elements = lattice.elements
+    cases = []
+    for y in elements:
+        for z in elements:
+            cases.append(("join", (y, z), lattice.join(y, z), lukasiewicz_or))
+            cases.append(("meet", (y, z), lattice.meet(y, z), lukasiewicz_and))
+    cases += [("neg", (y,), lattice.involute(y), lukasiewicz_neg) for y in elements]
     violations: list[AxiomViolation] = []
     skipped = 0
-    for y in lattice.elements:
-        vy = truth_function(y)
-        for z in lattice.elements:
-            vz = truth_function(z)
-            v_join = truth_function(lattice.join(y, z))
-            if vy is UNDEFINED or vz is UNDEFINED or v_join is UNDEFINED:
-                skipped += 1
-            else:
-                expected = min(vy + vz, _ONE)
-                if v_join != expected:
-                    violations.append(AxiomViolation("join", (y, z), v_join, expected))
-            v_meet = truth_function(lattice.meet(y, z))
-            if vy is UNDEFINED or vz is UNDEFINED or v_meet is UNDEFINED:
-                skipped += 1
-            else:
-                expected = max(vy + vz - _ONE, _ZERO)
-                if v_meet != expected:
-                    violations.append(AxiomViolation("meet", (y, z), v_meet, expected))
-    for y in lattice.elements:
-        vy = truth_function(y)
-        v_neg = truth_function(lattice.involute(y))
-        if vy is UNDEFINED or v_neg is UNDEFINED:
+    for operation, operands, element, degree in cases:
+        actual = truth_function(element)
+        expected = degree(*map(truth_function, operands))
+        if actual is UNDEFINED or expected is UNDEFINED:
             skipped += 1
-            continue
-        expected = _ONE - vy
-        if v_neg != expected:
-            violations.append(AxiomViolation("neg", (y,), v_neg, expected))
+        elif actual != expected:
+            violations.append(AxiomViolation(operation, operands, actual, expected))
     return AxiomReport(tuple(violations), skipped)
 
 
@@ -354,9 +319,7 @@ def enumerate_truth_functions(
 
     Bottom and top are pinned to 0 and 1. Enumeration runs over the other
     elements in declaration order with values ascending, so the stream is
-    deterministic and its length is |admissible| ** free. Under the partial
-    system the non-extreme elements have no defined value, so exactly one
-    function is produced.
+    deterministic and its length is |admissible| ** free.
 
     The value system's values were validated when it was built; each
     function is assembled from them, total and with the boundary conditions
@@ -364,10 +327,9 @@ def enumerate_truth_functions(
     ``TruthFunction``.
     """
     pinned = {lattice.bottom: (_ZERO,), lattice.top: (_ONE,)}
-    domain = (UNDEFINED,) if value_system.allows_undefined else value_system.values
     elements = lattice.elements
     # A pinned element contributes a one-value axis, so the product advances
     # the free elements in declaration order with values ascending.
-    axes = [pinned.get(e, domain) for e in elements]
+    axes = [pinned.get(e, value_system.values) for e in elements]
     for row in product(*axes):
         yield TruthFunction._trusted(lattice, dict(zip(elements, row)))

@@ -165,6 +165,15 @@ def test_interference_direct_and_amplitudes():
     assert report.payload["p_or"] == "1"
 
 
+def test_interference_reads_negative_amplitude_as_separate_argument():
+    report = dispatch(["interference", "--amp1", "-1/2,0", "--amp2", "1/2,0"])
+    assert report.exit_code == 0
+    assert report.verdict == "I12 = -1/4"
+    report = dispatch(["interference", "--amp1", "--amp2", "1/2,0"])
+    assert report.exit_code == 2
+    assert "expected one argument" in report.verdict
+
+
 def test_interference_rejects_oversized_amplitudes():
     report = dispatch(["interference", "--amp1", "1,0", "--amp2", "1,0"])
     assert report.exit_code == 2

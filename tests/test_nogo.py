@@ -453,13 +453,25 @@ def test_interference_violations_need_all_bridges_forced():
             assert bridge(and12) == F(0)
 
 
-def test_scan_partial_system_has_gap_rows():
+def test_observed_interference_computed_only_where_c_int_fires(monkeypatch):
+    # the observed term depends only on the scenario: a check reads it for
+    # the last term of the C-INT condition and for the C-INT trace note
+    calls = []
+    real = nogo.interference_term
+
+    def counting(inputs):
+        calls.append(inputs)
+        return real(inputs)
+
     scenario = default_scenario()
-    report = scan_grid(scenario, ValueSystem.partial())
-    assert len(report.results) == 9
-    gap_rows = [r for r in report.results if UNDEFINED in r.values]
-    assert gap_rows
-    assert all(r.consistent for r in gap_rows)
+    monkeypatch.setattr(nogo, "interference_term", counting)
+    report = scan_grid(scenario, ValueSystem.infinite(10))
+    c_int = [
+        r for r in report.results
+        if r.violation and C_INT in (r.violation.constraint, *r.violation.also_violates)
+    ]
+    assert c_int
+    assert len(calls) <= 2 * len(c_int) < len(report.results)
 
 
 # --------------------------------------------------------- supervaluation

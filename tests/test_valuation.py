@@ -209,24 +209,35 @@ def test_truth_function_rejects_unknown_elements():
 
 
 def oracle_axiom_scan(lattice, tf):
-    """Independent pairwise scan used to cross-check the module's report."""
-    bad = []
+    """Independent pairwise scan used to cross-check the module's report.
+
+    Returns each violation as (operation, elements, lattice value, degree
+    value), in report order, and the number of skipped comparisons.
+    """
+
+    def undefined(*values):
+        return any(v is UNDEFINED for v in values)
+
+    bad, skipped = [], 0
     for y in lattice.elements:
         for z in lattice.elements:
             vy, vz = tf(y), tf(z)
-            if vy is UNDEFINED or vz is UNDEFINED:
-                continue
-            vj = tf(lattice.join(y, z))
-            if vj is not UNDEFINED and vj != min(vy + vz, F(1)):
-                bad.append(("join", y, z))
-            vm = tf(lattice.meet(y, z))
-            if vm is not UNDEFINED and vm != max(vy + vz - 1, F(0)):
-                bad.append(("meet", y, z))
+            vj, vm = tf(lattice.join(y, z)), tf(lattice.meet(y, z))
+            if undefined(vy, vz, vj):
+                skipped += 1
+            elif vj != min(vy + vz, F(1)):
+                bad.append(("join", (y, z), vj, min(vy + vz, F(1))))
+            if undefined(vy, vz, vm):
+                skipped += 1
+            elif vm != max(vy + vz - 1, F(0)):
+                bad.append(("meet", (y, z), vm, max(vy + vz - 1, F(0))))
     for y in lattice.elements:
         vy, vn = tf(y), tf(lattice.involute(y))
-        if vy is not UNDEFINED and vn is not UNDEFINED and vn != 1 - vy:
-            bad.append(("neg", y))
-    return bad
+        if undefined(vy, vn):
+            skipped += 1
+        elif vn != 1 - vy:
+            bad.append(("neg", (y,), vn, 1 - vy))
+    return bad, skipped
 
 
 def test_axioms_hold_on_classical_two_chain():
@@ -247,7 +258,7 @@ def test_axioms_diverge_exactly_at_chain_midpoint():
     assert not report.ok
     spots = {(v.operation, v.elements) for v in report.violations}
     assert spots == {("join", (mid, mid)), ("meet", (mid, mid))}
-    assert {(v[0], tuple(v[1:])) for v in oracle_axiom_scan(lat, tf)} == {
+    assert {(v[0], v[1]) for v in oracle_axiom_scan(lat, tf)[0]} == {
         ("join", (mid, mid)),
         ("meet", (mid, mid)),
     }
@@ -267,8 +278,27 @@ def test_axioms_on_boolean_2_with_halves():
         ("join", ("b", "b")),
         ("meet", ("b", "b")),
     }
-    oracle = {(v[0], tuple(v[1:])) for v in oracle_axiom_scan(lat, tf)}
+    oracle = {(v[0], v[1]) for v in oracle_axiom_scan(lat, tf)[0]}
     assert spots == oracle
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [("boolean", 1), ("boolean", 2), ("chain", 2), ("chain", 3), ("lantern", 1), ("lantern", 2)],
+)
+def test_axiom_report_matches_oracle_with_gaps(family, n):
+    # every truth function with values in {0, 1/2, 1, undefined}: the
+    # violations, in report order, and the skip count agree with the oracle
+    lat = builtin(family, n)
+    free = lat.non_extremes()
+    for row in product((F(0), HALF, F(1), UNDEFINED), repeat=len(free)):
+        tf = classical_tf(lat, dict(zip(free, row)))
+        report = check_valuational_axioms(lat, tf)
+        found = [
+            (v.operation, v.elements, v.lattice_value, v.degree_value)
+            for v in report.violations
+        ]
+        assert (found, report.skipped) == oracle_axiom_scan(lat, tf), tf.values
 
 
 def test_fixed_point_involution_always_flagged():
@@ -382,7 +412,7 @@ def test_enumerate_counts_match_formula():
     [
         ("boolean", 3, ValueSystem.bivalent()),
         ("lantern", 2, ValueSystem.finite(3)),
-        ("boolean", 2, ValueSystem.partial()),
+        ("boolean", 2, ValueSystem.infinite(4)),
         ("chain", 3, ValueSystem.finite(3)),
     ],
 )
@@ -392,7 +422,7 @@ def test_enumerated_functions_equal_validated_construction(family, n, system):
     assert tfs
     for tf in tfs:
         assert list(tf.values) == list(lat.elements)
-        assert all(v is UNDEFINED or type(v) is Fraction for v in tf.values.values())
+        assert all(type(v) is Fraction for v in tf.values.values())
         assert tf == TruthFunction(lat, dict(tf.values))
 
 
@@ -402,15 +432,6 @@ def test_value_system_rejects_invalid_value_when_built(bad, error):
         ValueSystem("hand-built", (F(0), bad, F(1)))
 
 
-def test_enumerate_partial_yields_single_gap_function():
-    lat = builtin("boolean", 2)
-    tfs = list(enumerate_truth_functions(lat, ValueSystem.partial()))
-    assert len(tfs) == 1
-    tf = tfs[0]
-    assert tf("0") == F(0) and tf("1") == F(1)
-    assert tf("a") is UNDEFINED and tf("b") is UNDEFINED
-
-
 # ------------------------------------------------------------ value systems
 
 
@@ -418,7 +439,6 @@ def test_value_system_constructors():
     assert ValueSystem.bivalent().values == (F(0), F(1))
     assert ValueSystem.finite(3).values == (F(0), HALF, F(1))
     assert ValueSystem.finite(11).values == ValueSystem.infinite(10).values
-    assert ValueSystem.partial().scan_values() == (F(0), F(1), UNDEFINED)
     with pytest.raises(ValueError):
         ValueSystem.finite(1)
     with pytest.raises(ValueError):
@@ -430,4 +450,3 @@ def test_value_system_admits():
     assert system.admits(HALF)
     assert not system.admits(F(1, 3))
     assert not system.admits(UNDEFINED)
-    assert ValueSystem.partial().admits(UNDEFINED)
