@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import lattice as lattice_mod
-from .formula import Atom, Not, ParseError, desugar_xor, parse, render
+from .formula import ParseError, desugar_xor, fold, parse, render
 from .nogo import (
     BindingAtExtreme,
     Certificate,
@@ -43,7 +44,6 @@ from .valuation import (
     UnboundAtom,
     ValueSystem,
     evaluate_degrees,
-    evaluate_lattice,
     evaluate_supervaluation,
     formula_element,
 )
@@ -52,7 +52,7 @@ __all__ = ["Report", "dispatch", "main", "UsageError"]
 
 
 class UsageError(Exception):
-    """Bad flags or malformed option values."""
+    """Bad flags, malformed option values, or input above a stated limit."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -111,11 +111,9 @@ def _parse_pairs(text: str, what: str) -> list[tuple[str, str]]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        if "=" not in chunk:
-            raise UsageError(f"{what} entry {chunk!r} is not of the form name=value")
-        key, _, val = chunk.partition("=")
+        key, eq, val = chunk.partition("=")
         key, val = key.strip(), val.strip()
-        if not key or not val:
+        if not (key and eq and val):
             raise UsageError(f"{what} entry {chunk!r} is not of the form name=value")
         if key in seen:
             raise UsageError(f"{what} assigns {key!r} twice")
@@ -200,24 +198,35 @@ def _cmd_lattice_check(ns) -> Report:
     return Report(payload, 1 if violations else 0, ns.format)
 
 
+def _branch(node: str):
+    return lambda left, right: {"node": node, "left": left, "right": right}
+
+
 def _tree_payload(f):
-    if isinstance(f, Atom):
-        return {"node": "Atom", "name": f.name}
-    if isinstance(f, Not):
-        return {"node": "Not", "child": _tree_payload(f.child)}
-    return {
-        "node": type(f).__name__,
-        "left": _tree_payload(f.left),
-        "right": _tree_payload(f.right),
-    }
+    return fold(f, lambda a: {"node": "Atom", "name": a.name},
+                lambda child: {"node": "Not", "child": child},
+                _branch("And"), _branch("Or"), _branch("Xor"))
+
+
+# A chain of k xors desugars to about 2^k nodes; parse prints no more than this.
+_DESUGARED_NODE_LIMIT = 10**6
+
+
+def _add_one(left: int, right: int) -> int:
+    return left + right + 1
 
 
 def _cmd_parse(ns) -> Report:
     f = parse(ns.text)
+    size = fold(f, lambda a: 1, lambda child: child + 1, _add_one, _add_one)
+    if size > _DESUGARED_NODE_LIMIT:
+        raise UsageError(f"the desugared form has {size} nodes, "
+                         f"above the limit of {_DESUGARED_NODE_LIMIT}")
+    text = render(f)
     payload = {
         "command": "parse",
-        "verdict": f"ok: {render(f)}",
-        "formula": render(f),
+        "verdict": f"ok: {text}",
+        "formula": text,
         "tree": _tree_payload(f),
         "desugared": render(desugar_xor(f)),
     }
@@ -254,8 +263,8 @@ def _cmd_eval(ns) -> Report:
                 raise UsageError(
                     "--mode lattice needs --values entries for " + ", ".join(missing)
                 )
-            tf = TruthFunction(lat, tf_values)
-            value = evaluate_lattice(f, binding, tf)
+            # evaluate_lattice would reduce the formula a second time
+            value = TruthFunction(lat, tf_values)(element)
     value = _jsonable(value)
     payload = {
         "command": "eval",
@@ -549,14 +558,18 @@ def _requested_format(argv: Sequence[str]) -> str:
     return fmt if fmt in _FORMATS else "text"
 
 
-def _add_scenario_args(p) -> None:
-    p.add_argument("--lattice", default="builtin:boolean:2")
-    p.add_argument("--bind", default="X1=a,X2=b", help="atom=element pairs, e.g. X1=a,X2=b")
+def _add_interference_args(p) -> None:
     p.add_argument("--amp1", default="1/2,1/2", help="path 1 amplitude as re,im")
     p.add_argument("--amp2", default="1/2,1/2", help="path 2 amplitude as re,im")
     p.add_argument("--p-or", dest="p_or", default=None, help="P[R|both paths open]")
     p.add_argument("--p1", default=None, help="P[R|path 1]")
     p.add_argument("--p2", default=None, help="P[R|path 2]")
+
+
+def _add_scenario_args(p) -> None:
+    p.add_argument("--lattice", default="builtin:boolean:2")
+    p.add_argument("--bind", default="X1=a,X2=b", help="atom=element pairs, e.g. X1=a,X2=b")
+    _add_interference_args(p)
     p.add_argument("--equal-priors", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--allow-degenerate", action="store_true",
                    help="accept a scenario with zero interference")
@@ -588,11 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("interference", help="compute the two-path interference term")
-    p.add_argument("--p-or", dest="p_or", default=None)
-    p.add_argument("--p1", default=None)
-    p.add_argument("--p2", default=None)
-    p.add_argument("--amp1", default="1/2,1/2")
-    p.add_argument("--amp2", default="1/2,1/2")
+    _add_interference_args(p)
     _add_format(p)
     p.set_defaults(func=_cmd_interference)
 
@@ -649,7 +658,11 @@ def dispatch(argv: Sequence[str]) -> Report:
 
 def main(argv: Sequence[str] | None = None) -> int:
     report = dispatch(sys.argv[1:] if argv is None else list(argv))
-    print(report.render())
+    try:
+        print(report.render(), flush=True)
+    except BrokenPipeError:
+        # the reader closed the pipe; devnull takes the flush at interpreter exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return report.exit_code
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "render",
     "atoms",
     "desugar_xor",
+    "fold",
 ]
 
 
@@ -102,75 +103,104 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def or_expr(self) -> Formula:
-        node = self.xor_expr()
-        while self.peek()[0] == "|":
-            self.take()
-            node = Or(node, self.xor_expr())
-        return node
-
-    def xor_expr(self) -> Formula:
-        node = self.and_expr()
-        while self.peek()[0] == "^":
-            self.take()
-            node = Xor(node, self.and_expr())
-        return node
-
-    def and_expr(self) -> Formula:
-        node = self.unary()
-        while self.peek()[0] == "&":
-            self.take()
-            node = And(node, self.unary())
-        return node
-
-    def unary(self) -> Formula:
-        kind, text, pos = self.peek()
-        if kind == "!":
-            self.take()
-            return Not(self.unary())
-        if kind == "atom":
-            self.take()
-            return Atom(text)
-        if kind == "(":
-            self.take()
-            node = self.or_expr()
-            kind, text, pos = self.take()
-            if kind != ")":
-                raise ParseError("expected ')'", pos)
-            return node
-        found = repr(text) if text else "end of input"
-        raise ParseError(f"expected an atom, '!', or '(', found {found}", pos)
+_BINARY = {"&": And, "^": Xor, "|": Or}
+_BINDS = {"!": 4, "&": 3, "^": 2, "|": 1}
 
 
 def parse(text: str) -> Formula:
-    """Parse formula text into a tree, or raise :class:`ParseError`."""
-    parser = _Parser(_tokenize(text))
-    node = parser.or_expr()
-    kind, tok, pos = parser.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected trailing {tok!r}", pos)
-    return node
+    """Parse formula text into a tree, or raise :class:`ParseError`.
+
+    One operator-precedence loop over a stack of subtrees and a stack of
+    pending operators and parentheses, so nesting depth is bounded by memory.
+    """
+    operands: list[Formula] = []
+    pending: list[str] = []
+    expect_operand = True
+    for kind, tok, pos in _tokenize(text):
+        if expect_operand:
+            if kind == "atom":
+                operands.append(Atom(tok))
+                expect_operand = False
+            elif kind in ("!", "("):
+                pending.append(kind)
+            else:
+                found = repr(tok) if tok else "end of input"
+                raise ParseError(f"expected an atom, '!', or '(', found {found}", pos)
+            continue
+        # an operand has ended: apply the pending operators that bind at least as tightly
+        binds = _BINDS[kind] if kind in _BINARY else 0
+        while pending and pending[-1] != "(" and _BINDS[pending[-1]] >= binds:
+            op = pending.pop()
+            if op == "!":
+                operands[-1] = Not(operands[-1])
+            else:
+                right = operands.pop()
+                operands[-1] = _BINARY[op](operands[-1], right)
+        if kind in _BINARY:
+            pending.append(kind)
+            expect_operand = True
+        elif pending and kind == ")":
+            pending.pop()
+        elif pending:
+            raise ParseError("expected ')'", pos)
+        elif kind != "end":
+            raise ParseError(f"unexpected trailing {tok!r}", pos)
+    return operands[0]
 
 
-_PREC = {Or: 1, Xor: 2, And: 3}
-_OP_TEXT = {Or: "|", Xor: "^", And: "&"}
+def fold(formula: Formula, atom, neg, conj, disj, xor=None):
+    """Value a formula bottom-up, left to right, without recursion.
+
+    ``atom`` values each leaf; ``neg``, ``conj``, ``disj`` and ``xor``
+    combine the values of a node's children. The default ``xor`` is the
+    definition ``conj(disj(y, z), neg(conj(y, z)))``, so each operand of an
+    exclusive disjunction is valued once.
+    """
+    if xor is None:
+        def xor(y, z):
+            return conj(disj(y, z), neg(conj(y, z)))
+
+    combine = {And: conj, Or: disj, Xor: xor}
+    values: list = []
+    # nodes still to value, and the class Not or a combiner of the last two
+    # values, to apply once the values are there
+    todo: list = [formula]
+    while todo:
+        item = todo.pop()
+        kind = type(item)
+        if kind is Atom:
+            values.append(atom(item))
+        elif kind is Not:
+            todo += (Not, item.child)
+        elif kind in combine:
+            todo += (combine[kind], item.right, item.left)
+        elif item is Not:
+            values[-1] = neg(values[-1])
+        else:
+            right = values.pop()
+            values[-1] = item(values[-1], right)
+    return values[0]
 
 
-def _prec(f: Formula) -> int:
-    return _PREC.get(type(f), 4)
+def _negated(child: tuple[str, int]) -> tuple[str, int]:
+    # a subtree renders to (text, how tightly its top binds); atoms bind like "!"
+    text, binds = child
+    return (f"!{text}" if binds == 4 else f"!({text})"), 4
+
+
+def _infix(symbol: str):
+    binds = _BINDS[symbol]
+
+    def text(left: tuple[str, int], right: tuple[str, int]) -> tuple[str, int]:
+        (ltext, lbinds), (rtext, rbinds) = left, right
+        ltext = ltext if lbinds >= binds else f"({ltext})"
+        rtext = rtext if rbinds > binds else f"({rtext})"
+        return f"{ltext} {symbol} {rtext}", binds
+
+    return text
+
+
+_RENDER = (lambda a: (a.name, 4), _negated, _infix("&"), _infix("|"), _infix("^"))
 
 
 def render(formula: Formula) -> str:
@@ -179,48 +209,20 @@ def render(formula: Formula) -> str:
     Parentheses are emitted only where precedence or left-associativity
     would otherwise regroup the tree.
     """
-    if isinstance(formula, Atom):
-        return formula.name
-    if isinstance(formula, Not):
-        inner = render(formula.child)
-        if _prec(formula.child) < 4:
-            inner = f"({inner})"
-        return f"!{inner}"
-    p = _prec(formula)
-    left = render(formula.left)
-    if _prec(formula.left) < p:
-        left = f"({left})"
-    right = render(formula.right)
-    if _prec(formula.right) <= p:
-        right = f"({right})"
-    return f"{left} {_OP_TEXT[type(formula)]} {right}"
+    return fold(formula, *_RENDER)[0]
 
 
 def atoms(formula: Formula) -> tuple[str, ...]:
     """Atom names in first-appearance order."""
     seen: dict[str, None] = {}
 
-    def walk(f: Formula) -> None:
-        if isinstance(f, Atom):
-            seen.setdefault(f.name)
-        elif isinstance(f, Not):
-            walk(f.child)
-        else:
-            walk(f.left)
-            walk(f.right)
+    def skip(*values) -> None:
+        return None
 
-    walk(formula)
+    fold(formula, lambda a: seen.setdefault(a.name), skip, skip, skip, skip)
     return tuple(seen)
 
 
 def desugar_xor(formula: Formula) -> Formula:
     """Rewrite every ``a ^ b`` to ``(a | b) & !(a & b)``, innermost first."""
-    if isinstance(formula, Atom):
-        return formula
-    if isinstance(formula, Not):
-        return Not(desugar_xor(formula.child))
-    left = desugar_xor(formula.left)
-    right = desugar_xor(formula.right)
-    if isinstance(formula, Xor):
-        return And(Or(left, right), Not(And(left, right)))
-    return type(formula)(left, right)
+    return fold(formula, lambda a: a, Not, And, Or)

@@ -9,7 +9,8 @@ Two routes assign a value to a formula whose atoms are bound to lattice
 elements. ``evaluate_lattice`` folds the connectives as join, meet, and
 involution, reducing the formula to a single element before applying a truth
 function once. ``evaluate_degrees`` instead combines atom truth values
-directly through the degree functions. ``check_valuational_axioms``
+directly through the degree functions. Both value y ^ z as (y or z) and
+not (y and z), from each operand's value once. ``check_valuational_axioms``
 measures exactly where the two routes part company for a given truth
 function, skipping comparisons that involve undefined values.
 
@@ -24,7 +25,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Mapping, Union
 
-from .formula import Atom, And, Formula, Not, Or, desugar_xor
+from .formula import Atom, Formula, fold
 from .lattice import Lattice, UnknownElement
 
 __all__ = [
@@ -202,27 +203,18 @@ class TruthFunction:
 def formula_element(formula: Formula, binding: Mapping[str, str], lattice: Lattice) -> str:
     """Reduce a formula to one lattice element via join/meet/involution.
 
-    Exclusive disjunctions are desugared first, so only the three lattice
-    operations are ever applied.
+    An exclusive disjunction y ^ z reduces to (y join z) meet ~(y meet z),
+    so only the three lattice operations are ever applied.
     """
-    f = desugar_xor(formula)
 
-    def walk(node: Formula) -> str:
-        if isinstance(node, Atom):
-            if node.name not in binding:
-                raise UnboundAtom(f"atom {node.name!r} has no bound lattice element")
-            element = binding[node.name]
-            lattice.index(element)
-            return element
-        if isinstance(node, Not):
-            return lattice.involute(walk(node.child))
-        if isinstance(node, And):
-            return lattice.meet(walk(node.left), walk(node.right))
-        if isinstance(node, Or):
-            return lattice.join(walk(node.left), walk(node.right))
-        raise TypeError(f"unexpected node {node!r}")
+    def element(atom: Atom) -> str:
+        if atom.name not in binding:
+            raise UnboundAtom(f"atom {atom.name!r} has no bound lattice element")
+        bound = binding[atom.name]
+        lattice.index(bound)
+        return bound
 
-    return walk(f)
+    return fold(formula, element, lattice.involute, lattice.meet, lattice.join)
 
 
 def evaluate_lattice(
@@ -235,22 +227,13 @@ def evaluate_lattice(
 
 def evaluate_degrees(formula: Formula, atom_values: Mapping[str, object]) -> TruthValue:
     """Combine atom truth values through the degree functions."""
-    f = desugar_xor(formula)
 
-    def walk(node: Formula) -> TruthValue:
-        if isinstance(node, Atom):
-            if node.name not in atom_values:
-                raise UnboundAtom(f"atom {node.name!r} has no truth value")
-            return as_value(atom_values[node.name])
-        if isinstance(node, Not):
-            return lukasiewicz_neg(walk(node.child))
-        if isinstance(node, And):
-            return lukasiewicz_and(walk(node.left), walk(node.right))
-        if isinstance(node, Or):
-            return lukasiewicz_or(walk(node.left), walk(node.right))
-        raise TypeError(f"unexpected node {node!r}")
+    def value(atom: Atom) -> TruthValue:
+        if atom.name not in atom_values:
+            raise UnboundAtom(f"atom {atom.name!r} has no truth value")
+        return as_value(atom_values[atom.name])
 
-    return walk(f)
+    return fold(formula, value, lukasiewicz_neg, lukasiewicz_and, lukasiewicz_or)
 
 
 def evaluate_supervaluation(

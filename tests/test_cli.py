@@ -1,9 +1,14 @@
 """Dispatch, report formats, exit codes, and byte determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import slitlogic
 from slitlogic import cli
 from slitlogic.cli import Report, dispatch
 from slitlogic.lattice import Lattice, builtin, verify_axioms
@@ -358,3 +363,53 @@ bridges fired: no"""),
 ])
 def test_text_reports_keep_their_layout(argv, text):
     assert dispatch(argv).render() == text
+
+
+# ------------------------------------------------ deep, exponential, closed stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", "(" * 3000 + "A" + ")" * 3000],
+        ["parse", "!" * 5000 + "A"],
+        ["eval", "--formula=" + "(" * 3000 + "A" + ")" * 3000, "--mode=lukasiewicz",
+         "--assign=A=1/2"],
+    ],
+    ids=["parentheses", "negations", "eval-parentheses"],
+)
+def test_deeply_nested_formulas_exit_zero(argv):
+    report = dispatch(argv)
+    assert report.exit_code == 0
+    report.render()
+
+
+def test_parse_refuses_a_desugared_form_above_the_limit():
+    chain = " ^ ".join(f"X{i}" for i in range(61))
+    report = dispatch(["parse", chain])
+    assert report.exit_code == 2
+    assert report.verdict.startswith("error: the desugared form has ")
+    assert report.verdict.endswith(f"above the limit of {cli._DESUGARED_NODE_LIMIT}")
+
+
+@pytest.mark.parametrize("limit, code", [(8, 0), (7, 2)])
+def test_parse_limit_counts_the_desugared_nodes(monkeypatch, limit, code):
+    # "(a | b) & !(a & b)" has 8 nodes
+    monkeypatch.setattr(cli, "_DESUGARED_NODE_LIMIT", limit)
+    assert dispatch(["parse", "a ^ b"]).exit_code == code
+
+
+def test_closed_stdout_keeps_the_exit_code_and_prints_no_traceback():
+    env = dict(os.environ, PYTHONPATH=str(Path(slitlogic.__file__).parents[1]))
+    argv = ["nogo", "--lattice", "builtin:lantern:5", "--bind", "X1=a1,X2=a2", "--format", "json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "slitlogic.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert stderr == b""

@@ -1,10 +1,11 @@
 """Formula parsing, rendering, and the exclusive-disjunction rewrite."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from slitlogic.formula import (
@@ -16,9 +17,12 @@ from slitlogic.formula import (
     Xor,
     atoms,
     desugar_xor,
+    fold,
     parse,
     render,
 )
+from slitlogic.lattice import builtin
+from slitlogic.valuation import UNDEFINED, evaluate_degrees, formula_element
 
 X1, X2, X3 = Atom("X1"), Atom("X2"), Atom("X3")
 EXACTLY_ONE_TEXT = "(X1 | X2) & !(X1 & X2)"
@@ -65,22 +69,32 @@ def test_parentheses_override_precedence():
     assert parse("a ^ (b ^ c)") == Xor(a, Xor(b, c))
 
 
+_EXPECTED_OPERAND = "expected an atom, '!', or '(', found"
+_PARSE_ERRORS = [
+    ("X1 &", 4, f"{_EXPECTED_OPERAND} end of input"),
+    ("(X1", 3, "expected ')'"),
+    ("X1 @ X2", 3, "unexpected character '@'"),
+    ("| X1", 0, f"{_EXPECTED_OPERAND} '|'"),
+    ("X1 X2", 3, "unexpected trailing 'X2'"),
+    ("(X1 | X2", 8, "expected ')'"),
+    ("", 0, f"{_EXPECTED_OPERAND} end of input"),
+    ("(X1 X2", 4, "expected ')'"),
+    ("X1 )", 3, "unexpected trailing ')'"),
+    ("!", 1, f"{_EXPECTED_OPERAND} end of input"),
+    ("X1 && X2", 4, f"{_EXPECTED_OPERAND} '&'"),
+]
+
+
 @pytest.mark.parametrize(
-    "text,position",
-    [
-        ("X1 &", 4),
-        ("(X1", 3),
-        ("X1 @ X2", 3),
-        ("| X1", 0),
-        ("X1 X2", 3),
-        ("(X1 | X2", 8),
-        ("", 0),
-    ],
+    "text,position,message",
+    _PARSE_ERRORS,
+    ids=[f"{text}-{position}" for text, position, _ in _PARSE_ERRORS],
 )
-def test_parse_errors_carry_position(text, position):
+def test_parse_errors_carry_position(text, position, message):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert err.value.position == position
+    assert str(err.value) == f"{message} (at position {position})"
 
 
 def test_desugar_single_xor():
@@ -182,3 +196,56 @@ def test_parse_render_round_trip_property(f):
 def test_empty_atom_name_rejected():
     with pytest.raises(ValueError):
         Atom("")
+
+
+# ------------------------------------------------ xor valued once, no depth limit
+
+
+def _desugared_size(f):
+    def add_one(left, right):
+        return left + right + 1
+
+    return fold(f, lambda a: 1, lambda child: child + 1, add_one, add_one)
+
+
+_VALUES = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), UNDEFINED)
+
+
+@given(_formulas, st.data())
+def test_degrees_value_xor_as_its_desugaring(f, data):
+    # the desugared tree is walked node by node, so keep it small
+    assume(_desugared_size(f) <= 5000)
+    values = {name: data.draw(st.sampled_from(_VALUES)) for name in atoms(f)}
+    assert evaluate_degrees(f, values) == evaluate_degrees(desugar_xor(f), values)
+
+
+@pytest.mark.parametrize("ref", ["boolean:2", "lantern:2"])
+@given(f=_formulas, data=st.data())
+def test_lattice_route_values_xor_as_its_desugaring(ref, f, data):
+    assume(_desugared_size(f) <= 5000)
+    family, n = ref.split(":")
+    lattice = builtin(family, int(n))
+    binding = {name: data.draw(st.sampled_from(lattice.elements)) for name in atoms(f)}
+    assert formula_element(f, binding, lattice) == formula_element(
+        desugar_xor(f), binding, lattice
+    )
+
+
+@pytest.mark.parametrize(
+    "text,rendered,element,degree",
+    [
+        ("(" * 3000 + "A" + ")" * 3000, "A", "a", Fraction(1, 2)),
+        ("!" * 5000 + "A", "!" * 5000 + "A", "a", Fraction(1, 2)),
+        ("A & " * 3000 + "A", "A & " * 3000 + "A", "a", Fraction(0)),
+        ("A & (" * 3000 + "A" + ")" * 3000, "A & (" * 2999 + "A & A" + ")" * 2999, "a", Fraction(0)),
+    ],
+    ids=["parentheses", "negations", "left-chain", "right-chain"],
+)
+def test_deep_formulas_need_no_recursion(text, rendered, element, degree):
+    f = parse(text)
+    assert render(f) == rendered
+    assert render(parse(rendered)) == rendered
+    assert render(desugar_xor(f)) == rendered
+    assert atoms(f) == ("A",)
+    assert formula_element(f, {"A": "a"}, builtin("boolean", 2)) == element
+    assert evaluate_degrees(f, {"A": Fraction(1, 2)}) == degree

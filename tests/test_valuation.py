@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from slitlogic import valuation
 from slitlogic.formula import And, Atom, Not, Or, Xor, parse
 from slitlogic.lattice import build_from_order, builtin
 from slitlogic.valuation import (
@@ -156,6 +157,20 @@ def test_degrees_route_undefined_atom_absorbs():
 def test_degrees_xor_matches_classical_xor():
     for a, b in product([0, 1], repeat=2):
         assert evaluate_degrees(EXACTLY_ONE, {"X1": a, "X2": b}) == F(int(a != b))
+
+
+def test_xor_chain_costs_degree_calls_linear_in_its_length(monkeypatch):
+    calls = []
+
+    def counted(s, t):
+        calls.append((s, t))
+        return lukasiewicz_and(s, t)
+
+    monkeypatch.setattr(valuation, "lukasiewicz_and", counted)
+    names = [f"X{i}" for i in range(13)]
+    evaluate_degrees(parse(" ^ ".join(names)), dict.fromkeys(names, HALF))
+    # two conjunctions per xor: (y | z) & !(y & z)
+    assert len(calls) == 2 * 12
 
 
 def test_unbound_atom():
