@@ -37,6 +37,7 @@ from .valuation import (
     lukasiewicz_and,
     lukasiewicz_neg,
     lukasiewicz_or,
+    supervalue,
 )
 
 __version__ = "0.1.0"
@@ -62,6 +63,7 @@ __all__ = [
     "evaluate_lattice",
     "evaluate_degrees",
     "evaluate_supervaluation",
+    "supervalue",
     "check_valuational_axioms",
     "enumerate_truth_functions",
     "bridge",

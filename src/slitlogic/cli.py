@@ -44,8 +44,8 @@ from .valuation import (
     UnboundAtom,
     ValueSystem,
     evaluate_degrees,
-    evaluate_supervaluation,
     formula_element,
+    supervalue,
 )
 
 __all__ = ["Report", "dispatch", "main", "UsageError"]
@@ -247,7 +247,7 @@ def _cmd_eval(ns) -> Report:
         binding = dict(assigns)
         element = formula_element(f, binding, lat)
         if ns.mode == "super":
-            value = evaluate_supervaluation(f, binding, lat)
+            value = supervalue(element, lat)
         else:
             entries = dict(_parse_pairs(ns.values, "--values")) if ns.values else {}
             tf_values: dict[str, object] = {

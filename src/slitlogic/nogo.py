@@ -23,18 +23,25 @@ bivalent truth function on the scenario lattice to its corner,
 ``scan_grid`` sweeps a whole value grid, and ``check_supervaluation``
 exercises the reading in which unverified propositions carry no truth value
 at all.
+
+``check_assignment`` validates its pair once and decides which constraints
+fire on plain integers: the two numerators over the pair's common
+denominator. Fractions are built only for the trace of a pair that breaks a
+constraint, so a grid sweep does no Fraction arithmetic per consistent pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 from .formula import Atom, Formula, Xor
 from .lattice import Lattice
 from .probability import InterferenceInputs, bridge, interference_term
 from .valuation import (
+    UNDEFINED,
     TruthValue,
     ValueSystem,
     as_value,
@@ -44,6 +51,7 @@ from .valuation import (
     lukasiewicz_and,
     lukasiewicz_neg,
     lukasiewicz_or,
+    supervalue,
 )
 
 __all__ = [
@@ -223,8 +231,10 @@ class GridReport:
         return tuple(r.values for r in self.results if r.consistent)
 
     def corner_results(self) -> tuple[AssignmentResult, ...]:
-        corners = {(_ZERO, _ZERO), (_ZERO, _ONE), (_ONE, _ZERO), (_ONE, _ONE)}
-        return tuple(r for r in self.results if r.values in corners)
+        """The results whose two values are each 0 or 1, in scan order."""
+        return tuple(
+            r for r in self.results if all(v == 0 or v == 1 for v in r.values)
+        )
 
 
 @dataclass(frozen=True)
@@ -241,35 +251,53 @@ class SupervaluationReport:
 def check_assignment(scenario: Scenario, v1, v2) -> Violation | None:
     """Check one pre-assigned value pair against the scenario constraints.
 
-    Evaluates the disjunction, conjunction, and exactly-one compound through
-    the degree functions, then applies the constraints in the fixed
-    reporting order. Returns the first violation (others recorded in
-    ``also_violates``), or None when the pair is consistent. The derivation
-    trace is built only when a constraint fires.
+    The pair is validated once, here. An undefined value absorbs every
+    degree function and forces no bridge, so such a pair is consistent.
+    Otherwise the constraints are decided on the numerators n1, n2 over the
+    pair's common denominator d: with s = n1 + n2, the disjunction is
+    min(s, d), the conjunction max(s - d, 0) and the exactly-one compound
+    max(or - and, 0). C-COLLAPSE fires when the conjunction is d, C-TRUE
+    when the compound is 0, and C-INT when the disjunction is d, the
+    conjunction 0 and each numerator 0 or d (every bridge forced), under
+    equal priors and a nonzero observed interference term.
+
+    Returns the first violation in the fixed reporting order (others
+    recorded in ``also_violates``), or None when the pair is consistent.
+    Only a violation builds Fractions: its derivation trace evaluates the
+    compounds through the degree functions and the bridge.
     """
     v1, v2 = as_value(v1), as_value(v2)
-    or12 = lukasiewicz_or(v1, v2)
-    and12 = lukasiewicz_and(v1, v2)
-    neg_and = lukasiewicz_neg(and12)
-    x12 = lukasiewicz_and(or12, neg_and)
+    if v1 is UNDEFINED or v2 is UNDEFINED:
+        return None
+    d = lcm(v1.denominator, v2.denominator)
+    n1 = v1.numerator * (d // v1.denominator)
+    n2 = v2.numerator * (d // v2.denominator)
+    s = n1 + n2
+    or_n = min(s, d)
+    and_n = max(s - d, 0)
 
     fired: list[str] = []
-    if and12 == _ONE:
+    if and_n == d:
         fired.append(C_COLLAPSE)
-    if x12 == _ZERO:
+    if max(or_n - and_n, 0) == 0:
         fired.append(C_TRUE)
     int_fires = (
         scenario.equal_priors
-        and bridge(or12) == _ONE
-        and bridge(and12) == _ZERO
-        and bridge(v1) is not None
-        and bridge(v2) is not None
+        and or_n == d
+        and and_n == 0
+        and n1 in (0, d)
+        and n2 in (0, d)
         and scenario.observed_interference() != 0
     )
     if int_fires:
         fired.append(C_INT)
     if not fired:
         return None
+
+    or12 = lukasiewicz_or(v1, v2)
+    and12 = lukasiewicz_and(v1, v2)
+    neg_and = lukasiewicz_neg(and12)
+    x12 = lukasiewicz_and(or12, neg_and)
 
     primary = next(c for c in _CHECK_ORDER if c in fired)
     also = tuple(c for c in _CHECK_ORDER if c in fired and c != primary)
@@ -383,7 +411,7 @@ def check_supervaluation(scenario: Scenario) -> SupervaluationReport:
         for atom, _ in scenario.binding
     )
     compound_element = formula_element(scenario.formula_x12, binding, lattice)
-    compound_value = evaluate_supervaluation(scenario.formula_x12, binding, lattice)
+    compound_value = supervalue(compound_element, lattice)
     bridges = [bridge(v) for _, v in atom_values]
     violation = check_assignment(scenario, atom_values[0][1], atom_values[1][1])
     return SupervaluationReport(

@@ -41,6 +41,7 @@ __all__ = [
     "evaluate_lattice",
     "evaluate_degrees",
     "evaluate_supervaluation",
+    "supervalue",
     "AxiomViolation",
     "AxiomReport",
     "check_valuational_axioms",
@@ -82,14 +83,16 @@ def as_value(value) -> TruthValue:
     exactly in base 10). Floats are rejected: binary rounding would leak
     into the exact-equality checks downstream.
     """
-    if value is UNDEFINED:
-        return UNDEFINED
-    if isinstance(value, float):
-        raise TypeError("floats are inexact; pass a Fraction, int, or decimal string")
-    v = Fraction(value)
-    if not _ZERO <= v <= _ONE:
-        raise ValueError(f"truth value {v} outside [0, 1]")
-    return v
+    if type(value) is not Fraction:
+        if value is UNDEFINED:
+            return UNDEFINED
+        if isinstance(value, float):
+            raise TypeError("floats are inexact; pass a Fraction, int, or decimal string")
+        value = Fraction(value)
+    # a Fraction's denominator is positive
+    if not 0 <= value.numerator <= value.denominator:
+        raise ValueError(f"truth value {value} outside [0, 1]")
+    return value
 
 
 def lukasiewicz_neg(t) -> TruthValue:
@@ -240,7 +243,13 @@ def evaluate_supervaluation(
     formula: Formula, binding: Mapping[str, str], lattice: Lattice
 ) -> TruthValue:
     """Value the reduced element: 0 at bottom, 1 at top, no value elsewhere."""
-    element = formula_element(formula, binding, lattice)
+    return supervalue(formula_element(formula, binding, lattice), lattice)
+
+
+def supervalue(element: str, lattice: Lattice) -> TruthValue:
+    """The supervaluation of one element: 0 at bottom, 1 at top, no value
+    elsewhere. Callers that already hold a formula's reduced element use it
+    instead of reducing the formula again."""
     if element == lattice.bottom:
         return _ZERO
     if element == lattice.top:

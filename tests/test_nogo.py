@@ -5,8 +5,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slitlogic import cli, nogo
+from slitlogic import cli, nogo, valuation
 from slitlogic.lattice import builtin
 from slitlogic.probability import InterferenceInputs, amplitude_interference, bridge
 from slitlogic.nogo import (
@@ -19,13 +21,22 @@ from slitlogic.nogo import (
     FunctionResult,
     Scenario,
     ScenarioError,
+    TraceStep,
+    Violation,
     check_assignment,
     check_supervaluation,
     replay_trace,
     run_nogo,
     scan_grid,
 )
-from slitlogic.valuation import UNDEFINED, ValueSystem
+from slitlogic.valuation import (
+    UNDEFINED,
+    ValueSystem,
+    as_value,
+    lukasiewicz_and,
+    lukasiewicz_neg,
+    lukasiewicz_or,
+)
 
 F = Fraction
 HALF = F(1, 2)
@@ -134,6 +145,117 @@ def test_interference_needs_equal_priors():
     scenario = default_scenario(equal_priors=False)
     violation = check_assignment(scenario, F(1), F(0))
     assert violation is None  # the probability chain cannot close
+
+
+def reference_check_assignment(scenario, v1, v2):
+    """check_assignment as it was before it decided on integers: every
+    compound and every bridge computed in Fractions through the public
+    degree functions and ``bridge``, for every pair."""
+    v1, v2 = as_value(v1), as_value(v2)
+    or12 = lukasiewicz_or(v1, v2)
+    and12 = lukasiewicz_and(v1, v2)
+    neg_and = lukasiewicz_neg(and12)
+    x12 = lukasiewicz_and(or12, neg_and)
+
+    fired = []
+    if and12 == 1:
+        fired.append(C_COLLAPSE)
+    if x12 == 0:
+        fired.append(C_TRUE)
+    if (
+        scenario.equal_priors
+        and bridge(or12) == 1
+        and bridge(and12) == 0
+        and bridge(v1) is not None
+        and bridge(v2) is not None
+        and scenario.observed_interference() != 0
+    ):
+        fired.append(C_INT)
+    if not fired:
+        return None
+
+    order = (C_COLLAPSE, C_TRUE, C_INT)
+    primary = next(c for c in order if c in fired)
+    also = tuple(c for c in order if c in fired and c != primary)
+    a1, a2 = scenario.atom_names
+    steps = [
+        TraceStep("degree-or", (v1, v2), or12, f"value of {a1} | {a2}"),
+        TraceStep("degree-and", (v1, v2), and12, f"value of {a1} & {a2}"),
+        TraceStep("degree-neg", (and12,), neg_and, f"value of !({a1} & {a2})"),
+        TraceStep("degree-and", (or12, neg_and), x12, f"value of {a1} ^ {a2}"),
+    ]
+    if primary == C_COLLAPSE:
+        steps.append(TraceStep(
+            "contradiction", (and12,), C_COLLAPSE,
+            "conjunction true: both detectors click, collapse allows one"))
+    elif primary == C_TRUE:
+        steps.append(TraceStep(
+            "contradiction", (x12,), C_TRUE,
+            "pre-assigned reading: the verified exactly-one proposition is already false"))
+    else:
+        p_or_b, p_and_b, pb1, pb2 = bridge(or12), bridge(and12), bridge(v1), bridge(v2)
+        steps.append(TraceStep("bridge", (or12,), p_or_b, f"P[{a1} | {a2}] forced"))
+        steps.append(TraceStep("bridge", (and12,), p_and_b, f"P[{a1} & {a2}] forced"))
+        steps.append(TraceStep("bridge", (v1,), pb1, f"P[{a1}] forced"))
+        steps.append(TraceStep("bridge", (v2,), pb2, f"P[{a2}] forced"))
+        total = pb1 + pb2
+        steps.append(TraceStep(
+            "additivity", (p_or_b, p_and_b, pb1, pb2), total,
+            f"P[{a1}] + P[{a2}] = P[or] + P[and]"))
+        steps.append(TraceStep(
+            "equal-priors", (total,), total / 2, "equal priors split the total evenly"))
+        p1, p2 = scenario.interference.p1, scenario.interference.p2
+        predicted = HALF * p1 + HALF * p2
+        steps.append(TraceStep(
+            "total-probability", (p1, p2), predicted,
+            "two-path pattern = even mixture of one-path patterns"))
+        steps.append(TraceStep(
+            "interference-zero", (predicted, p1, p2), F(0),
+            "the predicted pattern has no interference term"))
+        steps.append(TraceStep(
+            "contradiction", (scenario.interference.p_or, p1, p2), C_INT,
+            f"observed interference term {scenario.observed_interference()} is nonzero"))
+    return Violation(primary, ((a1, v1), (a2, v2)), tuple(steps), also)
+
+
+# Values as callers pass them: exact rationals with mixed denominators, the
+# extremes as ints, decimal strings, and the undefined gap.
+_unit_fractions = st.integers(1, 12).flatmap(
+    lambda d: st.integers(0, d).map(lambda k: F(k, d)))
+_check_inputs = st.one_of(
+    _unit_fractions,
+    st.sampled_from([F(0), F(1), F(1, 3), F(1, 4), F(2, 3), F(3, 4)]),
+    st.sampled_from([0, 1]),
+    st.integers(0, 1000).map(lambda k: f"{k // 1000}.{k % 1000:03d}"),
+    st.sampled_from(["0", "1", "1/3", "0.5", "1.0"]),
+    st.just(UNDEFINED),
+)
+# Pairs summing to 1 reach the C-INT branch's bridge conditions.
+_check_pairs = st.one_of(
+    st.tuples(_check_inputs, _check_inputs),
+    _unit_fractions.map(lambda v: (v, 1 - v)),
+)
+_PROPERTY_SCENARIOS = {
+    (equal_priors, degenerate): Scenario.build(
+        builtin("boolean", 2), {"X1": "a", "X2": "b"},
+        InterferenceInputs(HALF, HALF, HALF) if degenerate
+        else amplitude_interference(*IN_PHASE),
+        equal_priors=equal_priors, allow_degenerate=degenerate,
+    )
+    for equal_priors in (True, False)
+    for degenerate in (False, True)
+}
+
+
+@settings(max_examples=400)
+@given(_check_pairs, st.booleans(), st.booleans())
+def test_integer_decision_matches_the_fraction_reference(pair, equal_priors, degenerate):
+    scenario = _PROPERTY_SCENARIOS[equal_priors, degenerate]
+    v1, v2 = pair
+    got = check_assignment(scenario, v1, v2)
+    assert got == reference_check_assignment(scenario, v1, v2)
+    if got is not None:
+        assert replay_trace(got, scenario)
 
 
 # ------------------------------------------------------------------ nogo
@@ -423,6 +545,23 @@ def test_scan_denominator_10_keeps_half_half():
         assert r.violation is not None
 
 
+def test_corner_results_of_hand_built_value_systems():
+    scenario = default_scenario()
+    # no value 1: the only corner is (0, 0)
+    thirds = scan_grid(scenario, ValueSystem("thirds", (F(0), F(1, 3), F(2, 3))))
+    assert [r.values for r in thirds.corner_results()] == [(F(0), F(0))]
+    # corners away from the grid ends come out in scan order
+    shuffled = scan_grid(scenario, ValueSystem("shuffled", (HALF, F(1), F(1, 4), F(0))))
+    corners = shuffled.corner_results()
+    assert [(r.values, r.violation.constraint) for r in corners] == [
+        ((F(1), F(1)), C_COLLAPSE),
+        ((F(1), F(0)), C_INT),
+        ((F(0), F(1)), C_INT),
+        ((F(0), F(0)), C_TRUE),
+    ]
+    assert [shuffled.results.index(r) for r in corners] == [5, 7, 13, 15]
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_escape_exists_in_every_finite_system(n):
     scenario = default_scenario()
@@ -492,6 +631,26 @@ def test_supervaluation_rejects_extreme_binding():
     scenario = Scenario.build(lat, {"X1": "0", "X2": "b"}, inputs)
     with pytest.raises(BindingAtExtreme):
         check_supervaluation(scenario)
+
+
+def test_supervaluation_reduces_each_formula_once(monkeypatch):
+    calls = []
+    real = valuation.formula_element
+
+    def counting(formula, binding, lattice):
+        calls.append(formula)
+        return real(formula, binding, lattice)
+
+    for module in (valuation, nogo, cli):
+        monkeypatch.setattr(module, "formula_element", counting)
+    cli.dispatch(["super"])
+    assert len(calls) == 3  # each atom and the compound, once
+    calls.clear()
+    cli.dispatch([
+        "eval", "--formula", "X1 ^ X2", "--mode", "super",
+        "--lattice", "builtin:boolean:2", "--assign", "X1=a,X2=b",
+    ])
+    assert len(calls) == 1
 
 
 def test_supervaluation_on_lantern_distinct_pairs():

@@ -88,6 +88,8 @@ def test_out_of_range_rejected():
     with pytest.raises(ValueError):
         as_value(F(3, 2))
     with pytest.raises(ValueError):
+        as_value(F(-1, 2))
+    with pytest.raises(ValueError):
         lukasiewicz_or(F(-1, 2), F(1, 2))
 
 
@@ -445,6 +447,19 @@ def test_enumerated_functions_equal_validated_construction(family, n, system):
 def test_value_system_rejects_invalid_value_when_built(bad, error):
     with pytest.raises(error):
         ValueSystem("hand-built", (F(0), bad, F(1)))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (F(3, 2), "truth value 3/2 outside [0, 1]"),
+    (F(-1, 2), "truth value -1/2 outside [0, 1]"),
+    ("-0.5", "truth value -1/2 outside [0, 1]"),
+    (2, "truth value 2 outside [0, 1]"),
+])
+def test_out_of_range_message(bad, message):
+    for reject in (as_value, lambda v: ValueSystem("hand-built", (F(0), v, F(1)))):
+        with pytest.raises(ValueError) as info:
+            reject(bad)
+        assert str(info.value) == message
 
 
 # ------------------------------------------------------------ value systems
