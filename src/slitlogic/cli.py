@@ -5,8 +5,8 @@ Every run builds one JSON payload. ``--format json`` prints it; the text
 report, a verdict line plus a body, is rendered from it, so both forms carry
 the same facts. Exit codes: 0 for pass/consistent, 1 when a check
 fails (lattice violations, no-go fails, corners survive a scan), 2 for
-usage or input errors. Output is deterministic: identical inputs give
-byte-identical reports.
+rejected input, a ``SlitlogicError`` or ``OSError``; any other exception
+propagates. Output is deterministic: identical inputs give byte-identical reports.
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import lattice as lattice_mod
-from .formula import ParseError, desugar_xor, fold, parse, render
+from .errors import SlitlogicError
+from .formula import desugar_xor, fold, parse, render
 from .nogo import (
-    BindingAtExtreme,
     Certificate,
     Scenario,
-    ScenarioError,
     TraceStep,
     check_supervaluation,
     run_nogo,
@@ -34,14 +33,12 @@ from .nogo import (
 )
 from .probability import (
     InterferenceInputs,
-    OutOfRange,
     amplitude_interference,
     interference_term,
 )
 from .valuation import (
     UNDEFINED,
     TruthFunction,
-    UnboundAtom,
     ValueSystem,
     evaluate_degrees,
     formula_element,
@@ -51,7 +48,7 @@ from .valuation import (
 __all__ = ["Report", "dispatch", "main", "UsageError"]
 
 
-class UsageError(Exception):
+class UsageError(SlitlogicError):
     """Bad flags, malformed option values, or input above a stated limit."""
 
 
@@ -88,10 +85,13 @@ class Report:
 
 
 def _fraction(text: str, what: str = "value") -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"cannot read {what} {text!r} as an exact rational") from None
+    # no exponents: "1e5000" would be an integer too long to print
+    if "e" not in text.lower():
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise UsageError(f"cannot read {what} {text!r} as an exact rational")
 
 
 def _jsonable(value):
@@ -210,10 +210,16 @@ def _tree_payload(f):
 
 # A chain of k xors desugars to about 2^k nodes; parse prints no more than this.
 _DESUGARED_NODE_LIMIT = 10**6
+# json.dumps recurses once per level of the tree; parse prints no deeper JSON.
+_JSON_DEPTH_LIMIT = 500
 
 
 def _add_one(left: int, right: int) -> int:
     return left + right + 1
+
+
+def _deeper(left: int, right: int) -> int:
+    return max(left, right) + 1
 
 
 def _cmd_parse(ns) -> Report:
@@ -222,6 +228,11 @@ def _cmd_parse(ns) -> Report:
     if size > _DESUGARED_NODE_LIMIT:
         raise UsageError(f"the desugared form has {size} nodes, "
                          f"above the limit of {_DESUGARED_NODE_LIMIT}")
+    if ns.format == "json":
+        depth = fold(f, lambda a: 1, lambda child: child + 1, _deeper, _deeper, _deeper)
+        if depth > _JSON_DEPTH_LIMIT:
+            raise UsageError(f"the formula nests {depth} levels deep; --format json "
+                             f"prints at most {_JSON_DEPTH_LIMIT}")
     text = render(f)
     payload = {
         "command": "parse",
@@ -627,23 +638,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_INPUT_ERRORS = (
-    UsageError,
-    ParseError,
-    lattice_mod.LatticeError,
-    UnboundAtom,
-    ScenarioError,
-    BindingAtExtreme,
-    OutOfRange,
-    ValueError,
-    TypeError,
-    OSError,
-    json.JSONDecodeError,
-)
+_INPUT_ERRORS = (SlitlogicError, OSError)
 
 
 def dispatch(argv: Sequence[str]) -> Report:
-    """Route argv to a subcommand; every failure becomes an exit-2 report."""
+    """Route argv to a subcommand; rejected input becomes an exit-2 report."""
     parser = build_parser()
     try:
         ns = parser.parse_args(list(argv))

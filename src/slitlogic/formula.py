@@ -20,6 +20,8 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
+from .errors import SlitlogicError
+
 __all__ = [
     "Atom",
     "Not",
@@ -36,7 +38,7 @@ __all__ = [
 ]
 
 
-class ParseError(Exception):
+class ParseError(SlitlogicError):
     """Syntax error in the formula text, carrying the character offset."""
 
     def __init__(self, message: str, position: int):

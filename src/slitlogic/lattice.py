@@ -16,6 +16,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .errors import SlitlogicError
+
 __all__ = [
     "Lattice",
     "LawViolation",
@@ -33,8 +35,8 @@ __all__ = [
 ]
 
 
-class LatticeError(Exception):
-    """Base class for lattice construction and lookup failures."""
+class LatticeError(SlitlogicError, ValueError):
+    """Base class for lattice construction, lookup and file failures."""
 
 
 class NotAPartialOrder(LatticeError):
@@ -108,16 +110,6 @@ class Lattice:
     def non_extremes(self) -> tuple[str, ...]:
         return tuple(e for e in self.elements if e != self.bottom and e != self.top)
 
-    def order_pairs(self) -> list[tuple[str, str]]:
-        """All strictly related pairs (lesser, greater)."""
-        n = len(self.elements)
-        return [
-            (self.elements[i], self.elements[j])
-            for i in range(n)
-            for j in range(n)
-            if i != j and self.leq[i][j]
-        ]
-
     def cover_pairs(self) -> list[tuple[str, str]]:
         """The covering pairs only (the Hasse diagram edges)."""
         n = len(self.elements)
@@ -183,19 +175,17 @@ def build_from_order(
     """
     names = tuple(elements)
     if not names:
-        raise ValueError("element set must be nonempty")
+        raise LatticeError("element set must be nonempty")
     if len(set(names)) != len(names):
-        raise ValueError("duplicate element names")
+        raise LatticeError("duplicate element names")
     pos = {e: i for i, e in enumerate(names)}
     n = len(names)
 
     leq = [[i == j for j in range(n)] for i in range(n)]
-    for pair in order_pairs:
-        lesser, greater = pair
-        if lesser not in pos:
-            raise UnknownElement(f"order pair mentions unknown element {lesser!r}")
-        if greater not in pos:
-            raise UnknownElement(f"order pair mentions unknown element {greater!r}")
+    for lesser, greater in order_pairs:
+        for name in (lesser, greater):
+            if name not in pos:
+                raise UnknownElement(f"order pair mentions unknown element {name!r}")
         leq[pos[lesser]][pos[greater]] = True
 
     # transitive closure (Warshall)
@@ -241,8 +231,7 @@ def build_from_order(
     top = next(i for i in range(n) if all(leq[j][i] for j in range(n)))
 
     inv: dict[int, int] = {}
-    for pair in involution_pairs:
-        y, z = pair
+    for y, z in involution_pairs:
         if y not in pos or z not in pos:
             raise BadInvolution(f"involution pair ({y}, {z}) mentions unknown element")
         yi, zi = pos[y], pos[z]
@@ -274,7 +263,7 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 def _boolean(n: int) -> Lattice:
     if n > len(_LETTERS):
-        raise ValueError(f"boolean({n}) is far beyond desk scale")
+        raise LatticeError(f"boolean({n}) is far beyond desk scale")
     subsets = []
     for mask in range(1 << n):
         subsets.append(frozenset(i for i in range(n) if mask >> i & 1))
@@ -332,7 +321,7 @@ def builtin(family: str, n: int) -> Lattice:
     ``chain`` (linear order of n+1 elements, order-reversing involution), or
     ``lantern`` (bottom, top, and n incomparable complement pairs)."""
     if n < 1:
-        raise ValueError("size parameter must be >= 1")
+        raise LatticeError("size parameter must be >= 1")
     if family == "boolean":
         return _boolean(n)
     if family == "chain":
@@ -477,19 +466,28 @@ def from_dict(data: dict) -> Lattice:
     strings), ``order`` (list of [lesser, greater]), ``involution`` (list of
     [y, complement])."""
     if not isinstance(data, dict):
-        raise ValueError("lattice description must be an object")
+        raise LatticeError("lattice description must be an object")
     for key in ("elements", "order", "involution"):
         if key not in data:
-            raise ValueError(f"lattice description is missing {key!r}")
+            raise LatticeError(f"lattice description is missing {key!r}")
         if not isinstance(data[key], list):
-            raise ValueError(f"lattice description field {key!r} must be a list")
+            raise LatticeError(f"lattice description field {key!r} must be a list")
+    if not all(isinstance(e, str) for e in data["elements"]):
+        raise LatticeError("lattice description field 'elements' must list strings")
     for key in ("order", "involution"):
         for pair in data[key]:
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ValueError(f"{key!r} entries must be 2-element lists")
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(isinstance(e, str) for e in pair)):
+                raise LatticeError(f"{key!r} entries must be 2-element lists of element names")
     return build_from_order(data["elements"], data["order"], data["involution"])
 
 
 def load(path: str) -> Lattice:
     with open(path, encoding="utf-8") as fh:
-        return from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise LatticeError("lattice file nests too deeply to read") from None
+        except ValueError as exc:  # bad JSON or UTF-8, or an integer too long
+            raise LatticeError(str(exc)) from exc
+    return from_dict(data)

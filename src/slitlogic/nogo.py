@@ -37,6 +37,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping
 
+from .errors import SlitlogicError
 from .formula import Atom, Formula, Xor
 from .lattice import Lattice
 from .probability import InterferenceInputs, bridge, interference_term
@@ -46,7 +47,6 @@ from .valuation import (
     ValueSystem,
     as_value,
     enumerate_truth_functions,
-    evaluate_supervaluation,
     formula_element,
     lukasiewicz_and,
     lukasiewicz_neg,
@@ -90,11 +90,11 @@ _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 
 
-class ScenarioError(Exception):
+class ScenarioError(SlitlogicError):
     """Scenario construction rejected (zero interference, bad binding)."""
 
 
-class BindingAtExtreme(Exception):
+class BindingAtExtreme(SlitlogicError):
     """An atom is bound to the bottom or top element, which always carries
     a truth value; the no-value analysis needs non-extreme bindings."""
 
@@ -400,25 +400,19 @@ def check_supervaluation(scenario: Scenario) -> SupervaluationReport:
     despite its parts having none.
     """
     lattice = scenario.lattice
-    binding = scenario.binding_map()
     for atom, element in scenario.binding:
         if element in (lattice.bottom, lattice.top):
-            raise BindingAtExtreme(
-                f"atom {atom!r} is bound to extreme element {element!r}"
-            )
-    atom_values = tuple(
-        (atom, evaluate_supervaluation(Atom(atom), binding, lattice))
-        for atom, _ in scenario.binding
-    )
-    compound_element = formula_element(scenario.formula_x12, binding, lattice)
+            raise BindingAtExtreme(f"atom {atom!r} is bound to extreme element {element!r}")
+    atom_values = tuple((atom, supervalue(element, lattice))
+                        for atom, element in scenario.binding)
+    compound_element = formula_element(scenario.formula_x12, scenario.binding_map(), lattice)
     compound_value = supervalue(compound_element, lattice)
-    bridges = [bridge(v) for _, v in atom_values]
     violation = check_assignment(scenario, atom_values[0][1], atom_values[1][1])
     return SupervaluationReport(
         atom_values=atom_values,
         compound_element=compound_element,
         compound_value=compound_value,
-        bridges_fired=any(b is not None for b in bridges),
+        bridges_fired=any(bridge(v) is not None for _, v in atom_values),
         consistent=violation is None,
     )
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .valuation import UNDEFINED, as_value
+from .errors import SlitlogicError
+from .valuation import UNDEFINED, _exact, as_value
 
 __all__ = [
     "bridge",
@@ -24,14 +25,8 @@ __all__ = [
 ]
 
 
-class OutOfRange(Exception):
+class OutOfRange(SlitlogicError):
     """A probability or squared amplitude left the unit interval."""
-
-
-def _exact(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("floats are inexact; pass a Fraction, int, or decimal string")
-    return Fraction(value)
 
 
 def _unit(value, what: str) -> Fraction:

@@ -25,6 +25,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Mapping, Union
 
+from .errors import SlitlogicError
 from .formula import Atom, Formula, fold
 from .lattice import Lattice, UnknownElement
 
@@ -47,11 +48,21 @@ __all__ = [
     "check_valuational_axioms",
     "enumerate_truth_functions",
     "UnboundAtom",
+    "InvalidValue",
+    "InexactValue",
 ]
 
 
-class UnboundAtom(Exception):
+class UnboundAtom(SlitlogicError):
     """A formula atom has no entry in the binding or value map."""
+
+
+class InvalidValue(SlitlogicError, ValueError):
+    """A truth value outside [0, 1], or a bad value system or truth function."""
+
+
+class InexactValue(SlitlogicError, TypeError):
+    """A float where an exact rational is required."""
 
 
 class _UndefinedType:
@@ -76,6 +87,12 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _exact(value) -> Fraction:
+    if isinstance(value, float):
+        raise InexactValue("floats are inexact; pass a Fraction, int, or decimal string")
+    return Fraction(value)
+
+
 def as_value(value) -> TruthValue:
     """Coerce to an exact truth value in [0, 1] or ``UNDEFINED``.
 
@@ -86,12 +103,10 @@ def as_value(value) -> TruthValue:
     if type(value) is not Fraction:
         if value is UNDEFINED:
             return UNDEFINED
-        if isinstance(value, float):
-            raise TypeError("floats are inexact; pass a Fraction, int, or decimal string")
-        value = Fraction(value)
+        value = _exact(value)
     # a Fraction's denominator is positive
     if not 0 <= value.numerator <= value.denominator:
-        raise ValueError(f"truth value {value} outside [0, 1]")
+        raise InvalidValue(f"truth value {value} outside [0, 1]")
     return value
 
 
@@ -142,14 +157,14 @@ class ValueSystem:
     def finite(cls, n: int) -> "ValueSystem":
         """n equally spaced values from 0 to 1 inclusive (n >= 2)."""
         if n < 2:
-            raise ValueError("a finite value system needs at least the two extremes")
+            raise InvalidValue("a finite value system needs at least the two extremes")
         return cls(f"finite({n})", tuple(Fraction(k, n - 1) for k in range(n)))
 
     @classmethod
     def infinite(cls, denominator: int = 10) -> "ValueSystem":
         """Rational grid {k/d} standing in for the full unit interval."""
         if denominator < 1:
-            raise ValueError("denominator must be positive")
+            raise InvalidValue("denominator must be positive")
         return cls(
             f"infinite({denominator})",
             tuple(Fraction(k, denominator) for k in range(denominator + 1)),
@@ -175,15 +190,15 @@ class TruthFunction:
         normalized = {}
         for element in self.lattice.elements:
             if element not in self.values:
-                raise ValueError(f"truth function is missing element {element!r}")
+                raise InvalidValue(f"truth function is missing element {element!r}")
             normalized[element] = as_value(self.values[element])
         extras = set(self.values) - set(self.lattice.elements)
         if extras:
-            raise ValueError(f"truth function mentions unknown elements {sorted(extras)}")
+            raise InvalidValue(f"truth function mentions unknown elements {sorted(extras)}")
         if normalized[self.lattice.bottom] != _ZERO:
-            raise ValueError("bottom element must have truth value 0")
+            raise InvalidValue("bottom element must have truth value 0")
         if normalized[self.lattice.top] != _ONE:
-            raise ValueError("top element must have truth value 1")
+            raise InvalidValue("top element must have truth value 1")
         object.__setattr__(self, "values", normalized)
 
     @classmethod

@@ -392,6 +392,20 @@ def test_parse_refuses_a_desugared_form_above_the_limit():
     assert report.verdict.endswith(f"above the limit of {cli._DESUGARED_NODE_LIMIT}")
 
 
+def test_parse_json_depth_limit_both_sides():
+    limit = cli._JSON_DEPTH_LIMIT
+    at_limit = dispatch(["parse", "!" * (limit - 1) + "A", "--format=json"])
+    assert at_limit.exit_code == 0
+    assert json.loads(at_limit.render())["formula"].endswith("!A")
+    over = dispatch(["parse", "!" * limit + "A", "--format=json"])
+    assert over.exit_code == 2
+    assert json.loads(over.render())["error"] == (
+        f"the formula nests {limit + 1} levels deep; --format json prints at most {limit}"
+    )
+    # text output has no depth limit
+    assert dispatch(["parse", "!" * limit + "A"]).exit_code == 0
+
+
 @pytest.mark.parametrize("limit, code", [(8, 0), (7, 2)])
 def test_parse_limit_counts_the_desugared_nodes(monkeypatch, limit, code):
     # "(a | b) & !(a & b)" has 8 nodes

@@ -1,0 +1,184 @@
+"""One exception root: every rejected input is a SlitlogicError, the CLI
+reports exactly those (and OSError) as exit 2, and anything else escapes."""
+
+import json
+import string
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from slitlogic import cli
+from slitlogic.cli import dispatch
+from slitlogic.errors import SlitlogicError
+
+def test_cli_catches_the_root_and_os_errors_only():
+    assert cli._INPUT_ERRORS == (SlitlogicError, OSError)
+    named = {n for n, v in vars(cli).items() if isinstance(v, type) and issubclass(v, BaseException)}
+    assert named == {"SlitlogicError", "UsageError"}
+
+
+def test_a_fault_in_a_handler_propagates(monkeypatch):
+    def fault(ns):
+        raise ValueError("a fault of the program")
+
+    monkeypatch.setattr(cli, "_cmd_parse", fault)
+    with pytest.raises(ValueError, match="a fault of the program"):
+        dispatch(["parse", "A"])
+
+
+_LATTICE_FILES = {
+    "integer-elements": (json.dumps({"elements": [0, 1], "order": [[0, 1]],
+                                     "involution": [[0, 1]]}), "'elements'"),
+    "list-elements": (json.dumps({"elements": [["a"], "b"], "order": [],
+                                  "involution": []}), "'elements'"),
+    "list-in-order": (json.dumps({"elements": ["a", "b"], "order": [[["a"], "b"]],
+                                  "involution": [["a", "b"]]}), "'order'"),
+    "integer-in-involution": (json.dumps({"elements": ["a", "b"], "order": [["a", "b"]],
+                                          "involution": [[0, 1]]}), "'involution'"),
+    "null": ("null", "must be an object"),
+    "deep-nesting": ("[" * 200_000 + "]" * 200_000, "nests too deeply"),
+    "not-utf-8": (b"\xff\xfe{}", "can't decode byte 0xff"),
+    "5000-digit-integer": ("1" * 5000, "Exceeds the limit"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LATTICE_FILES))
+@pytest.mark.parametrize("fmt", ("text", "json"))
+def test_malformed_lattice_files_exit_2_with_one_line(tmp_path, case, fmt):
+    content, fragment = _LATTICE_FILES[case]
+    path = tmp_path / "lattice.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    report = dispatch(["lattice-check", str(path), f"--format={fmt}"])
+    assert report.exit_code == 2
+    message = report.payload["error"]
+    assert "\n" not in message
+    assert fragment in message
+    for internal in ("unhashable", "expected str instance", "recursion"):
+        assert internal not in message
+    assert report.render()
+
+
+# ------------------------------------------------ every argv ends in a report
+
+_ALPHABET = string.digits + "/-.,=" + string.ascii_letters + "!&^|() "
+# Sizes stay small because nothing caps the work yet: nogo covers
+# 2^(elements - 2) truth functions, and scan checks (values)^2 pairs.
+_SIZES = {"boolean": 3, "chain": 6, "lantern": 3}
+_NAMES = ("0", "a", "b", "c", "1")
+_VALID_FILES = (
+    {"elements": ["0", "a", "b", "1"], "order": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]],
+     "involution": [["0", "1"], ["a", "b"]]},
+    {"elements": ["0", "a", "1"], "order": [["0", "a"], ["a", "1"]],
+     "involution": [["0", "1"], ["a", "a"]]},
+)
+_FILE = "<lattice file>"  # stands for the path the property writes the file to
+
+# "-h" or a prefix of "--help" would print the help and exit
+_text = st.text(_ALPHABET, max_size=8).filter(lambda t: not t.startswith(("-h", "--h")))
+
+
+def _or_junk(*valid):
+    """One of ``valid`` three draws in four, short junk text the fourth."""
+    return st.one_of(*valid * 3, _text)
+
+
+_name = st.one_of(st.sampled_from(_NAMES), st.sampled_from(_NAMES), st.integers(-1, 3),
+                  st.none(), st.just(["a"]))
+_entries = st.lists(st.one_of(st.tuples(_name, _name).map(list), st.lists(_name, max_size=3)),
+                    max_size=5)
+_file_content = _or_junk(
+    st.fixed_dictionaries({"elements": st.lists(_name, max_size=5),
+                           "order": _entries, "involution": _entries}),
+    st.sampled_from(_VALID_FILES), st.none(), st.integers(),
+)
+_lattice = _or_junk(
+    st.sampled_from(sorted(_SIZES)).flatmap(
+        lambda family: st.integers(-1, _SIZES[family]).map(lambda n: f"builtin:{family}:{n}")),
+    st.just(_FILE), st.just(_FILE),
+)
+_rational = st.fractions(0, 1, max_denominator=6).map(str)
+_amplitude = _or_junk(st.tuples(_rational, _rational).map(",".join))
+_formula = _or_junk(st.sampled_from(("X1 ^ X2", "A", "!(A & B) | A")),
+                    st.text("ABX12!&^|() ", max_size=8))
+
+
+def _pairs(keys, values):
+    return _or_junk(st.lists(st.tuples(st.sampled_from(keys), values).map("=".join),
+                             min_size=1, max_size=3).map(",".join))
+
+
+_INTERFERENCE = {"--amp1": _amplitude, "--amp2": _amplitude, "--p-or": _or_junk(_rational),
+                 "--p1": _or_junk(_rational), "--p2": _or_junk(_rational)}
+_SCENARIO = {
+    **_INTERFERENCE,
+    "--lattice": _lattice,
+    "--bind": _pairs(("X1", "X2"), st.sampled_from(_NAMES + ("a1", "a2"))),
+    "--equal-priors": None, "--no-equal-priors": None, "--allow-degenerate": None,
+}
+_COUNT = _or_junk(st.integers(-1, 30).map(str))
+# subcommand -> (positional arguments, options drawn every time, other options)
+_COMMANDS = {
+    "lattice-check": ([_lattice], {}, {}),
+    "parse": ([_formula], {}, {}),
+    "eval": ([], {
+        "--formula": _formula,
+        "--mode": _or_junk(st.sampled_from(("lattice", "lukasiewicz", "super"))),
+        "--assign": _pairs(("X1", "X2", "A", "B"), st.one_of(st.sampled_from(_NAMES), _rational)),
+        "--lattice": _lattice,
+    }, {
+        "--values": _pairs(_NAMES, st.one_of(_rational, st.just("undefined"))),
+    }),
+    "interference": ([], {}, _INTERFERENCE),
+    "nogo": ([], {}, _SCENARIO),
+    "scan": ([], {}, {**_SCENARIO, "--values": _COUNT, "--denominator": _COUNT}),
+    "super": ([], {}, _SCENARIO),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    positionals, required, optional = _COMMANDS[command]
+    options = {**required, **optional, "--format": _or_junk(st.sampled_from(("text", "json")))}
+    flags = draw(st.lists(st.sampled_from(sorted(options)), max_size=6))
+    argv = [command] + [draw(p) for p in positionals]
+    for flag in flags + list(required):
+        if options[flag] is None:
+            argv.append(flag)
+        elif draw(st.booleans()):
+            argv.append(f"{flag}={draw(options[flag])}")
+        else:
+            argv += [flag, draw(options[flag])]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=_file_content, argv=_argv())
+def test_every_argv_ends_in_a_report(tmp_path_factory, content, argv):
+    path = tmp_path_factory.getbasetemp() / "fuzz-lattice.json"
+    # text is written as it is, so most of it is not JSON
+    path.write_text(content if isinstance(content, str) else json.dumps(content), encoding="utf-8")
+    argv = [a.replace(_FILE, str(path)) for a in argv]
+    report = dispatch(argv)
+    assert report.exit_code in (0, 1, 2)
+    text = report.render()
+    assert isinstance(text, str) and text
+    if report.exit_code == 2:
+        assert "\n" not in report.verdict
+
+
+@pytest.mark.parametrize("argv", [
+    ["interference", "--p-or", "1", "--p1", "1e5000", "--p2", "0"],
+    ["interference", "--amp1", "1e-3000,0", "--amp2", "0,0"],
+    ["eval", "--formula", "A", "--mode", "lukasiewicz", "--assign", "A=1E-5000"],
+])
+def test_exponent_literals_are_refused(argv):
+    # a short exponent would stand for an integer too long to print
+    report = dispatch(argv)
+    assert report.exit_code == 2
+    assert report.verdict.startswith("error: cannot read ")
+    assert report.verdict.endswith(" as an exact rational")

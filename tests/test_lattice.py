@@ -212,7 +212,9 @@ def test_algebraic_laws_exhaustive(family, n):
 )
 def test_round_trip_through_extracted_order(family, n):
     lat = builtin(family, n)
-    rebuilt = build_from_order(lat.elements, lat.order_pairs(), lat.involution_pairs())
+    names = lat.elements
+    order = [(y, z) for i, y in enumerate(names) for j, z in enumerate(names) if lat.leq[i][j]]
+    rebuilt = build_from_order(names, order, lat.involution_pairs())
     assert rebuilt.join_table == lat.join_table
     assert rebuilt.meet_table == lat.meet_table
     assert rebuilt.involution == lat.involution
