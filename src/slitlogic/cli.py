@@ -12,12 +12,12 @@ propagates. Output is deterministic: identical inputs give byte-identical report
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from . import lattice as lattice_mod
@@ -78,13 +78,51 @@ class Report:
 
     def render(self) -> str:
         if self.format == "json":
-            return json.dumps(self.payload, indent=2)
+            return _json_text(self.payload, "", {})
         # an error payload has no command and renders as its verdict
         body = _TEXT_BODIES.get(self.payload.get("command"))
         return "\n".join([self.verdict, *(body(self.payload) if body else ())])
 
 
+def _json_text(value, pad: str, memo: dict) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for dicts with str keys,
+    lists, str, int, bool and None; ``pad`` is the indent of the value's line.
+    A container met again at the same indent is encoded once: ``memo`` maps
+    ``(id, pad)`` to False at the first sighting and to the text at the
+    second. It recurses once per level of nesting, as ``json`` does."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    is_dict = isinstance(value, dict)
+    if not (is_dict or isinstance(value, list)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    key = (id(value), pad)
+    seen = memo.get(key)
+    if seen:
+        return seen
+    inner = pad + "  "
+    parts = []
+    if is_dict:
+        for k, v in value.items():  # a key that is no str raises TypeError here
+            parts.append(encode_basestring_ascii(k) + ": " + _json_text(v, inner, memo))
+    else:
+        for v in value:
+            parts.append(_json_text(v, inner, memo))
+    brackets = "{}" if is_dict else "[]"
+    text = brackets if not parts else (
+        brackets[0] + "\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + brackets[1])
+    memo[key] = text if seen is False else False
+    return text
+
+
 def _fraction(text: str, what: str = "value") -> Fraction:
+    digits = sum(map(str.isdigit, text))
+    if digits > _LITERAL_DIGIT_LIMIT:
+        raise UsageError(f"{what} has a literal of {digits} digits; "
+                         f"a rational literal has at most {_LITERAL_DIGIT_LIMIT}")
     # no exponents: "1e5000" would be an integer too long to print
     if "e" not in text.lower():
         try:
@@ -210,8 +248,12 @@ def _tree_payload(f):
 
 # A chain of k xors desugars to about 2^k nodes; parse prints no more than this.
 _DESUGARED_NODE_LIMIT = 10**6
-# json.dumps recurses once per level of the tree; parse prints no deeper JSON.
+# The JSON writer recurses once per level of the tree; parse prints no deeper JSON.
 _JSON_DEPTH_LIMIT = 500
+# The interference of two amplitudes has a denominator dividing twice the square
+# of the product of their four denominators: 8 * 500 + 1 digits stay printable
+# under the interpreter's 4300-digit limit on int to str.
+_LITERAL_DIGIT_LIMIT = 500
 
 
 def _add_one(left: int, right: int) -> int:

@@ -58,11 +58,13 @@ class UnboundAtom(SlitlogicError):
 
 
 class InvalidValue(SlitlogicError, ValueError):
-    """A truth value outside [0, 1], or a bad value system or truth function."""
+    """A value that is no rational or lies outside [0, 1], or a bad value
+    system or truth function."""
 
 
 class InexactValue(SlitlogicError, TypeError):
-    """A float where an exact rational is required."""
+    """A float, or an object of no numeric type, where an exact rational is
+    required."""
 
 
 class _UndefinedType:
@@ -90,7 +92,13 @@ _ONE = Fraction(1)
 def _exact(value) -> Fraction:
     if isinstance(value, float):
         raise InexactValue("floats are inexact; pass a Fraction, int, or decimal string")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidValue(f"not an exact rational: {exc}") from exc
+    except TypeError as exc:
+        raise InexactValue(f"a {type(value).__name__} is not an exact rational; "
+                           "pass a Fraction, int, or decimal string") from exc
 
 
 def as_value(value) -> TruthValue:

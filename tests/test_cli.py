@@ -4,9 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import slitlogic
 from slitlogic import cli
@@ -427,3 +430,67 @@ def test_closed_stdout_keeps_the_exit_code_and_prints_no_traceback():
     stderr = proc.stderr.read()
     assert proc.wait(timeout=60) == 0
     assert stderr == b""
+
+
+# ---------------------------------------------------------------- JSON writer
+
+_TEXTS = st.text(st.sampled_from('a"\\/\b\f\n\r\t\x00\x1f\x7f\x80 é€\u2028\U0001f600') | st.characters())
+_SCALARS = (
+    st.none() | st.booleans() | _TEXTS
+    | st.integers(min_value=-2**63, max_value=2**63) | st.integers(min_value=-10**300, max_value=10**300)
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXTS, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(_VALUES, _VALUES)
+def test_json_writer_matches_json_dumps(shared, value):
+    assert cli._json_text(value, "", {}) == json.dumps(value, indent=2)
+    # one object met three times at one depth and once at another
+    payload = {"a": [shared, shared], "b": {"c": [shared]}, "d": [value, shared], "e": {}}
+    assert cli._json_text(payload, "", {}) == json.dumps(payload, indent=2)
+
+
+def test_json_writer_keeps_text_only_for_repeated_containers():
+    shared = {"x": ["1"]}
+    memo = {}
+    cli._json_text([shared, shared, shared, {"y": []}], "", memo)
+    # shared and its list are encoded twice and kept; the rest is encoded once
+    assert [text for text in memo.values() if text] == [
+        '[\n      "1"\n    ]',
+        '{\n    "x": [\n      "1"\n    ]\n  }',
+    ]
+    assert len(memo) == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice-check", "builtin:lantern:2"],
+    ["parse", "(X1 | X2) & !(X1 ^ X2)"],
+    ["eval", "--formula", "X1 ^ X2", "--mode", "lukasiewicz", "--assign", "X1=1/2,X2=1/3"],
+    ["eval", "--formula", "X1 | X2", "--mode", "super", "--lattice", "builtin:boolean:2",
+     "--assign", "X1=a,X2=b"],
+    ["interference", "--amp1", "3/5,0", "--amp2", "0,4/5"],
+    ["nogo", "--lattice", "builtin:lantern:4", "--bind", "X1=a1,X2=a2"],
+    ["nogo", "--amp2", "0,0", "--allow-degenerate", "--no-equal-priors"],
+    ["scan", "--denominator", "20"],
+    ["super"],
+    ["parse", "X1 &"],
+])
+def test_json_report_is_json_dumps_of_the_payload(argv):
+    report = dispatch(argv + ["--format=json"])
+    assert report.render() == json.dumps(report.payload, indent=2)
+
+
+@pytest.mark.parametrize("payload", [
+    {"verdict": "v", "value": Fraction(1, 2)},
+    {"verdict": "v", "values": [["1", Fraction(0)]]},
+    {"verdict": "v", "value": 0.5},
+    {"verdict": "v", "pair": ("0", "1")},
+    {"verdict": "v", "table": {1: "a"}},
+])
+def test_json_writer_refuses_other_types(payload):
+    with pytest.raises(TypeError):
+        Report(payload, 0, "json").render()

@@ -182,3 +182,41 @@ def test_exponent_literals_are_refused(argv):
     assert report.exit_code == 2
     assert report.verdict.startswith("error: cannot read ")
     assert report.verdict.endswith(" as an exact rational")
+
+
+def _literal_of(digits: int, base: int) -> str:
+    # a small value over the largest power of base with fewer digits
+    power = base
+    while len(str(power * base)) < digits:
+        power *= base
+    return f"{10 ** (digits - len(str(power)) - 1)}/{power}"
+
+
+@pytest.mark.parametrize("command", [["interference"], ["nogo"], ["scan", "--values=3"], ["super"]])
+def test_literals_at_the_digit_limit_print(command):
+    # coprime denominators make the interference term's denominator as long as it gets
+    limit = cli._LITERAL_DIGIT_LIMIT
+    re1, im1, re2, im2 = (_literal_of(limit, base) for base in (3, 7, 11, 13))
+    assert all(sum(map(str.isdigit, x)) == limit for x in (re1, im1, re2, im2))
+    argv = command + [f"--amp1={re1},{im1}", f"--amp2={re2},{im2}"]
+    for fmt in ("text", "json"):
+        report = dispatch(argv + [f"--format={fmt}"])
+        assert report.exit_code == 0
+        assert report.render()
+
+
+@pytest.mark.parametrize("argv, what, literal", [
+    (["interference", "--amp1={},0", "--amp2=0,0"], "--amp1", "0." + "0" * 3000 + "1"),
+    (["interference", "--p-or=1", "--p1={}", "--p2=0"], "--p1", "0." + "3" * 500),
+    (["eval", "--formula=A", "--mode=lukasiewicz", "--assign=A={}"], "value for A", "1/" + "7" * 500),
+    (["eval", "--formula=A", "--mode=lattice", "--lattice=builtin:chain:3", "--assign=A=m1",
+      "--values=m1={},m2=1/2"], "value for m1", "1" * 250 + "/" + "3" * 251),
+])
+def test_literals_over_the_digit_limit_are_refused(argv, what, literal):
+    digits = sum(map(str.isdigit, literal))
+    assert digits == cli._LITERAL_DIGIT_LIMIT + 1 or digits > 3000
+    for fmt in ("text", "json"):
+        report = dispatch([a.format(literal) for a in argv] + [f"--format={fmt}"])
+        assert report.exit_code == 2
+        assert report.verdict == (f"error: {what} has a literal of {digits} digits; "
+                                  f"a rational literal has at most {cli._LITERAL_DIGIT_LIMIT}")

@@ -8,10 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from slitlogic import valuation
+from slitlogic.errors import SlitlogicError
 from slitlogic.formula import And, Atom, Not, Or, Xor, parse
 from slitlogic.lattice import build_from_order, builtin
+from slitlogic.probability import InterferenceInputs
 from slitlogic.valuation import (
     UNDEFINED,
+    InexactValue,
+    InvalidValue,
     TruthFunction,
     UnboundAtom,
     ValueSystem,
@@ -82,6 +86,17 @@ def test_floats_rejected():
         lukasiewicz_neg(0.3)
     with pytest.raises(TypeError):
         as_value(0.5)
+
+
+@pytest.mark.parametrize("coerce, error", [
+    (lambda: as_value("abc"), InvalidValue),
+    (lambda: InterferenceInputs("x", 0, 0), InvalidValue),
+    (lambda: as_value(None), InexactValue),
+])
+def test_unreadable_values_raise_typed_errors(coerce, error):
+    with pytest.raises(error) as info:
+        coerce()
+    assert isinstance(info.value, SlitlogicError)
 
 
 def test_out_of_range_rejected():
