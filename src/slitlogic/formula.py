@@ -46,8 +46,26 @@ class ParseError(SlitlogicError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Atom:
+class _Node:
+    """Structural equality, hashing and the dataclass repr, computed by
+    :func:`fold`, so that no tree is too deep for them."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, _Node):
+            return NotImplemented
+        return _postfix(self) == _postfix(other)
+
+    def __hash__(self):
+        return hash(tuple(_postfix(self)))
+
+    def __repr__(self):
+        return fold(self, *_REPR)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Atom(_Node):
     name: str
 
     def __post_init__(self):
@@ -55,25 +73,25 @@ class Atom:
             raise ValueError("atom name must be nonempty")
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, eq=False, repr=False)
+class Not(_Node):
     child: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False, repr=False)
+class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False, repr=False)
+class Or(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Xor:
+@dataclass(frozen=True, eq=False, repr=False)
+class Xor(_Node):
     left: "Formula"
     right: "Formula"
 
@@ -182,6 +200,26 @@ def fold(formula: Formula, atom, neg, conj, disj, xor=None):
             right = values.pop()
             values[-1] = item(values[-1], right)
     return values[0]
+
+
+def _postfix(formula: Formula) -> list:
+    """The tree in postfix order: atom names and node classes. The classes'
+    arities make the sequence name exactly one tree."""
+    out: list = []
+
+    def mark(kind):
+        return lambda *values: out.append(kind)
+
+    fold(formula, lambda a: out.append(a.name), mark(Not), mark(And), mark(Or), mark(Xor))
+    return out
+
+
+def _branch_repr(kind: str):
+    return lambda left, right: f"{kind}(left={left}, right={right})"
+
+
+_REPR = (lambda a: f"Atom(name={a.name!r})", lambda child: f"Not(child={child})",
+         _branch_repr("And"), _branch_repr("Or"), _branch_repr("Xor"))
 
 
 def _negated(child: tuple[str, int]) -> tuple[str, int]:

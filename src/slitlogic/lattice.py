@@ -141,9 +141,6 @@ class Lattice:
             "involution": [list(p) for p in self.involution_pairs()],
         }
 
-    def describe(self) -> str:
-        return f"{len(self.elements)} elements [{', '.join(self.elements)}]"
-
 
 def _lub(leq: Sequence[Sequence[bool]], i: int, j: int) -> int | None:
     """The least upper bound of ``i`` and ``j`` under ``leq``, or None. Over
@@ -360,7 +357,10 @@ def verify_axioms(lat: Lattice) -> list[LawViolation]:
     least upper / greatest lower bounds, the algebraic laws (commutativity,
     associativity over all triples, idempotence, absorption), boundedness,
     and the involution laws. Empty result means the structure is a bounded
-    lattice with involution.
+    lattice with involution. Anything that :func:`build_from_order`,
+    :func:`builtin` or :func:`load` returns passes, since construction
+    raises on each of these laws; this is the auditor for a ``Lattice``
+    assembled by hand.
     """
     out = _shape_violations(lat)
     if out:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import slitlogic
 from slitlogic import cli
 from slitlogic.cli import Report, dispatch
-from slitlogic.lattice import Lattice, builtin, verify_axioms
+from slitlogic.lattice import builtin
 
 NOGO_ARGS = [
     "nogo",
@@ -292,23 +292,6 @@ def test_text_report_is_rendered_from_the_json_payload(argv, code):
     assert text.exit_code == code
     payload = json.loads(dispatch(argv + ["--format=json"]).render())
     assert Report(payload, code, "text").render() == text.render()
-
-
-def test_lattice_check_lists_each_violation(monkeypatch):
-    # files and builtins are checked while they are built, so a lattice that
-    # breaks a law reaches lattice-check only by hand
-    lat = builtin("boolean", 2)
-    broken = Lattice(lat.elements, lat.leq, lat.join_table, lat.meet_table,
-                     (0, 1, 2, 3), lat.bottom, lat.top)
-    monkeypatch.setattr(cli, "_resolve_lattice", lambda ref: broken)
-    violations = verify_axioms(broken)
-    report = dispatch(["lattice-check", "broken"])
-    assert report.exit_code == 1
-    assert report.render().splitlines() == (
-        [f"{len(violations)} lattice law violation(s)"] + [f"  {v}" for v in violations]
-    )
-    payload = json.loads(dispatch(["lattice-check", "broken", "--format=json"]).render())
-    assert Report(payload, 1, "text").render() == report.render()
 
 
 SCAN_HEAD = """\

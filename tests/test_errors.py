@@ -3,6 +3,7 @@ reports exactly those (and OSError) as exit 2, and anything else escapes."""
 
 import json
 import string
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -220,3 +221,37 @@ def test_literals_over_the_digit_limit_are_refused(argv, what, literal):
         assert report.exit_code == 2
         assert report.verdict == (f"error: {what} has a literal of {digits} digits; "
                                   f"a rational literal has at most {cli._LITERAL_DIGIT_LIMIT}")
+
+
+def _sum_of_literals(digits: int) -> list[str]:
+    # "eval" on A0 | A1 | ..., each atom 1/d over coprime d: the value's
+    # denominator is the product of the d, here of exactly `digits` digits
+    primes = [p for p in range(3, 1000, 2) if all(p % q for q in range(3, p, 2))]
+    dens, product = [], 1
+    while product * 10**100 < 10 ** (digits - 300):
+        power = primes[len(dens)]
+        while power < 10**99:
+            power *= primes[len(dens)]
+        dens.append(power)
+        product *= power
+    power = 1
+    while product * power < 10 ** (digits - 1):
+        power *= 2
+    dens.append(power)
+    return ["eval", "--mode=lukasiewicz", "--formula=" + " | ".join(f"A{i}" for i in range(len(dens))),
+            "--assign=" + ",".join(f"A{i}=1/{d}" for i, d in enumerate(dens))]
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="this interpreter prints ints of any length")
+def test_a_sum_of_literals_prints_up_to_the_interpreter_limit():
+    limit = sys.get_int_max_str_digits()
+    for fmt in ("text", "json"):
+        report = dispatch(_sum_of_literals(limit) + [f"--format={fmt}"])
+        assert report.exit_code == 0
+        assert report.render()
+        report = dispatch(_sum_of_literals(limit + 1) + [f"--format={fmt}"])
+        assert report.exit_code == 2
+        assert report.render() and report.verdict == (
+            f"error: the value has a denominator of more than {limit} digits, "
+            "more than this interpreter prints")

@@ -44,6 +44,10 @@ def classical(f, env):
 
 def test_parse_exactly_one_compound():
     assert parse(EXACTLY_ONE_TEXT) == EXACTLY_ONE
+    assert repr(EXACTLY_ONE) == (
+        "And(left=Or(left=Atom(name='X1'), right=Atom(name='X2')), "
+        "right=Not(child=And(left=Atom(name='X1'), right=Atom(name='X2'))))"
+    )
 
 
 def test_parse_single_atom():
@@ -249,3 +253,7 @@ def test_deep_formulas_need_no_recursion(text, rendered, element, degree):
     assert atoms(f) == ("A",)
     assert formula_element(f, {"A": "a"}, builtin("boolean", 2)) == element
     assert evaluate_degrees(f, {"A": Fraction(1, 2)}) == degree
+    twin = parse(text)
+    assert f == twin and f is not twin and f != parse(text.replace("A", "B", 1))
+    assert hash(f) == hash(twin)
+    assert repr(f).count("Atom(name='A')") == text.count("A")

@@ -3,10 +3,13 @@
 import json
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from slitlogic.lattice import (
     BadInvolution,
     Lattice,
+    LatticeError,
     NoUniqueBound,
     NotAPartialOrder,
     UnknownElement,
@@ -334,3 +337,63 @@ def test_verify_reports_malformed_shape():
     )
     laws = {v.law for v in verify_axioms(lat)}
     assert laws == {"malformed"}
+
+
+# ------------------------------------------- construction is the law check
+
+
+def _matching(draw, names):
+    """Involution pairs that cover every name once, some of them fixed points."""
+    shuffled = draw(st.permutations(names))
+    cut = draw(st.integers(0, len(names) // 2))
+    return list(zip(shuffled[:cut], shuffled[cut:2 * cut])) + [(y, y) for y in shuffled[2 * cut:]]
+
+
+@st.composite
+def _random_orders(draw):
+    names = [f"e{i}" for i in range(draw(st.integers(1, 6)))]
+    pairs = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    order = draw(st.lists(pairs, max_size=12))
+    involution = _matching(draw, names) if draw(st.booleans()) else draw(st.lists(pairs, max_size=6))
+    return names, order, involution, False
+
+
+@st.composite
+def _relabelled_builtins(draw):
+    family = draw(st.sampled_from(["boolean", "chain", "lantern"]))
+    data = builtin(family, draw(st.integers(1, 3))).to_dict()
+    labels = draw(st.permutations([f"x{i}" for i in range(len(data["elements"]))]))
+    rename = dict(zip(data["elements"], labels))
+    names = draw(st.permutations([rename[e] for e in data["elements"]]))
+    order = draw(st.permutations([(rename[y], rename[z]) for y, z in data["order"]]))
+    involution = [
+        (rename[z], rename[y]) if draw(st.booleans()) else (rename[y], rename[z])
+        for y, z in data["involution"]
+    ]
+    # unchanged, it is a builtin again; else lose an order or involution
+    # pair, add an order pair, or pair the elements afresh
+    change = draw(st.sampled_from(
+        ["none", "none", "drop-order", "drop-involution", "add-order", "rematch"]))
+    if change == "drop-order" and order:
+        order.pop(draw(st.integers(0, len(order) - 1)))
+    elif change == "drop-involution":
+        involution.pop(draw(st.integers(0, len(involution) - 1)))
+    elif change == "add-order":
+        order.append((draw(st.sampled_from(names)), draw(st.sampled_from(names))))
+    elif change == "rematch":
+        involution = _matching(draw, names)
+    return names, order, involution, change == "none"
+
+
+@settings(max_examples=300)
+@given(_random_orders() | _relabelled_builtins())
+def test_what_construction_accepts_passes_every_law(spec):
+    *arguments, a_builtin = spec
+    try:
+        lat = build_from_order(*arguments)
+    except LatticeError as exc:
+        assert not a_builtin
+        event(f"rejected: {type(exc).__name__}")
+        return
+    event("accepted")
+    assert verify_axioms(lat) == []
