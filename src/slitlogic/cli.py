@@ -250,7 +250,8 @@ _LITERAL_DIGIT_LIMIT = 500
 
 
 def _add_one(left: int, right: int) -> int:
-    return left + right + 1
+    # saturates: the count of a long xor chain has too many digits to print
+    return min(left + right + 1, _DESUGARED_NODE_LIMIT + 1)
 
 
 def _deeper(left: int, right: int) -> int:
@@ -261,8 +262,7 @@ def _cmd_parse(ns) -> Report:
     f = parse(ns.text)
     size = fold(f, lambda a: 1, lambda child: child + 1, _add_one, _add_one)
     if size > _DESUGARED_NODE_LIMIT:
-        raise UsageError(f"the desugared form has {size} nodes, "
-                         f"above the limit of {_DESUGARED_NODE_LIMIT}")
+        raise UsageError(f"the desugared form has more than {_DESUGARED_NODE_LIMIT} nodes")
     if ns.format == "json":
         depth = fold(f, lambda a: 1, lambda child: child + 1, _deeper, _deeper, _deeper)
         if depth > _JSON_DEPTH_LIMIT:

@@ -8,17 +8,28 @@ the least and greatest elements.
 Join and meet are precomputed as full lookup tables at construction time so
 queries during enumeration stay O(1). Instances are immutable and safe to
 share between threads.
+
+Construction works on bitsets, after Aït-Kaci, Boyer, Lincoln & Nasr,
+"Efficient implementation of lattice operations" (ACM TOPLAS 11(1), 1989).
+Each element's up-set and down-set is a Python int. The transitive closure
+takes one OR per pair of elements. Numbered by a linear extension of the
+order, the join of y and z is the lowest bit k of ``up[y] & up[z]`` if
+``up[k]`` is that whole intersection, and the pair has no least upper bound
+otherwise; meets take the highest bit of the down-sets. So a build of n
+elements costs O(n^2) operations on n-bit integers: about a second at the
+cap of :data:`MAX_ELEMENTS` elements.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import SlitlogicError
 
 __all__ = [
+    "MAX_ELEMENTS",
     "Lattice",
     "LawViolation",
     "build_from_order",
@@ -33,6 +44,10 @@ __all__ = [
     "UnknownElement",
     "UnsupportedFamily",
 ]
+
+
+# The most elements a lattice may have, from a file or a builtin family.
+MAX_ELEMENTS = 1024
 
 
 class LatticeError(SlitlogicError, ValueError):
@@ -88,11 +103,19 @@ class Lattice:
     involution: tuple[int, ...]
     bottom: str
     top: str
+    # name -> position; the first occurrence wins, as with tuple.index
+    _positions: dict[str, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        positions: dict[str, int] = {}
+        for i, e in enumerate(self.elements):
+            positions.setdefault(e, i)
+        object.__setattr__(self, "_positions", positions)
 
     def index(self, element: str) -> int:
         try:
-            return self.elements.index(element)
-        except ValueError:
+            return self._positions[element]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise UnknownElement(f"{element!r} is not an element of this lattice") from None
 
     def join(self, y: str, z: str) -> str:
@@ -145,7 +168,8 @@ class Lattice:
 def _lub(leq: Sequence[Sequence[bool]], i: int, j: int) -> int | None:
     """The least upper bound of ``i`` and ``j`` under ``leq``, or None. Over
     the transposed order, ``tuple(zip(*leq))``, it is the greatest lower
-    bound."""
+    bound. The brute-force search that :func:`verify_axioms` checks the
+    tables against; construction does not use it."""
     n = len(leq)
     uppers = [k for k in range(n) if leq[i][k] and leq[j][k]]
     for k in uppers:
@@ -173,59 +197,83 @@ def build_from_order(
     names = tuple(elements)
     if not names:
         raise LatticeError("element set must be nonempty")
-    if len(set(names)) != len(names):
+    n = len(names)
+    if n > MAX_ELEMENTS:
+        raise LatticeError(f"the lattice has {n} elements, more than the {MAX_ELEMENTS} allowed")
+    if len(set(names)) != n:
         raise LatticeError("duplicate element names")
     pos = {e: i for i, e in enumerate(names)}
-    n = len(names)
 
-    leq = [[i == j for j in range(n)] for i in range(n)]
+    # up[i] holds bit j when element i lies below element j
+    up = [1 << i for i in range(n)]
     for lesser, greater in order_pairs:
         for name in (lesser, greater):
             if name not in pos:
                 raise UnknownElement(f"order pair mentions unknown element {name!r}")
-        leq[pos[lesser]][pos[greater]] = True
+        up[pos[lesser]] |= 1 << pos[greater]
 
-    # transitive closure (Warshall)
+    # transitive closure (Warshall): what lies above k lies above all below k
     for k in range(n):
+        bit, above = 1 << k, up[k]
         for i in range(n):
-            if leq[i][k]:
-                row_i, row_k = leq[i], leq[k]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
+            if up[i] & bit:
+                up[i] |= above
 
+    # row i as a string, character j for bit j; its columns are the down-sets
+    rows = [format(u, f"0{n}b")[::-1] for u in up]
+    columns = ["".join(column) for column in zip(*rows)]
+    down = [int(column[::-1], 2) for column in columns]
+
+    # An i below each other with some j < i would have raised at j, so the
+    # first i to raise has only partners j > i: its lowest partner is the
+    # pair that a scan over (i, j > i) names first.
     for i in range(n):
-        for j in range(i + 1, n):
-            if leq[i][j] and leq[j][i]:
-                raise NotAPartialOrder(
-                    f"{names[i]!r} and {names[j]!r} are below each other"
-                )
+        both = (up[i] & down[i]) ^ (1 << i)
+        if both:
+            j = (both & -both).bit_length() - 1
+            raise NotAPartialOrder(
+                f"{names[i]!r} and {names[j]!r} are below each other"
+            )
 
-    # Frozen before the bound search, so _lub sees one row type for joins
-    # and meets; alternating lists and tuples defeats its specialisation.
-    leq = tuple(tuple(row) for row in leq)
-    geq = tuple(zip(*leq))
+    # A strictly smaller element has a strictly smaller down-set, so this
+    # order is a linear extension. Up- and down-sets are renumbered by it:
+    # the least element of a set of upper bounds, if any, is its lowest bit.
+    extension = sorted(range(n), key=lambda i: down[i].bit_count())
+    highest_first = extension[::-1]
+
+    def renumbered(row: str) -> int:
+        return int("".join([row[e] for e in highest_first]), 2)
+
+    ups = [renumbered(row) for row in rows]
+    downs = [renumbered(column) for column in columns]
+    up_at = [ups[e] for e in extension]
+    down_at = [downs[e] for e in extension]
+
+    # An empty intersection gives k = -1, and up_at[-1] is not 0, since
+    # every up- and down-set holds its own element.
     join_table = [[0] * n for _ in range(n)]
     meet_table = [[0] * n for _ in range(n)]
     for i in range(n):
+        up_i, down_i = ups[i], downs[i]
         for j in range(i, n):
-            up = _lub(leq, i, j)
-            if up is None:
+            common = up_i & ups[j]
+            k = (common & -common).bit_length() - 1
+            if up_at[k] != common:
                 raise NoUniqueBound(
                     f"no least upper bound for ({names[i]}, {names[j]})"
                 )
-            down = _lub(geq, i, j)
-            if down is None:
+            join_table[i][j] = join_table[j][i] = extension[k]
+            common = down_i & downs[j]
+            k = common.bit_length() - 1
+            if down_at[k] != common:
                 raise NoUniqueBound(
                     f"no greatest lower bound for ({names[i]}, {names[j]})"
                 )
-            join_table[i][j] = join_table[j][i] = up
-            meet_table[i][j] = meet_table[j][i] = down
+            meet_table[i][j] = meet_table[j][i] = extension[k]
 
-    # Every pair has a join and a meet, so the join of all elements is the
-    # top and their meet is the bottom: both searches below find one.
-    bottom = next(i for i in range(n) if all(leq[i][j] for j in range(n)))
-    top = next(i for i in range(n) if all(leq[j][i] for j in range(n)))
+    # Every pair has a join and a meet, so the order has one least and one
+    # greatest element: the first and the last of the extension.
+    bottom, top = extension[0], extension[-1]
 
     inv: dict[int, int] = {}
     for y, z in involution_pairs:
@@ -246,7 +294,7 @@ def build_from_order(
 
     return Lattice(
         elements=names,
-        leq=leq,
+        leq=tuple(tuple(map("1".__eq__, row)) for row in rows),
         join_table=tuple(tuple(row) for row in join_table),
         meet_table=tuple(tuple(row) for row in meet_table),
         involution=tuple(inv[i] for i in range(n)),
@@ -259,38 +307,23 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 def _boolean(n: int) -> Lattice:
-    if n > len(_LETTERS):
-        raise LatticeError(f"boolean({n}) is far beyond desk scale")
-    subsets = []
-    for mask in range(1 << n):
-        subsets.append(frozenset(i for i in range(n) if mask >> i & 1))
-    subsets.sort(key=lambda s: (len(s), sorted(s)))
-    full = frozenset(range(n))
+    full = (1 << n) - 1
 
-    def name(s: frozenset) -> str:
-        if not s:
-            return "0"
-        if s == full:
-            return "1"
-        return "".join(_LETTERS[i] for i in sorted(s))
+    def members(mask: int) -> list[int]:
+        return [i for i in range(n) if mask >> i & 1]
 
-    names = [name(s) for s in subsets]
-    order = [
-        (name(a), name(b))
-        for a in subsets
-        for b in subsets
-        if a < b
-    ]
-    seen: set[frozenset] = set()
+    masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), members(m)))
+    name = {m: "".join(_LETTERS[i] for i in members(m)) for m in masks}
+    name[0], name[full] = "0", "1"
+    # the covers only: a subset lies below itself plus one more member
+    order = [(name[m], name[m | 1 << i]) for m in masks for i in range(n) if not m >> i & 1]
+    seen: set[int] = set()
     involution = []
-    for s in subsets:
-        if s in seen:
-            continue
-        c = full - s
-        seen.add(s)
-        seen.add(c)
-        involution.append((name(s), name(c)))
-    return build_from_order(names, order, involution)
+    for m in masks:
+        if m not in seen:
+            seen.update((m, full ^ m))
+            involution.append((name[m], name[full ^ m]))
+    return build_from_order([name[m] for m in masks], order, involution)
 
 
 def _chain(n: int) -> Lattice:
@@ -313,19 +346,28 @@ def _lantern(n: int) -> Lattice:
     return build_from_order(names, order, involution)
 
 
+_FAMILIES = {
+    # family: (builder, element count; saturated above the cap for boolean)
+    "boolean": (_boolean, lambda n: 1 << min(n, MAX_ELEMENTS.bit_length())),
+    "chain": (_chain, lambda n: n + 1),
+    "lantern": (_lantern, lambda n: 2 * n + 2),
+}
+
+
 def builtin(family: str, n: int) -> Lattice:
     """Construct a stock lattice: ``boolean`` (powerset with complement),
     ``chain`` (linear order of n+1 elements, order-reversing involution), or
-    ``lantern`` (bottom, top, and n incomparable complement pairs)."""
+    ``lantern`` (bottom, top, and n incomparable complement pairs). A size
+    that would give more than :data:`MAX_ELEMENTS` elements is refused
+    before any work."""
     if n < 1:
         raise LatticeError("size parameter must be >= 1")
-    if family == "boolean":
-        return _boolean(n)
-    if family == "chain":
-        return _chain(n)
-    if family == "lantern":
-        return _lantern(n)
-    raise UnsupportedFamily(f"no builtin lattice family {family!r}")
+    if family not in _FAMILIES:
+        raise UnsupportedFamily(f"no builtin lattice family {family!r}")
+    make, size = _FAMILIES[family]
+    if size(n) > MAX_ELEMENTS:
+        raise LatticeError(f"{family}({n}) has more than the {MAX_ELEMENTS} elements allowed")
+    return make(n)
 
 
 def _shape_violations(lat: Lattice) -> list[LawViolation]:

@@ -374,8 +374,14 @@ def test_parse_refuses_a_desugared_form_above_the_limit():
     chain = " ^ ".join(f"X{i}" for i in range(61))
     report = dispatch(["parse", chain])
     assert report.exit_code == 2
-    assert report.verdict.startswith("error: the desugared form has ")
-    assert report.verdict.endswith(f"above the limit of {cli._DESUGARED_NODE_LIMIT}")
+    assert report.verdict == "error: the desugared form has more than 1000000 nodes"
+
+
+def test_parse_refuses_a_long_xor_chain_in_one_line():
+    # the count, 7 * 2^k - 6 nodes, would have more digits than str prints
+    report = dispatch(["parse", " ^ ".join(["a"] * 14400)])
+    assert report.exit_code == 2
+    assert report.render() == "error: the desugared form has more than 1000000 nodes"
 
 
 def test_parse_json_depth_limit_both_sides():

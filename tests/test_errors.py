@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slitlogic import cli
+from slitlogic import cli, lattice
 from slitlogic.cli import dispatch
 from slitlogic.errors import SlitlogicError
 
@@ -255,3 +255,35 @@ def test_a_sum_of_literals_prints_up_to_the_interpreter_limit():
         assert report.render() and report.verdict == (
             f"error: the value has a denominator of more than {limit} digits, "
             "more than this interpreter prints")
+
+
+# ------------------------------------------------ the lattice element cap
+
+
+@pytest.mark.parametrize("family, at_cap", [("boolean", 10), ("chain", 1023), ("lantern", 511)])
+def test_builtins_exit_2_one_past_the_element_cap(family, at_cap):
+    report = dispatch(["lattice-check", f"builtin:{family}:{at_cap}", "--format=json"])
+    assert report.exit_code == 0
+    assert len(report.payload["elements"]) == lattice.MAX_ELEMENTS
+    over = dispatch(["lattice-check", f"builtin:{family}:{at_cap + 1}"])
+    assert over.exit_code == 2
+    assert over.render() == (
+        f"error: {family}({at_cap + 1}) has more than the {lattice.MAX_ELEMENTS} elements allowed"
+    )
+
+
+@pytest.mark.parametrize("size, code", [(lattice.MAX_ELEMENTS, 0), (lattice.MAX_ELEMENTS + 1, 2)])
+def test_lattice_files_exit_2_one_past_the_element_cap(tmp_path, size, code):
+    names = [f"e{i}" for i in range(size)]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({
+        "elements": names,
+        "order": [[y, z] for y, z in zip(names, names[1:])],
+        "involution": [[names[i], names[-1 - i]] for i in range((size + 1) // 2)],
+    }))
+    report = dispatch(["lattice-check", str(path)])
+    assert report.exit_code == code
+    if code:
+        assert report.render() == (
+            f"error: the lattice has {size} elements, more than the {lattice.MAX_ELEMENTS} allowed"
+        )

@@ -7,6 +7,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from slitlogic.lattice import (
+    MAX_ELEMENTS,
     BadInvolution,
     Lattice,
     LatticeError,
@@ -14,6 +15,7 @@ from slitlogic.lattice import (
     NotAPartialOrder,
     UnknownElement,
     UnsupportedFamily,
+    _lub,
     build_from_order,
     builtin,
     from_dict,
@@ -358,10 +360,13 @@ def _random_orders(draw):
     return names, order, involution, False
 
 
+_RELABELLED_SIZES = {"boolean": 4, "chain": 10, "lantern": 8}
+
+
 @st.composite
 def _relabelled_builtins(draw):
-    family = draw(st.sampled_from(["boolean", "chain", "lantern"]))
-    data = builtin(family, draw(st.integers(1, 3))).to_dict()
+    family = draw(st.sampled_from(sorted(_RELABELLED_SIZES)))
+    data = builtin(family, draw(st.integers(1, _RELABELLED_SIZES[family]))).to_dict()
     labels = draw(st.permutations([f"x{i}" for i in range(len(data["elements"]))]))
     rename = dict(zip(data["elements"], labels))
     names = draw(st.permutations([rename[e] for e in data["elements"]]))
@@ -397,3 +402,132 @@ def test_what_construction_accepts_passes_every_law(spec):
         return
     event("accepted")
     assert verify_axioms(lat) == []
+
+
+# ------------------------------------- the bitset build against the old search
+
+
+def reference_build(elements, order_pairs, involution_pairs):
+    """The construction before bitsets: a Warshall closure over a boolean
+    matrix and a brute-force bound search per pair, O(n^4) in all."""
+    names = tuple(elements)
+    if not names:
+        raise LatticeError("element set must be nonempty")
+    if len(set(names)) != len(names):
+        raise LatticeError("duplicate element names")
+    pos = {e: i for i, e in enumerate(names)}
+    n = len(names)
+
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for lesser, greater in order_pairs:
+        for name in (lesser, greater):
+            if name not in pos:
+                raise UnknownElement(f"order pair mentions unknown element {name!r}")
+        leq[pos[lesser]][pos[greater]] = True
+    for k in range(n):
+        for i in range(n):
+            if leq[i][k]:
+                for j in range(n):
+                    if leq[k][j]:
+                        leq[i][j] = True
+    for i in range(n):
+        for j in range(i + 1, n):
+            if leq[i][j] and leq[j][i]:
+                raise NotAPartialOrder(f"{names[i]!r} and {names[j]!r} are below each other")
+
+    leq = tuple(tuple(row) for row in leq)
+    geq = tuple(zip(*leq))
+    join_table = [[0] * n for _ in range(n)]
+    meet_table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            up = _lub(leq, i, j)
+            if up is None:
+                raise NoUniqueBound(f"no least upper bound for ({names[i]}, {names[j]})")
+            down = _lub(geq, i, j)
+            if down is None:
+                raise NoUniqueBound(f"no greatest lower bound for ({names[i]}, {names[j]})")
+            join_table[i][j] = join_table[j][i] = up
+            meet_table[i][j] = meet_table[j][i] = down
+    bottom = next(i for i in range(n) if all(leq[i][j] for j in range(n)))
+    top = next(i for i in range(n) if all(leq[j][i] for j in range(n)))
+
+    inv = {}
+    for y, z in involution_pairs:
+        if y not in pos or z not in pos:
+            raise BadInvolution(f"involution pair ({y}, {z}) mentions unknown element")
+        yi, zi = pos[y], pos[z]
+        if inv.get(yi, zi) != zi or inv.get(zi, yi) != yi:
+            raise BadInvolution(f"element {y!r} or {z!r} appears in two involution pairs")
+        inv[yi] = zi
+        inv[zi] = yi
+    missing = [names[i] for i in range(n) if i not in inv]
+    if missing:
+        raise BadInvolution(f"involution does not cover {', '.join(missing)}")
+    if inv[bottom] != top:
+        raise BadInvolution(f"involution must swap {names[bottom]!r} and {names[top]!r}")
+    return Lattice(
+        elements=names,
+        leq=leq,
+        join_table=tuple(tuple(row) for row in join_table),
+        meet_table=tuple(tuple(row) for row in meet_table),
+        involution=tuple(inv[i] for i in range(n)),
+        bottom=names[bottom],
+        top=names[top],
+    )
+
+
+def _outcome(build, arguments):
+    """The lattice built, or the type and message of the error raised."""
+    try:
+        return build(*arguments)
+    except LatticeError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(_random_orders() | _relabelled_builtins())
+def test_bitset_build_matches_the_reference(spec):
+    *arguments, _ = spec
+    expected = _outcome(reference_build, arguments)
+    event(f"outcome: {expected[0].__name__ if isinstance(expected, tuple) else 'lattice'}")
+    assert _outcome(build_from_order, arguments) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_boolean_from_covers_equals_the_all_pairs_build(n):
+    subsets = sorted(
+        (frozenset(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)),
+        key=lambda s: (len(s), sorted(s)),
+    )
+    full = frozenset(range(n))
+
+    def name(s):
+        return "0" if not s else "1" if s == full else "".join("abcdef"[i] for i in sorted(s))
+
+    order = [(name(a), name(b)) for a in subsets for b in subsets if a < b]
+    involution = [(name(s), name(full - s)) for s in subsets]  # each pair both ways
+    assert builtin("boolean", n) == build_from_order([name(s) for s in subsets], order, involution)
+
+
+def test_index_answers_as_tuple_index():
+    lat = builtin("lantern", 2)
+    assert [lat.index(e) for e in lat.elements] == list(range(len(lat.elements)))
+    with pytest.raises(UnknownElement, match=r"^'zz' is not an element of this lattice$"):
+        lat.index("zz")
+    with pytest.raises(UnknownElement, match="is not an element of this lattice"):
+        lat.index(["a1"])
+    # a hand-assembled lattice may repeat a name: the first position wins
+    twice = Lattice(("0", "a", "a", "1"), lat.leq[:4], lat.join_table[:4],
+                    lat.meet_table[:4], (3, 2, 1, 0), "0", "1")
+    assert twice.index("a") == ("0", "a", "a", "1").index("a") == 1
+    assert "_positions" not in repr(lat)
+
+
+def test_the_element_cap_is_checked_before_any_work():
+    # boolean(10**6) would list 2^(10**6) subsets
+    with pytest.raises(LatticeError, match=r"^boolean\(1000000\) has more than the 1024 elements allowed$"):
+        builtin("boolean", 10**6)
+    # the order pair names no element, and is never read
+    with pytest.raises(LatticeError, match="^the lattice has 1025 elements, more than the 1024 allowed$"):
+        build_from_order([f"e{i}" for i in range(MAX_ELEMENTS + 1)], [("x", "y")], [])
