@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import SlitlogicError
@@ -134,20 +135,18 @@ class Lattice:
         return tuple(e for e in self.elements if e != self.bottom and e != self.top)
 
     def cover_pairs(self) -> list[tuple[str, str]]:
-        """The covering pairs only (the Hasse diagram edges)."""
-        n = len(self.elements)
-        covers = []
-        for i in range(n):
-            for j in range(n):
-                if i == j or not self.leq[i][j]:
-                    continue
-                if any(
-                    k != i and k != j and self.leq[i][k] and self.leq[k][j]
-                    for k in range(n)
-                ):
-                    continue
-                covers.append((self.elements[i], self.elements[j]))
-        return covers
+        """The covering pairs only (the Hasse diagram edges), in (i, j)
+        order: j covers i when i lies strictly below j and no element lies
+        strictly between, that is when i's strict up-set and j's strict
+        down-set, held as ints, share no bit."""
+        up = _strict_sets(self.leq)
+        down = _strict_sets(zip(*self.leq))
+        return [
+            (self.elements[i], self.elements[j])
+            for i, up_i in enumerate(up)
+            for j in compress(range(len(up)), self.leq[i])
+            if j != i and not up_i & down[j]
+        ]
 
     def involution_pairs(self) -> list[tuple[str, str]]:
         """Each complement pair once, fixed points as (y, y)."""
@@ -163,6 +162,18 @@ class Lattice:
             "order": [list(p) for p in self.cover_pairs()],
             "involution": [list(p) for p in self.involution_pairs()],
         }
+
+
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _strict_sets(rows: Iterable[Sequence[bool]]) -> list[int]:
+    """Row i of a boolean matrix as an int with bit j set for each true
+    column j other than i."""
+    return [
+        int(bytes(row[::-1]).translate(_BINARY_DIGITS) or b"0", 2) & ~(1 << i)
+        for i, row in enumerate(rows)
+    ]
 
 
 def _lub(leq: Sequence[Sequence[bool]], i: int, j: int) -> int | None:

@@ -24,17 +24,20 @@ bivalent truth function on the scenario lattice to its corner,
 exercises the reading in which unverified propositions carry no truth value
 at all.
 
-``check_assignment`` validates its pair once and decides which constraints
-fire on plain integers: the two numerators over the pair's common
-denominator. Fractions are built only for the trace of a pair that breaks a
-constraint, so a grid sweep does no Fraction arithmetic per consistent pair.
+Only bivalence can break a constraint. C-COLLAPSE needs the conjunction at
+1, so both values at 1. C-TRUE needs the exactly-one compound at 0; with s
+the sum of the values it is min(s, 1) - max(s - 1, 0), so s is 0 or 2.
+C-INT needs every bridge forced, so each value 0 or 1. A pair with a value
+strictly between 0 and 1, or with no value, escapes all three:
+``check_assignment`` returns None for it and decides any other pair by its
+corner. Fractions are built only for the trace of a pair that breaks a
+constraint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import SlitlogicError
@@ -80,10 +83,6 @@ C_INT = "C-INT"
 C_COLLAPSE = "C-COLLAPSE"
 C_TRUE = "C-TRUE"
 CONSTRAINTS = (C_INT, C_COLLAPSE, C_TRUE)
-
-# Reporting priority. A double-click both falsifies the compound and breaks
-# collapse; collapse is the sharper diagnosis, so it outranks C-TRUE.
-_CHECK_ORDER = (C_COLLAPSE, C_TRUE, C_INT)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -232,9 +231,7 @@ class GridReport:
 
     def corner_results(self) -> tuple[AssignmentResult, ...]:
         """The results whose two values are each 0 or 1, in scan order."""
-        return tuple(
-            r for r in self.results if all(v == 0 or v == 1 for v in r.values)
-        )
+        return tuple(r for r in self.results if _bivalent(*r.values))
 
 
 @dataclass(frozen=True)
@@ -248,59 +245,48 @@ class SupervaluationReport:
     consistent: bool
 
 
+def _bivalent(v1: TruthValue, v2: TruthValue) -> bool:
+    """Whether both validated values are 0 or 1, so the pair can break a
+    constraint: a value in [0, 1] is 0 or 1 exactly when its denominator
+    is 1."""
+    return (
+        v1 is not UNDEFINED and v2 is not UNDEFINED
+        and v1.denominator == 1 and v2.denominator == 1
+    )
+
+
 def check_assignment(scenario: Scenario, v1, v2) -> Violation | None:
     """Check one pre-assigned value pair against the scenario constraints.
 
-    The pair is validated once, here. An undefined value absorbs every
-    degree function and forces no bridge, so such a pair is consistent.
-    Otherwise the constraints are decided on the numerators n1, n2 over the
-    pair's common denominator d: with s = n1 + n2, the disjunction is
-    min(s, d), the conjunction max(s - d, 0) and the exactly-one compound
-    max(or - and, 0). C-COLLAPSE fires when the conjunction is d, C-TRUE
-    when the compound is 0, and C-INT when the disjunction is d, the
-    conjunction 0 and each numerator 0 or d (every bridge forced), under
-    equal priors and a nonzero observed interference term.
+    The pair is validated once, here. A pair escapes every constraint, and
+    is consistent, unless both of its values are 0 or 1: an undefined value
+    forces no bridge and a value strictly between 0 and 1 leaves the
+    conjunction below 1, the exactly-one compound above 0 and its own bridge
+    unforced. On the corners, (1, 1) breaks C-COLLAPSE and C-TRUE, (0, 0)
+    breaks C-TRUE, and (0, 1) and (1, 0) break C-INT when equal priors hold
+    and the observed interference term is nonzero.
 
-    Returns the first violation in the fixed reporting order (others
-    recorded in ``also_violates``), or None when the pair is consistent.
-    Only a violation builds Fractions: its derivation trace evaluates the
-    compounds through the degree functions and the bridge.
+    Returns the violation, with any further constraint the pair breaks in
+    ``also_violates``, or None when the pair is consistent. Only a violation
+    builds Fractions: its derivation trace evaluates the compounds through
+    the degree functions and the bridge.
     """
     v1, v2 = as_value(v1), as_value(v2)
-    if v1 is UNDEFINED or v2 is UNDEFINED:
+    if not _bivalent(v1, v2):
         return None
-    d = lcm(v1.denominator, v2.denominator)
-    n1 = v1.numerator * (d // v1.denominator)
-    n2 = v2.numerator * (d // v2.denominator)
-    s = n1 + n2
-    or_n = min(s, d)
-    and_n = max(s - d, 0)
-
-    fired: list[str] = []
-    if and_n == d:
-        fired.append(C_COLLAPSE)
-    if max(or_n - and_n, 0) == 0:
-        fired.append(C_TRUE)
-    int_fires = (
-        scenario.equal_priors
-        and or_n == d
-        and and_n == 0
-        and n1 in (0, d)
-        and n2 in (0, d)
-        and scenario.observed_interference() != 0
-    )
-    if int_fires:
-        fired.append(C_INT)
-    if not fired:
+    if v1 == v2:
+        # A double-click both falsifies the compound and breaks collapse;
+        # collapse is the sharper diagnosis, so it outranks C-TRUE.
+        primary, also = (C_COLLAPSE, (C_TRUE,)) if v1 else (C_TRUE, ())
+    elif scenario.equal_priors and scenario.observed_interference() != 0:
+        primary, also = C_INT, ()
+    else:
         return None
 
     or12 = lukasiewicz_or(v1, v2)
     and12 = lukasiewicz_and(v1, v2)
     neg_and = lukasiewicz_neg(and12)
     x12 = lukasiewicz_and(or12, neg_and)
-
-    primary = next(c for c in _CHECK_ORDER if c in fired)
-    also = tuple(c for c in _CHECK_ORDER if c in fired and c != primary)
 
     a1, a2 = scenario.atom_names
     steps = [

@@ -31,6 +31,7 @@ from .lattice import Lattice, UnknownElement
 
 __all__ = [
     "UNDEFINED",
+    "MAX_GRID_VALUES",
     "TruthValue",
     "as_value",
     "lukasiewicz_neg",
@@ -87,6 +88,11 @@ TruthValue = Union[Fraction, _UndefinedType]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# The most values that ``ValueSystem.finite`` and ``ValueSystem.infinite``
+# build. A scan checks every pair of the grid, so the cap is on its square:
+# at 501 values, 251 001 pairs.
+MAX_GRID_VALUES = 501
 
 
 def _exact(value) -> Fraction:
@@ -163,16 +169,24 @@ class ValueSystem:
 
     @classmethod
     def finite(cls, n: int) -> "ValueSystem":
-        """n equally spaced values from 0 to 1 inclusive (n >= 2)."""
+        """n equally spaced values from 0 to 1 inclusive (2 <= n <=
+        MAX_GRID_VALUES)."""
         if n < 2:
             raise InvalidValue("a finite value system needs at least the two extremes")
+        if n > MAX_GRID_VALUES:
+            raise InvalidValue(f"finite({n}) has more than the {MAX_GRID_VALUES} values allowed")
         return cls(f"finite({n})", tuple(Fraction(k, n - 1) for k in range(n)))
 
     @classmethod
     def infinite(cls, denominator: int = 10) -> "ValueSystem":
-        """Rational grid {k/d} standing in for the full unit interval."""
+        """Rational grid {k/d} standing in for the full unit interval: d + 1
+        values, so 1 <= d < MAX_GRID_VALUES."""
         if denominator < 1:
             raise InvalidValue("denominator must be positive")
+        if denominator >= MAX_GRID_VALUES:
+            raise InvalidValue(
+                f"infinite({denominator}) has more than the {MAX_GRID_VALUES} values allowed"
+            )
         return cls(
             f"infinite({denominator})",
             tuple(Fraction(k, denominator) for k in range(denominator + 1)),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slitlogic import cli, lattice
+from slitlogic import cli, lattice, valuation
 from slitlogic.cli import dispatch
 from slitlogic.errors import SlitlogicError
 
@@ -120,7 +120,8 @@ _SCENARIO = {
     "--bind": _pairs(("X1", "X2"), st.sampled_from(_NAMES + ("a1", "a2"))),
     "--equal-priors": None, "--no-equal-priors": None, "--allow-degenerate": None,
 }
-_COUNT = _or_junk(st.integers(-1, 30).map(str))
+# 502 and 10**9 lie above the grid cap and are refused before any work
+_COUNT = _or_junk(st.one_of(st.integers(-1, 30), st.sampled_from((502, 10**9))).map(str))
 # subcommand -> (positional arguments, options drawn every time, other options)
 _COMMANDS = {
     "lattice-check": ([_lattice], {}, {}),
@@ -287,3 +288,15 @@ def test_lattice_files_exit_2_one_past_the_element_cap(tmp_path, size, code):
         assert report.render() == (
             f"error: the lattice has {size} elements, more than the {lattice.MAX_ELEMENTS} allowed"
         )
+
+
+# ------------------------------------------------------- the grid value cap
+
+
+@pytest.mark.parametrize("flag, system", [("--values", "finite"), ("--denominator", "infinite")])
+def test_a_grid_far_above_the_cap_exits_2_at_once(flag, system):
+    report = dispatch(["scan", flag, "1000000000"])
+    assert report.exit_code == 2
+    assert report.render() == (
+        f"error: {system}(1000000000) has more than the {valuation.MAX_GRID_VALUES} values allowed"
+    )

@@ -477,6 +477,21 @@ def reference_build(elements, order_pairs, involution_pairs):
     )
 
 
+def reference_cover_pairs(lat):
+    """The covering pairs as they were read before bitsets: a triple loop
+    over the order matrix, O(n^3)."""
+    n = len(lat.elements)
+    covers = []
+    for i in range(n):
+        for j in range(n):
+            if i == j or not lat.leq[i][j]:
+                continue
+            if any(k != i and k != j and lat.leq[i][k] and lat.leq[k][j] for k in range(n)):
+                continue
+            covers.append((lat.elements[i], lat.elements[j]))
+    return covers
+
+
 def _outcome(build, arguments):
     """The lattice built, or the type and message of the error raised."""
     try:
@@ -492,6 +507,8 @@ def test_bitset_build_matches_the_reference(spec):
     expected = _outcome(reference_build, arguments)
     event(f"outcome: {expected[0].__name__ if isinstance(expected, tuple) else 'lattice'}")
     assert _outcome(build_from_order, arguments) == expected
+    if not isinstance(expected, tuple):
+        assert expected.cover_pairs() == reference_cover_pairs(expected)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -148,7 +148,7 @@ def test_interference_needs_equal_priors():
 
 
 def reference_check_assignment(scenario, v1, v2):
-    """check_assignment as it was before it decided on integers: every
+    """check_assignment as it was before it decided on the corner: every
     compound and every bridge computed in Fractions through the public
     degree functions and ``bridge``, for every pair."""
     v1, v2 = as_value(v1), as_value(v2)
@@ -218,9 +218,10 @@ def reference_check_assignment(scenario, v1, v2):
     return Violation(primary, ((a1, v1), (a2, v2)), tuple(steps), also)
 
 
-# Values as callers pass them: exact rationals with mixed denominators, the
-# extremes as ints, decimal strings, and the undefined gap.
-_unit_fractions = st.integers(1, 12).flatmap(
+# Values as callers pass them: exact rationals with mixed denominators, small
+# and up to a million, the extremes as ints, decimal strings, and the
+# undefined gap.
+_unit_fractions = st.one_of(st.integers(1, 12), st.integers(13, 10**6)).flatmap(
     lambda d: st.integers(0, d).map(lambda k: F(k, d)))
 _check_inputs = st.one_of(
     _unit_fractions,
@@ -249,7 +250,7 @@ _PROPERTY_SCENARIOS = {
 
 @settings(max_examples=400)
 @given(_check_pairs, st.booleans(), st.booleans())
-def test_integer_decision_matches_the_fraction_reference(pair, equal_priors, degenerate):
+def test_corner_decision_matches_the_fraction_reference(pair, equal_priors, degenerate):
     scenario = _PROPERTY_SCENARIOS[equal_priors, degenerate]
     v1, v2 = pair
     got = check_assignment(scenario, v1, v2)

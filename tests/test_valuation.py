@@ -13,6 +13,7 @@ from slitlogic.formula import And, Atom, Not, Or, Xor, parse
 from slitlogic.lattice import build_from_order, builtin
 from slitlogic.probability import InterferenceInputs
 from slitlogic.valuation import (
+    MAX_GRID_VALUES,
     UNDEFINED,
     InexactValue,
     InvalidValue,
@@ -488,6 +489,16 @@ def test_value_system_constructors():
         ValueSystem.finite(1)
     with pytest.raises(ValueError):
         ValueSystem.infinite(0)
+
+
+def test_value_systems_stop_at_the_grid_cap():
+    assert MAX_GRID_VALUES == 501
+    assert len(ValueSystem.finite(501).values) == 501
+    assert len(ValueSystem.infinite(500).values) == 501
+    with pytest.raises(InvalidValue, match=r"^finite\(502\) has more than the 501 values allowed$"):
+        ValueSystem.finite(502)
+    with pytest.raises(InvalidValue, match=r"^infinite\(501\) has more than the 501 values allowed$"):
+        ValueSystem.infinite(501)
 
 
 def test_value_system_admits():
