@@ -622,21 +622,15 @@ def _add_scenario_args(p) -> None:
                    help="accept a scenario with zero interference")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(prog="slitlogic", description=__doc__)
-    sub = parser.add_subparsers(dest="command", parser_class=_ArgumentParser)
-
-    p = sub.add_parser("lattice-check", help="verify every lattice law of a lattice file")
+def _add_lattice_check_args(p) -> None:
     p.add_argument("lattice_ref", help="lattice file path or builtin:family:n")
-    _add_format(p)
-    p.set_defaults(func=_cmd_lattice_check)
 
-    p = sub.add_parser("parse", help="echo a formula as a tree plus its desugared form")
+
+def _add_parse_args(p) -> None:
     p.add_argument("text")
-    _add_format(p)
-    p.set_defaults(func=_cmd_parse)
 
-    p = sub.add_parser("eval", help="evaluate a formula under one of the semantics")
+
+def _add_eval_args(p) -> None:
     p.add_argument("--formula", required=True)
     p.add_argument("--mode", choices=("lattice", "lukasiewicz", "super"), required=True)
     p.add_argument("--lattice", default=None)
@@ -644,33 +638,49 @@ def build_parser() -> argparse.ArgumentParser:
                    help="atom=element (lattice/super) or atom=value (lukasiewicz) pairs")
     p.add_argument("--values", default=None,
                    help="element=value truth-function entries for --mode lattice")
-    _add_format(p)
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("interference", help="compute the two-path interference term")
-    _add_interference_args(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_interference)
 
-    p = sub.add_parser("nogo", help="certify all bivalent assignments of a scenario")
-    _add_scenario_args(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_nogo)
-
-    p = sub.add_parser("scan", help="sweep every admissible value pair of a grid")
+def _add_scan_args(p) -> None:
     p.add_argument("--values", type=int, default=None,
                    help="finite system with N equally spaced values")
     p.add_argument("--denominator", type=int, default=None,
                    help="rational grid k/d standing in for the unit interval")
     _add_scenario_args(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("super", help="evaluate the scenario with no-value atoms")
-    _add_scenario_args(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_super)
 
+# subcommand -> (help line, adder of its arguments); the handler of "x-y" is
+# _cmd_x_y, looked up when a parser is built, so a replaced handler is the one
+# that runs
+_COMMANDS = {
+    "lattice-check": ("verify every lattice law of a lattice file", _add_lattice_check_args),
+    "parse": ("echo a formula as a tree plus its desugared form", _add_parse_args),
+    "eval": ("evaluate a formula under one of the semantics", _add_eval_args),
+    "interference": ("compute the two-path interference term", _add_interference_args),
+    "nogo": ("certify all bivalent assignments of a scenario", _add_scenario_args),
+    "scan": ("sweep every admissible value pair of a grid", _add_scan_args),
+    "super": ("evaluate the scenario with no-value atoms", _add_scenario_args),
+}
+
+
+def _fill(p, command: str) -> None:
+    _COMMANDS[command][1](p)
+    _add_format(p)
+    p.set_defaults(command=command, func=globals()["_cmd_" + command.replace("-", "_")])
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or given ``command`` that subcommand's parser alone.
+    The same adders fill both, so ``build_parser(c).parse_args(tail)`` and
+    ``build_parser().parse_args([c, *tail])`` give equal namespaces, errors
+    and help."""
+    if command is not None:
+        parser = _ArgumentParser(prog=f"slitlogic {command}")
+        _fill(parser, command)
+        return parser
+    parser = _ArgumentParser(prog="slitlogic", description=__doc__)
+    sub = parser.add_subparsers(dest="command", parser_class=_ArgumentParser)
+    for name, (help_line, _) in _COMMANDS.items():
+        _fill(sub.add_parser(name, help=help_line), name)
     return parser
 
 
@@ -678,12 +688,17 @@ _INPUT_ERRORS = (SlitlogicError, OSError)
 
 
 def dispatch(argv: Sequence[str]) -> Report:
-    """Route argv to a subcommand; rejected input becomes an exit-2 report."""
-    parser = build_parser()
+    """Route argv to a subcommand; rejected input becomes an exit-2 report.
+    An argv that starts with a subcommand's name is parsed by that
+    subcommand's parser alone. Any other argv goes to the full parser: none,
+    top-level help, an unknown name or a flag before the name."""
     try:
-        ns = parser.parse_args(list(argv))
-        if getattr(ns, "command", None) is None:
-            raise UsageError("a subcommand is required (see --help)")
+        if argv and argv[0] in _COMMANDS:
+            ns = build_parser(argv[0]).parse_args(list(argv[1:]))
+        else:
+            ns = build_parser().parse_args(list(argv))
+            if getattr(ns, "command", None) is None:
+                raise UsageError("a subcommand is required (see --help)")
         return ns.func(ns)
     except _INPUT_ERRORS as exc:
         message = str(exc) or type(exc).__name__

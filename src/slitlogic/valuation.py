@@ -95,6 +95,13 @@ _ONE = Fraction(1)
 MAX_GRID_VALUES = 501
 
 
+def _grid_size(size, what: str) -> int:
+    # bool is an int, but True is no size
+    if isinstance(size, bool) or not isinstance(size, int):
+        raise InvalidValue(f"{what} must be an int, not {type(size).__name__}")
+    return size
+
+
 def _exact(value) -> Fraction:
     if isinstance(value, float):
         raise InexactValue("floats are inexact; pass a Fraction, int, or decimal string")
@@ -171,7 +178,7 @@ class ValueSystem:
     def finite(cls, n: int) -> "ValueSystem":
         """n equally spaced values from 0 to 1 inclusive (2 <= n <=
         MAX_GRID_VALUES)."""
-        if n < 2:
+        if _grid_size(n, "the size of a finite value system") < 2:
             raise InvalidValue("a finite value system needs at least the two extremes")
         if n > MAX_GRID_VALUES:
             raise InvalidValue(f"finite({n}) has more than the {MAX_GRID_VALUES} values allowed")
@@ -181,7 +188,7 @@ class ValueSystem:
     def infinite(cls, denominator: int = 10) -> "ValueSystem":
         """Rational grid {k/d} standing in for the full unit interval: d + 1
         values, so 1 <= d < MAX_GRID_VALUES."""
-        if denominator < 1:
+        if _grid_size(denominator, "denominator") < 1:
             raise InvalidValue("denominator must be positive")
         if denominator >= MAX_GRID_VALUES:
             raise InvalidValue(

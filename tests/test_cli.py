@@ -1,5 +1,7 @@
 """Dispatch, report formats, exit codes, and byte determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -15,6 +17,7 @@ import slitlogic
 from slitlogic import cli
 from slitlogic.cli import Report, dispatch
 from slitlogic.lattice import builtin
+from test_errors import _argv
 
 NOGO_ARGS = [
     "nogo",
@@ -234,6 +237,46 @@ def test_usage_errors_are_exit_2():
     assert dispatch(["nogo", "--bind", "X1=a"]).exit_code == 2
     assert dispatch(["nogo", "--bind", "X1=a,X1=b"]).exit_code == 2
     assert dispatch(["scan", "--values", "x"]).exit_code == 2
+
+
+def _parse_outcome(parser, args):
+    """The namespace that parsing ``args`` gives, or its usage error, or the
+    exit code and text of the help it prints."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return vars(parser.parse_args(args))
+    except cli.UsageError as exc:
+        return f"error: {exc}"
+    except SystemExit as exc:
+        return exc.code, out.getvalue()
+
+
+# tokens that are no valid argument, or abbreviate one, or ask for help
+_STRAY = st.sampled_from(("--nope", "extra", "--", "-", "-x", "--form", "--equal-pri",
+                          "--he", "-h", "-1/2,0", "--format=xml", "nogo"))
+
+
+@given(argv=_argv(), stray=st.lists(st.tuples(st.integers(0, 12), _STRAY), max_size=2))
+def test_a_subcommand_parser_alone_parses_as_the_full_parser(argv, stray):
+    command, tail = argv[0], argv[1:]
+    for at, token in stray:
+        tail.insert(at, token)
+    alone = _parse_outcome(cli.build_parser(command), list(tail))
+    assert alone == _parse_outcome(cli.build_parser(), [command, *tail])
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_a_subcommand_parser_alone_prints_the_same_help(command):
+    code, text = _parse_outcome(cli.build_parser(command), ["-h"])
+    assert code == 0 and text.startswith(f"usage: slitlogic {command} [-h]")
+    assert (code, text) == _parse_outcome(cli.build_parser(), [command, "-h"])
+
+
+def test_the_full_parser_lists_every_subcommand():
+    code, text = _parse_outcome(cli.build_parser(), ["-h"])
+    assert code == 0
+    assert all(f"    {command}" in text for command in cli._COMMANDS)
 
 
 def test_reports_are_byte_identical_across_runs():

@@ -19,13 +19,23 @@ def test_cli_catches_the_root_and_os_errors_only():
     assert named == {"SlitlogicError", "UsageError"}
 
 
-def test_a_fault_in_a_handler_propagates(monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ["lattice-check", "builtin:boolean:2"],
+    ["parse", "A"],
+    ["eval", "--formula", "A", "--mode", "lukasiewicz", "--assign", "A=1"],
+    ["interference"],
+    ["nogo"],
+    ["scan"],
+    ["super"],
+], ids=lambda argv: argv[0])
+def test_a_fault_in_a_handler_propagates(monkeypatch, argv):
     def fault(ns):
         raise ValueError("a fault of the program")
 
-    monkeypatch.setattr(cli, "_cmd_parse", fault)
+    # the parser looks its handler up when it is built, so the patch is seen
+    monkeypatch.setattr(cli, "_cmd_" + argv[0].replace("-", "_"), fault)
     with pytest.raises(ValueError, match="a fault of the program"):
-        dispatch(["parse", "A"])
+        dispatch(argv)
 
 
 _LATTICE_FILES = {

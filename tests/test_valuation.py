@@ -93,11 +93,18 @@ def test_floats_rejected():
     (lambda: as_value("abc"), InvalidValue),
     (lambda: InterferenceInputs("x", 0, 0), InvalidValue),
     (lambda: as_value(None), InexactValue),
+    # a value system's size is an int; True is none
+    (lambda: ValueSystem.finite("3"), InvalidValue),
+    (lambda: ValueSystem.finite(2.5), InvalidValue),
+    (lambda: ValueSystem.finite(True), InvalidValue),
+    (lambda: ValueSystem.infinite(None), InvalidValue),
+    (lambda: ValueSystem.infinite(True), InvalidValue),
 ])
 def test_unreadable_values_raise_typed_errors(coerce, error):
     with pytest.raises(error) as info:
         coerce()
     assert isinstance(info.value, SlitlogicError)
+    assert str(info.value) and "\n" not in str(info.value)
 
 
 def test_out_of_range_rejected():
