@@ -40,6 +40,7 @@ from .valuation import (
     UNDEFINED,
     TruthFunction,
     ValueSystem,
+    enumerate_truth_functions,
     evaluate_degrees,
     formula_element,
     supervalue,
@@ -390,19 +391,21 @@ def _result_payload(result) -> dict:
 
 
 def _certificate_payload(cert: Certificate) -> dict:
-    """The nogo JSON payload. Every function in a corner's class shares that
-    corner's ``assignment`` and ``violation`` sub-dicts, so the payload must
-    be treated as read-only."""
+    """The nogo JSON payload. It lists every bivalent truth function with the
+    result of its corner (v(e1), v(e2)), and every function in a corner's
+    class shares that corner's ``assignment`` and ``violation`` sub-dicts, so
+    the payload must be treated as read-only."""
     corners = {r.values: _result_payload(r) for r in cert.corner_results}
+    e1, e2 = cert.scenario.bound_elements
     functions = []
-    for fr in cert.function_results:
-        values = {e: _jsonable(v) for e, v in fr.function_values}
-        functions.append({"values": values, **corners[fr.result.values]})
+    for tf in enumerate_truth_functions(cert.scenario.lattice, ValueSystem.bivalent()):
+        values = {e: _jsonable(v) for e, v in tf.values.items()}
+        functions.append({"values": values, **corners[tf(e1), tf(e2)]})
     return {
         "command": "nogo",
         "verdict": cert.verdict,
         "scenario": _scenario_payload(cert.scenario),
-        "enumerated": cert.enumerated,
+        "enumerated": len(corners) + cert.functions_covered,
         "corners": list(corners.values()),
         "truth_functions": functions,
     }

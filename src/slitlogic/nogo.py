@@ -18,11 +18,11 @@ govern any assignment of truth values to the atoms before verification:
 ``check_assignment`` applies the constraints to one value pair and returns
 the first violation with a replayable derivation trace (an assignment can
 break several constraints; the rest land in ``also_violates``).
-``run_nogo`` certifies the four bivalent corner assignments and maps every
-bivalent truth function on the scenario lattice to its corner,
-``scan_grid`` sweeps a whole value grid, and ``check_supervaluation``
-exercises the reading in which unverified propositions carry no truth value
-at all.
+``run_nogo`` certifies the four bivalent corner assignments, which decide
+every bivalent truth function on the scenario lattice, and counts those
+functions without enumerating them; ``scan_grid`` sweeps a whole value
+grid, and ``check_supervaluation`` exercises the reading in which
+unverified propositions carry no truth value at all.
 
 Only bivalence can break a constraint. C-COLLAPSE needs the conjunction at
 1, so both values at 1. C-TRUE needs the exactly-one compound at 0; with s
@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import SlitlogicError
-from .formula import Atom, Formula, Xor
+from .formula import Atom, Xor
 from .lattice import Lattice
 from .probability import InterferenceInputs, bridge, interference_term
 from .valuation import (
@@ -49,7 +49,6 @@ from .valuation import (
     TruthValue,
     ValueSystem,
     as_value,
-    enumerate_truth_functions,
     formula_element,
     lukasiewicz_and,
     lukasiewicz_neg,
@@ -66,7 +65,6 @@ __all__ = [
     "TraceStep",
     "Violation",
     "AssignmentResult",
-    "FunctionResult",
     "Certificate",
     "GridReport",
     "SupervaluationReport",
@@ -104,7 +102,6 @@ class Scenario:
 
     lattice: Lattice
     binding: tuple[tuple[str, str], tuple[str, str]]
-    formula_x12: Formula
     interference: InterferenceInputs
     equal_priors: bool = True
 
@@ -117,13 +114,23 @@ class Scenario:
         equal_priors: bool = True,
         allow_degenerate: bool = False,
     ) -> "Scenario":
-        if isinstance(binding, Mapping):
-            items = tuple(binding.items())
-        else:
-            items = tuple(tuple(pair) for pair in binding)
+        try:
+            if isinstance(binding, Mapping):
+                items = tuple(binding.items())
+            else:
+                items = tuple(tuple(pair) for pair in binding)
+        except TypeError:
+            raise ScenarioError("binding must be a mapping or a sequence of pairs") from None
         if len(items) != 2:
             raise ScenarioError("binding must pair exactly two atoms with elements")
+        if any(len(pair) != 2 for pair in items):
+            raise ScenarioError("each binding entry must be one (atom, element) pair")
         (a1, e1), (a2, e2) = items
+        for atom in (a1, a2):
+            if not isinstance(atom, str):
+                raise ScenarioError(f"an atom name must be a str, not {type(atom).__name__}")
+            if not atom:
+                raise ScenarioError("an atom name must be nonempty")
         if a1 == a2:
             raise ScenarioError("the two bound atoms must be distinct")
         lattice.index(e1)
@@ -135,8 +142,7 @@ class Scenario:
                 "interference term is zero; the scenario models observed "
                 "two-path interference (pass allow_degenerate to override)"
             )
-        formula = Xor(Atom(a1), Atom(a2))
-        return cls(lattice, (items[0], items[1]), formula, interference, equal_priors)
+        return cls(lattice, items, interference, equal_priors)
 
     @property
     def atom_names(self) -> tuple[str, str]:
@@ -145,9 +151,6 @@ class Scenario:
     @property
     def bound_elements(self) -> tuple[str, str]:
         return (self.binding[0][1], self.binding[1][1])
-
-    def binding_map(self) -> dict[str, str]:
-        return dict(self.binding)
 
     def observed_interference(self) -> Fraction:
         return interference_term(self.interference)
@@ -195,23 +198,14 @@ class AssignmentResult:
 
 
 @dataclass(frozen=True)
-class FunctionResult:
-    """One enumerated truth function and the verdict on its restriction to
-    the bound elements."""
-
-    function_values: tuple[tuple[str, TruthValue], ...]
-    result: AssignmentResult
-
-
-@dataclass(frozen=True)
 class Certificate:
-    """The full no-go record: every checked assignment and its violation."""
+    """The no-go record: the four bivalent corners with their violations,
+    and the number of bivalent truth functions they decide."""
 
     scenario: Scenario
     corner_results: tuple[AssignmentResult, ...]
-    function_results: tuple[FunctionResult, ...]
     verdict: str
-    enumerated: int
+    functions_covered: int
 
     @property
     def holds(self) -> bool:
@@ -342,26 +336,19 @@ def run_nogo(scenario: Scenario) -> Certificate:
     A bivalent truth function reaches the constraints only through its
     values at the two bound elements, so its verdict is the verdict of the
     corner (v(e1), v(e2)). The four corners are checked once each, by
-    ``scan_grid`` over the bivalent system; every bivalent truth function on
-    the scenario lattice is then enumerated and mapped to its corner's
-    ``AssignmentResult``, so functions in one class share one result object
-    and one trace. The verdict is "no-go holds" exactly when all four
-    corners violate a constraint.
+    ``scan_grid`` over the bivalent system, and no function is enumerated:
+    ``functions_covered`` is 2^(n - 2), the number of bivalent truth
+    functions on an n-element lattice, whose extremes are fixed at 0 and 1.
+    The verdict is "no-go holds" exactly when all four corners violate a
+    constraint.
     """
-    bivalent = ValueSystem.bivalent()
-    corners = {r.values: r for r in scan_grid(scenario, bivalent).results}
-    e1, e2 = scenario.bound_elements
-    function_results = tuple(
-        FunctionResult(tuple(tf.values.items()), corners[tf(e1), tf(e2)])
-        for tf in enumerate_truth_functions(scenario.lattice, bivalent)
-    )
-    all_violated = all(r.violation for r in corners.values())
+    corners = scan_grid(scenario, ValueSystem.bivalent()).results
+    all_violated = all(r.violation for r in corners)
     return Certificate(
         scenario=scenario,
-        corner_results=tuple(corners.values()),
-        function_results=function_results,
+        corner_results=corners,
         verdict="no-go holds" if all_violated else "no-go fails",
-        enumerated=len(corners) + len(function_results),
+        functions_covered=2 ** (len(scenario.lattice.elements) - 2),
     )
 
 
@@ -391,7 +378,8 @@ def check_supervaluation(scenario: Scenario) -> SupervaluationReport:
             raise BindingAtExtreme(f"atom {atom!r} is bound to extreme element {element!r}")
     atom_values = tuple((atom, supervalue(element, lattice))
                         for atom, element in scenario.binding)
-    compound_element = formula_element(scenario.formula_x12, scenario.binding_map(), lattice)
+    a1, a2 = scenario.atom_names
+    compound_element = formula_element(Xor(Atom(a1), Atom(a2)), dict(scenario.binding), lattice)
     compound_value = supervalue(compound_element, lattice)
     violation = check_assignment(scenario, atom_values[0][1], atom_values[1][1])
     return SupervaluationReport(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slitlogic
 from slitlogic import cli, nogo, valuation
 from slitlogic.lattice import builtin
 from slitlogic.probability import InterferenceInputs, amplitude_interference, bridge
@@ -17,8 +18,6 @@ from slitlogic.nogo import (
     C_TRUE,
     AssignmentResult,
     BindingAtExtreme,
-    Certificate,
-    FunctionResult,
     Scenario,
     ScenarioError,
     TraceStep,
@@ -87,10 +86,22 @@ def test_scenario_requires_nonzero_interference():
 def test_scenario_requires_distinct_elements():
     lat = builtin("boolean", 2)
     inputs = amplitude_interference(*IN_PHASE)
-    with pytest.raises(ScenarioError):
-        Scenario.build(lat, {"X1": "a", "X2": "a"}, inputs)
-    with pytest.raises(ScenarioError):
-        Scenario.build(lat, [("X1", "a")], inputs)
+    bindings = [
+        {"X1": "a", "X2": "a"},
+        [("X1", "a")],
+        # malformed atoms and entries: each a ScenarioError, not a bare
+        # ValueError or TypeError
+        {"": "a", "X2": "b"},
+        {1: "a", "X2": "b"},
+        [("X1", "a", "z"), ("X2", "b")],
+        [("X1", "a"), 2],
+        None,
+    ]
+    for binding in bindings:
+        with pytest.raises(ScenarioError) as caught:
+            Scenario.build(lat, binding, inputs)
+        message = str(caught.value)
+        assert message and "\n" not in message
 
 
 def test_scenario_observed_interference():
@@ -266,7 +277,7 @@ def test_run_nogo_holds_on_boolean_2():
     cert = run_nogo(default_scenario())
     assert cert.verdict == "no-go holds"
     assert cert.holds
-    assert cert.enumerated == 8
+    assert cert.functions_covered == 4
     corner_map = {r.values: r.violation.constraint for r in cert.corner_results}
     assert corner_map == {
         (F(0), F(0)): C_TRUE,
@@ -278,7 +289,6 @@ def test_run_nogo_holds_on_boolean_2():
     for r in cert.corner_results:
         counts[r.violation.constraint] = counts.get(r.violation.constraint, 0) + 1
     assert counts == {C_INT: 2, C_COLLAPSE: 1, C_TRUE: 1}
-    assert all(fr.result.violation for fr in cert.function_results)
 
 
 def test_run_nogo_fails_without_interference():
@@ -309,8 +319,9 @@ def test_run_nogo_on_two_chain_matches_corner_logic():
                  for r in run_nogo(default_scenario()).corner_results}
     assert corner_map == reference  # the corner logic is lattice independent
     # the single bivalent truth function realizes (0, 1)
-    assert len(cert.function_results) == 1
-    assert cert.function_results[0].result.values == (F(0), F(1))
+    assert cert.functions_covered == 1
+    [function] = cli._certificate_payload(cert)["truth_functions"]
+    assert function["assignment"] == {"X1": "0", "X2": "1"}
 
 
 def test_certificates_are_deterministic():
@@ -324,7 +335,12 @@ def test_certificates_are_deterministic():
 
 def reference_certificate(scenario):
     """The per-function path that run_nogo factors by corner: every bivalent
-    truth function, enumerated here by hand, gets its own check_assignment."""
+    truth function, enumerated here by hand, gets its own check_assignment.
+
+    Returns (corners, functions, verdict). The corners are AssignmentResults,
+    to compare with the engine's; each function is a plain tuple
+    (values, assignment, violation), with values as (element, value) pairs in
+    lattice order."""
     lat = scenario.lattice
     a1, a2 = scenario.atom_names
     e1, e2 = scenario.bound_elements
@@ -338,14 +354,13 @@ def reference_certificate(scenario):
     for combo in product((F(0), F(1)), repeat=len(free)):
         tf = {lat.bottom: F(0), lat.top: F(1), **dict(zip(free, combo))}
         w1, w2 = tf[e1], tf[e2]
-        violation = check_assignment(scenario, w1, w2)
-        functions.append(FunctionResult(
+        functions.append((
             tuple((e, tf[e]) for e in lat.elements),
-            AssignmentResult(((a1, w1), (a2, w2)), violation),
+            ((a1, w1), (a2, w2)),
+            check_assignment(scenario, w1, w2),
         ))
-    holds = all(r.violation for r in corners) and all(f.result.violation for f in functions)
-    verdict = "no-go holds" if holds else "no-go fails"
-    return Certificate(scenario, corners, tuple(functions), verdict, 4 + len(functions))
+    holds = all(r.violation for r in corners) and all(v for _, _, v in functions)
+    return corners, tuple(functions), "no-go holds" if holds else "no-go fails"
 
 
 def _ref_value(value):
@@ -358,9 +373,8 @@ def _ref_value(value):
     return value
 
 
-def _ref_result_line(result):
-    text = "(" + ", ".join(f"{a}={_ref_value(v)}" for a, v in result.assignment) + ") -> "
-    v = result.violation
+def _ref_result_line(assignment, v):
+    text = "(" + ", ".join(f"{a}={_ref_value(x)}" for a, x in assignment) + ") -> "
     if v is None:
         return text + "consistent"
     text += f"violates {v.constraint}"
@@ -369,10 +383,9 @@ def _ref_result_line(result):
     return text
 
 
-def _ref_result_payload(result):
-    v = result.violation
+def _ref_result_payload(assignment, v):
     return {
-        "assignment": {a: _ref_value(x) for a, x in result.assignment},
+        "assignment": {a: _ref_value(x) for a, x in assignment},
         "violation": None if v is None else {
             "constraint": v.constraint,
             "also_violates": list(v.also_violates),
@@ -386,16 +399,16 @@ def _ref_result_payload(result):
     }
 
 
-def reference_rendering(cert, fmt):
-    """Render a certificate one function at a time from the domain objects,
-    sharing no code with the CLI it is compared against."""
-    scenario = cert.scenario
+def reference_rendering(scenario, ref, fmt):
+    """Render a reference certificate one function at a time, sharing no
+    code with the CLI it is compared against."""
+    corners, functions, verdict = ref
     lat, inp = scenario.lattice, scenario.interference
     i12 = scenario.observed_interference()
     if fmt == "json":
         return json.dumps({
             "command": "nogo",
-            "verdict": cert.verdict,
+            "verdict": verdict,
             "scenario": {
                 "lattice": {"elements": list(lat.elements), "bottom": lat.bottom, "top": lat.top},
                 "binding": dict(scenario.binding),
@@ -403,30 +416,30 @@ def reference_rendering(cert, fmt):
                                  (("p_or", inp.p_or), ("p1", inp.p1), ("p2", inp.p2), ("i12", i12))},
                 "equal_priors": scenario.equal_priors,
             },
-            "enumerated": cert.enumerated,
-            "corners": [_ref_result_payload(r) for r in cert.corner_results],
+            "enumerated": len(corners) + len(functions),
+            "corners": [_ref_result_payload(r.assignment, r.violation) for r in corners],
             "truth_functions": [
-                {"values": {e: _ref_value(v) for e, v in fr.function_values},
-                 **_ref_result_payload(fr.result)}
-                for fr in cert.function_results
+                {"values": {e: _ref_value(v) for e, v in values},
+                 **_ref_result_payload(assignment, violation)}
+                for values, assignment, violation in functions
             ],
         }, indent=2)
     lines = [
-        cert.verdict,
+        verdict,
         f"lattice: {len(lat.elements)} elements [{', '.join(lat.elements)}]",
         "binding: " + ", ".join(f"{a}={e}" for a, e in scenario.binding),
         f"observed: P[R|both]={inp.p_or}, P[R|path1]={inp.p1}, P[R|path2]={inp.p2}, I12={i12}",
         f"equal priors: {'yes' if scenario.equal_priors else 'no'}",
     ]
-    lines += ["", f"corner assignments ({len(cert.corner_results)}):"]
-    lines += [f"  {_ref_result_line(r)}" for r in cert.corner_results]
-    lines += ["", f"bivalent truth functions ({len(cert.function_results)}):"]
-    for fr in cert.function_results:
-        tf_text = "{" + ", ".join(f"{e}={_ref_value(v)}" for e, v in fr.function_values) + "}"
-        lines.append(f"  {tf_text} -> {_ref_result_line(fr.result)}")
+    lines += ["", f"corner assignments ({len(corners)}):"]
+    lines += [f"  {_ref_result_line(r.assignment, r.violation)}" for r in corners]
+    lines += ["", f"bivalent truth functions ({len(functions)}):"]
+    for values, assignment, violation in functions:
+        tf_text = "{" + ", ".join(f"{e}={_ref_value(v)}" for e, v in values) + "}"
+        lines.append(f"  {tf_text} -> {_ref_result_line(assignment, violation)}")
     lines += ["", "derivation traces:"]
-    for r in cert.corner_results:
-        lines.append(f"  {_ref_result_line(r)}")
+    for r in corners:
+        lines.append(f"  {_ref_result_line(r.assignment, r.violation)}")
         if r.violation:
             lines += [f"    {step}" for step in r.violation.trace]
     return "\n".join(lines)
@@ -441,10 +454,16 @@ def reference_rendering(cert, fmt):
 def test_run_nogo_matches_per_function_reference(family, n):
     lat = builtin(family, n)
     inputs = amplitude_interference(*IN_PHASE)
-    # A rendering reads only the per-function results compared below, so on
-    # lattices past six elements one pair of non-extreme elements suffices
-    # for the byte comparison, which costs more than the engine comparison.
-    rendered_pairs = None if len(lat.elements) <= 6 else {tuple(lat.non_extremes()[:2])}
+    # The engine checks only the corners; each function is pinned by the
+    # byte comparison of the CLI rendering, which lists every function with
+    # its corner's result. Past six elements the rendering, which costs more
+    # than the engine comparison, is compared on three bindings: two
+    # non-extremes, and each of them against an extreme, where whole classes
+    # of functions are empty.
+    rendered_pairs = None
+    if len(lat.elements) > 6:
+        a, b = lat.non_extremes()[:2]
+        rendered_pairs = {(a, b), (lat.bottom, a), (b, lat.top)}
     for e1, e2 in product(lat.elements, repeat=2):
         if e1 == e2:
             continue
@@ -452,12 +471,10 @@ def test_run_nogo_matches_per_function_reference(family, n):
             scenario = Scenario.build(lat, {"X1": e1, "X2": e2}, inputs, equal_priors)
             cert = run_nogo(scenario)
             ref = reference_certificate(scenario)
-            assert cert.verdict == ref.verdict
-            assert cert.enumerated == ref.enumerated
-            assert cert.corner_results == ref.corner_results
-            # per function: the values, the assignment and the violation's
-            # constraint, also_violates and trace
-            assert cert.function_results == ref.function_results
+            corners, functions, verdict = ref
+            assert cert.verdict == verdict
+            assert cert.corner_results == corners
+            assert cert.functions_covered == len(functions) == 2 ** (len(lat.elements) - 2)
             if rendered_pairs is not None and (e1, e2) not in rendered_pairs:
                 continue
             argv = [
@@ -466,10 +483,17 @@ def test_run_nogo_matches_per_function_reference(family, n):
             ]
             for fmt in ("text", "json"):
                 report = cli.dispatch(argv + [f"--format={fmt}"])
-                assert report.render() == reference_rendering(ref, fmt)
+                # per function: the values, the assignment and the
+                # violation's constraint, also_violates and trace
+                assert report.render() == reference_rendering(scenario, ref, fmt)
 
 
 def test_run_nogo_checks_only_the_four_corners(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_nogo enumerated truth functions")
+
+    for namespace in (slitlogic, valuation, nogo, cli):
+        monkeypatch.setattr(namespace, "enumerate_truth_functions", refuse, raising=False)
     calls = []
     real = nogo.check_assignment
 
@@ -478,13 +502,13 @@ def test_run_nogo_checks_only_the_four_corners(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(nogo, "check_assignment", counting)
-    lat = builtin("lantern", 6)
+    lat = builtin("boolean", 5)
+    a, b = lat.non_extremes()[:2]
     inputs = amplitude_interference(*IN_PHASE)
-    cert = run_nogo(Scenario.build(lat, {"X1": "a1", "X2": "a2"}, inputs))
+    cert = run_nogo(Scenario.build(lat, {"X1": a, "X2": b}, inputs))
     assert len(calls) == 4
-    assert len(cert.function_results) == 2 ** (len(lat.elements) - 2)
-    corner_ids = {id(r) for r in cert.corner_results}
-    assert all(id(fr.result) in corner_ids for fr in cert.function_results)
+    assert cert.functions_covered == 2 ** 30
+    assert cert.holds
 
 
 # ------------------------------------------------------------------ scan
