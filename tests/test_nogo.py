@@ -289,6 +289,13 @@ def test_run_nogo_holds_on_boolean_2():
     for r in cert.corner_results:
         counts[r.violation.constraint] = counts.get(r.violation.constraint, 0) + 1
     assert counts == {C_INT: 2, C_COLLAPSE: 1, C_TRUE: 1}
+    # the report lists each function with its corner's violation, the same
+    # sub-dict as the corner's
+    payload = cli._certificate_payload(cert)
+    corner_violations = {id(c["violation"]) for c in payload["corners"]}
+    assert len(payload["truth_functions"]) == cert.functions_covered
+    assert all(f["violation"] and id(f["violation"]) in corner_violations
+               for f in payload["truth_functions"])
 
 
 def test_run_nogo_fails_without_interference():
