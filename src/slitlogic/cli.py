@@ -244,6 +244,9 @@ def _tree_payload(f):
 _DESUGARED_NODE_LIMIT = 10**6
 # The JSON writer recurses once per level of the tree; parse prints no deeper JSON.
 _JSON_DEPTH_LIMIT = 500
+# nogo lists each of the 2^(n - 2) bivalent truth functions of an n-element
+# lattice; it lists no more than this, so lattices of up to 18 elements.
+_LISTED_FUNCTION_LIMIT = 2**16
 # The interference of two amplitudes has a denominator dividing twice the square
 # of the product of their four denominators: 8 * 500 + 1 digits stay printable
 # under the interpreter's 4300-digit limit on int to str.
@@ -383,10 +386,10 @@ def _scenario_payload(scenario: Scenario) -> dict:
     }
 
 
-def _result_payload(result) -> dict:
+def _result_payload(atoms, pair, violation) -> dict:
     return {
-        "assignment": {a: _jsonable(v) for a, v in result.assignment},
-        "violation": _violation_payload(result.violation),
+        "assignment": {a: _jsonable(v) for a, v in zip(atoms, pair)},
+        "violation": _violation_payload(violation),
     }
 
 
@@ -395,7 +398,8 @@ def _certificate_payload(cert: Certificate) -> dict:
     result of its corner (v(e1), v(e2)), and every function in a corner's
     class shares that corner's ``assignment`` and ``violation`` sub-dicts, so
     the payload must be treated as read-only."""
-    corners = {r.values: _result_payload(r) for r in cert.corner_results}
+    atoms = cert.scenario.atom_names
+    corners = {pair: _result_payload(atoms, pair, v) for pair, v in cert.corner_results}
     e1, e2 = cert.scenario.bound_elements
     functions = []
     for tf in enumerate_truth_functions(cert.scenario.lattice, ValueSystem.bivalent()):
@@ -413,6 +417,10 @@ def _certificate_payload(cert: Certificate) -> dict:
 
 def _cmd_nogo(ns) -> Report:
     cert = run_nogo(_scenario_from_args(ns))
+    if cert.functions_covered > _LISTED_FUNCTION_LIMIT:
+        free = len(cert.scenario.lattice.elements) - 2
+        raise UsageError(f"nogo would list 2^{free} bivalent truth functions; "
+                         f"it lists at most 2^{_LISTED_FUNCTION_LIMIT.bit_length() - 1}")
     return Report(_certificate_payload(cert), 0 if cert.holds else 1, ns.format)
 
 
@@ -425,8 +433,9 @@ def _cmd_scan(ns) -> Report:
         system = ValueSystem.infinite(ns.denominator if ns.denominator is not None else 10)
     scenario = _scenario_from_args(ns)
     report = scan_grid(scenario, system)
+    atoms = scenario.atom_names
     corner_results = report.corner_results()
-    corners_violated = sum(1 for r in corner_results if r.violation)
+    corners_violated = sum(1 for _, v in corner_results if v)
     consistent = report.consistent_pairs()
     payload = {
         "command": "scan",
@@ -437,13 +446,11 @@ def _cmd_scan(ns) -> Report:
         "scenario": _scenario_payload(scenario),
         "value_system": report.value_system.kind,
         "values": _jsonable(report.value_system.values),
-        "results": [_result_payload(r) for r in report.results],
+        "results": [_result_payload(atoms, pair, v) for pair, v in report.items()],
         "consistent": [_jsonable(pair) for pair in consistent],
         "corners": {
-            f"({r.values[0]}, {r.values[1]})": (
-                r.violation.constraint if r.violation else "consistent"
-            )
-            for r in corner_results
+            f"({v1}, {v2})": v.constraint if v else "consistent"
+            for (v1, v2), v in corner_results
         },
     }
     code = 0 if corners_violated == len(corner_results) else 1
@@ -549,7 +556,7 @@ def _nogo_text(p: dict) -> list[str]:
 
 def _scan_text(p: dict) -> list[str]:
     results = p["results"]
-    violated = sum(1 for r in results if r["violation"])
+    violated = len(results) - len(p["consistent"])
     consistent = ", ".join(f"({a}, {b})" for a, b in p["consistent"])
     lines = _scenario_text(p["scenario"])
     lines += [

@@ -38,7 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from itertools import product
+from typing import Iterable, Iterator, Mapping
 
 from .errors import SlitlogicError
 from .formula import Atom, Xor
@@ -64,7 +65,6 @@ __all__ = [
     "Scenario",
     "TraceStep",
     "Violation",
-    "AssignmentResult",
     "Certificate",
     "GridReport",
     "SupervaluationReport",
@@ -183,27 +183,16 @@ class Violation:
     also_violates: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class AssignmentResult:
-    assignment: tuple[tuple[str, TruthValue], ...]
-    violation: Violation | None
-
-    @property
-    def consistent(self) -> bool:
-        return self.violation is None
-
-    @property
-    def values(self) -> tuple[TruthValue, ...]:
-        return tuple(v for _, v in self.assignment)
+Pair = tuple[TruthValue, TruthValue]
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """The no-go record: the four bivalent corners with their violations,
-    and the number of bivalent truth functions they decide."""
+    """The no-go record: the four bivalent corners as ``((v1, v2), violation)``
+    items, and the number of bivalent truth functions they decide."""
 
     scenario: Scenario
-    corner_results: tuple[AssignmentResult, ...]
+    corner_results: tuple[tuple[Pair, Violation | None], ...]
     verdict: str
     functions_covered: int
 
@@ -214,18 +203,24 @@ class Certificate:
 
 @dataclass(frozen=True)
 class GridReport:
-    """Outcome of sweeping every admissible value pair of a value system."""
+    """Outcome of sweeping every admissible value pair of a value system:
+    ``results[i]`` is the violation of the i-th pair of ``product(values,
+    repeat=2)``, the scan order, or None when that pair is consistent."""
 
     scenario: Scenario
     value_system: ValueSystem
-    results: tuple[AssignmentResult, ...]
+    results: tuple[Violation | None, ...]
 
-    def consistent_pairs(self) -> tuple[tuple[TruthValue, TruthValue], ...]:
-        return tuple(r.values for r in self.results if r.consistent)
+    def items(self) -> Iterator[tuple[Pair, Violation | None]]:
+        """Each grid pair with its result, in scan order."""
+        return zip(product(self.value_system.values, repeat=2), self.results)
 
-    def corner_results(self) -> tuple[AssignmentResult, ...]:
-        """The results whose two values are each 0 or 1, in scan order."""
-        return tuple(r for r in self.results if _bivalent(*r.values))
+    def consistent_pairs(self) -> tuple[Pair, ...]:
+        return tuple(pair for pair, violation in self.items() if violation is None)
+
+    def corner_results(self) -> tuple[tuple[Pair, Violation | None], ...]:
+        """The items whose two values are each 0 or 1, in scan order."""
+        return tuple(item for item in self.items() if _bivalent(*item[0]))
 
 
 @dataclass(frozen=True)
@@ -342,25 +337,20 @@ def run_nogo(scenario: Scenario) -> Certificate:
     The verdict is "no-go holds" exactly when all four corners violate a
     constraint.
     """
-    corners = scan_grid(scenario, ValueSystem.bivalent()).results
-    all_violated = all(r.violation for r in corners)
+    corners = tuple(scan_grid(scenario, ValueSystem.bivalent()).items())
     return Certificate(
         scenario=scenario,
         corner_results=corners,
-        verdict="no-go holds" if all_violated else "no-go fails",
+        verdict="no-go holds" if all(v for _, v in corners) else "no-go fails",
         functions_covered=2 ** (len(scenario.lattice.elements) - 2),
     )
 
 
 def scan_grid(scenario: Scenario, value_system: ValueSystem) -> GridReport:
-    """Check every admissible value pair of the system, in ascending order."""
-    a1, a2 = scenario.atom_names
-    results = []
-    for v1 in value_system.values:
-        for v2 in value_system.values:
-            violation = check_assignment(scenario, v1, v2)
-            results.append(AssignmentResult(((a1, v1), (a2, v2)), violation))
-    return GridReport(scenario, value_system, tuple(results))
+    """Check every admissible value pair of the system, in scan order."""
+    pairs = product(value_system.values, repeat=2)
+    return GridReport(scenario, value_system,
+                      tuple([check_assignment(scenario, v1, v2) for v1, v2 in pairs]))
 
 
 def check_supervaluation(scenario: Scenario) -> SupervaluationReport:

@@ -76,9 +76,13 @@ def test_malformed_lattice_files_exit_2_with_one_line(tmp_path, case, fmt):
 # ------------------------------------------------ every argv ends in a report
 
 _ALPHABET = string.digits + "/-.,=" + string.ascii_letters + "!&^|() "
-# Sizes stay small because nothing caps the work yet: nogo covers
-# 2^(elements - 2) truth functions, and scan checks (values)^2 pairs.
+# Drawn sizes stay small: nogo lists 2^(elements - 2) truth functions, which
+# takes seconds at its cap of 2^16, and scan checks (values)^2 pairs. The
+# builtins above nogo's cap are refused by nogo at once and take the other
+# subcommands milliseconds; no size at the cap is drawn.
 _SIZES = {"boolean": 3, "chain": 6, "lantern": 3}
+_ABOVE_NOGO_CAP = ("builtin:boolean:5", "builtin:boolean:6", "builtin:lantern:9",
+                   "builtin:chain:18")
 _NAMES = ("0", "a", "b", "c", "1")
 _VALID_FILES = (
     {"elements": ["0", "a", "b", "1"], "order": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]],
@@ -109,7 +113,7 @@ _file_content = _or_junk(
 _lattice = _or_junk(
     st.sampled_from(sorted(_SIZES)).flatmap(
         lambda family: st.integers(-1, _SIZES[family]).map(lambda n: f"builtin:{family}:{n}")),
-    st.just(_FILE), st.just(_FILE),
+    st.sampled_from(_ABOVE_NOGO_CAP), st.just(_FILE), st.just(_FILE),
 )
 _rational = st.fractions(0, 1, max_denominator=6).map(str)
 _amplitude = _or_junk(st.tuples(_rational, _rational).map(",".join))
@@ -127,7 +131,7 @@ _INTERFERENCE = {"--amp1": _amplitude, "--amp2": _amplitude, "--p-or": _or_junk(
 _SCENARIO = {
     **_INTERFERENCE,
     "--lattice": _lattice,
-    "--bind": _pairs(("X1", "X2"), st.sampled_from(_NAMES + ("a1", "a2"))),
+    "--bind": _pairs(("X1", "X2"), st.sampled_from(_NAMES + ("a1", "a2", "m1"))),
     "--equal-priors": None, "--no-equal-priors": None, "--allow-degenerate": None,
 }
 # 502 and 10**9 lie above the grid cap and are refused before any work
@@ -298,6 +302,37 @@ def test_lattice_files_exit_2_one_past_the_element_cap(tmp_path, size, code):
         assert report.render() == (
             f"error: the lattice has {size} elements, more than the {lattice.MAX_ELEMENTS} allowed"
         )
+
+
+# ------------------------------------------------------ the nogo listing cap
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("nogo listed functions above its cap")
+
+
+@pytest.mark.parametrize("ref, bind, free", [
+    ("builtin:boolean:5", "X1=a,X2=b", 30),
+    ("builtin:lantern:9", "X1=a1,X2=a2", 18),
+    ("builtin:chain:18", "X1=m1,X2=m2", 17),
+])
+def test_nogo_exits_2_above_2_16_listed_functions(monkeypatch, ref, bind, free):
+    # refused before a function is listed
+    monkeypatch.setattr(cli, "enumerate_truth_functions", _refuse)
+    report = dispatch(["nogo", f"--lattice={ref}", f"--bind={bind}"])
+    assert report.exit_code == 2
+    assert report.render() == (
+        f"error: nogo would list 2^{free} bivalent truth functions; it lists at most 2^16"
+    )
+
+
+def test_nogo_runs_at_its_cap(monkeypatch):
+    # chain:17 has 18 elements, so 2^16 functions; listing them takes seconds
+    assert cli._LISTED_FUNCTION_LIMIT == 2**16
+    monkeypatch.setattr(cli, "enumerate_truth_functions", lambda lattice, system: iter(()))
+    report = dispatch(["nogo", "--lattice=builtin:chain:17", "--bind=X1=m1,X2=m2"])
+    assert report.exit_code == 0
+    assert report.payload["enumerated"] == 4 + 2**16
 
 
 # ------------------------------------------------------- the grid value cap

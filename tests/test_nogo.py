@@ -16,7 +16,6 @@ from slitlogic.nogo import (
     C_COLLAPSE,
     C_INT,
     C_TRUE,
-    AssignmentResult,
     BindingAtExtreme,
     Scenario,
     ScenarioError,
@@ -278,7 +277,7 @@ def test_run_nogo_holds_on_boolean_2():
     assert cert.verdict == "no-go holds"
     assert cert.holds
     assert cert.functions_covered == 4
-    corner_map = {r.values: r.violation.constraint for r in cert.corner_results}
+    corner_map = {pair: v.constraint for pair, v in cert.corner_results}
     assert corner_map == {
         (F(0), F(0)): C_TRUE,
         (F(0), F(1)): C_INT,
@@ -286,8 +285,8 @@ def test_run_nogo_holds_on_boolean_2():
         (F(1), F(1)): C_COLLAPSE,
     }
     counts = {}
-    for r in cert.corner_results:
-        counts[r.violation.constraint] = counts.get(r.violation.constraint, 0) + 1
+    for _, v in cert.corner_results:
+        counts[v.constraint] = counts.get(v.constraint, 0) + 1
     assert counts == {C_INT: 2, C_COLLAPSE: 1, C_TRUE: 1}
     # the report lists each function with its corner's violation, the same
     # sub-dict as the corner's
@@ -307,8 +306,7 @@ def test_run_nogo_fails_without_interference():
     )
     cert = run_nogo(scenario)
     assert cert.verdict == "no-go fails"
-    outcomes = {r.values: r.violation.constraint if r.violation else None
-                for r in cert.corner_results}
+    outcomes = {pair: v.constraint if v else None for pair, v in cert.corner_results}
     assert outcomes[(F(1), F(0))] is None
     assert outcomes[(F(0), F(1))] is None
     assert outcomes[(F(1), F(1))] == C_COLLAPSE
@@ -321,9 +319,8 @@ def test_run_nogo_on_two_chain_matches_corner_logic():
     scenario = Scenario.build(lat, {"X1": "0", "X2": "1"}, inputs)
     cert = run_nogo(scenario)
     assert cert.holds
-    corner_map = {r.values: r.violation.constraint for r in cert.corner_results}
-    reference = {r.values: r.violation.constraint
-                 for r in run_nogo(default_scenario()).corner_results}
+    corner_map = {pair: v.constraint for pair, v in cert.corner_results}
+    reference = {pair: v.constraint for pair, v in run_nogo(default_scenario()).corner_results}
     assert corner_map == reference  # the corner logic is lattice independent
     # the single bivalent truth function realizes (0, 1)
     assert cert.functions_covered == 1
@@ -344,15 +341,15 @@ def reference_certificate(scenario):
     """The per-function path that run_nogo factors by corner: every bivalent
     truth function, enumerated here by hand, gets its own check_assignment.
 
-    Returns (corners, functions, verdict). The corners are AssignmentResults,
-    to compare with the engine's; each function is a plain tuple
-    (values, assignment, violation), with values as (element, value) pairs in
-    lattice order."""
+    Returns (corners, functions, verdict). The corners are ((v1, v2),
+    violation) items, to compare with the engine's; each function is a plain
+    tuple (values, assignment, violation), with values as (element, value)
+    pairs in lattice order."""
     lat = scenario.lattice
     a1, a2 = scenario.atom_names
     e1, e2 = scenario.bound_elements
     corners = tuple(
-        AssignmentResult(((a1, v1), (a2, v2)), check_assignment(scenario, v1, v2))
+        ((v1, v2), check_assignment(scenario, v1, v2))
         for v1 in (F(0), F(1))
         for v2 in (F(0), F(1))
     )
@@ -366,7 +363,7 @@ def reference_certificate(scenario):
             ((a1, w1), (a2, w2)),
             check_assignment(scenario, w1, w2),
         ))
-    holds = all(r.violation for r in corners) and all(v for _, _, v in functions)
+    holds = all(v for _, v in corners) and all(v for _, _, v in functions)
     return corners, tuple(functions), "no-go holds" if holds else "no-go fails"
 
 
@@ -410,6 +407,8 @@ def reference_rendering(scenario, ref, fmt):
     """Render a reference certificate one function at a time, sharing no
     code with the CLI it is compared against."""
     corners, functions, verdict = ref
+    # each corner as (assignment, violation), the assignment as (atom, value) pairs
+    corners = [(tuple(zip(scenario.atom_names, pair)), v) for pair, v in corners]
     lat, inp = scenario.lattice, scenario.interference
     i12 = scenario.observed_interference()
     if fmt == "json":
@@ -424,7 +423,7 @@ def reference_rendering(scenario, ref, fmt):
                 "equal_priors": scenario.equal_priors,
             },
             "enumerated": len(corners) + len(functions),
-            "corners": [_ref_result_payload(r.assignment, r.violation) for r in corners],
+            "corners": [_ref_result_payload(assignment, v) for assignment, v in corners],
             "truth_functions": [
                 {"values": {e: _ref_value(v) for e, v in values},
                  **_ref_result_payload(assignment, violation)}
@@ -439,16 +438,16 @@ def reference_rendering(scenario, ref, fmt):
         f"equal priors: {'yes' if scenario.equal_priors else 'no'}",
     ]
     lines += ["", f"corner assignments ({len(corners)}):"]
-    lines += [f"  {_ref_result_line(r.assignment, r.violation)}" for r in corners]
+    lines += [f"  {_ref_result_line(assignment, v)}" for assignment, v in corners]
     lines += ["", f"bivalent truth functions ({len(functions)}):"]
     for values, assignment, violation in functions:
         tf_text = "{" + ", ".join(f"{e}={_ref_value(v)}" for e, v in values) + "}"
         lines.append(f"  {tf_text} -> {_ref_result_line(assignment, violation)}")
     lines += ["", "derivation traces:"]
-    for r in corners:
-        lines.append(f"  {_ref_result_line(r.assignment, r.violation)}")
-        if r.violation:
-            lines += [f"    {step}" for step in r.violation.trace]
+    for assignment, v in corners:
+        lines.append(f"  {_ref_result_line(assignment, v)}")
+        if v:
+            lines += [f"    {step}" for step in v.trace]
     return "\n".join(lines)
 
 
@@ -531,14 +530,14 @@ def test_scan_three_valued_grid_exactly():
         for v2 in (F(0), HALF, F(1)):
             fired = oracle_constraints(v1, v2, scenario.observed_interference())
             expected[(v1, v2)] = fired
-    for r in report.results:
-        fired = expected[r.values]
+    for pair, v in report.items():
+        fired = expected[pair]
         if not fired:
-            assert r.consistent, r.values
+            assert v is None, pair
         else:
-            assert r.violation is not None
-            got = {r.violation.constraint, *r.violation.also_violates}
-            assert got == fired, r.values
+            assert v is not None
+            got = {v.constraint, *v.also_violates}
+            assert got == fired, pair
     # headline facts, frozen from the oracle run
     consistent = set(report.consistent_pairs())
     assert consistent == {
@@ -548,7 +547,7 @@ def test_scan_three_valued_grid_exactly():
         (HALF, F(1)),
         (F(1), HALF),
     }
-    corner_map = {r.values: r.violation.constraint for r in report.corner_results()}
+    corner_map = {pair: v.constraint for pair, v in report.corner_results()}
     assert corner_map == {
         (F(0), F(0)): C_TRUE,
         (F(0), F(1)): C_INT,
@@ -561,37 +560,41 @@ def test_scan_bivalent_degenerates_to_corner_table():
     scenario = default_scenario()
     report = scan_grid(scenario, ValueSystem.bivalent())
     cert = run_nogo(scenario)
-    assert [(r.values, r.violation.constraint) for r in report.results] == [
-        (r.values, r.violation.constraint) for r in cert.corner_results
-    ]
+    assert tuple(report.items()) == cert.corner_results
+    assert [v.constraint for _, v in cert.corner_results] == [C_TRUE, C_INT, C_INT, C_COLLAPSE]
 
 
 def test_scan_denominator_10_keeps_half_half():
     scenario = default_scenario()
     report = scan_grid(scenario, ValueSystem.infinite(10))
-    assert len(report.results) == 121
+    # one result per pair of the grid, a violation or None
+    assert len(report.results) == len(report.value_system.values) ** 2 == 121
+    assert all(v is None or type(v) is Violation for v in report.results)
     consistent = set(report.consistent_pairs())
     assert (HALF, HALF) in consistent
     # every interior pair that forces no bridge survives; corners never do
-    for r in report.corner_results():
-        assert r.violation is not None
+    for _, v in report.corner_results():
+        assert v is not None
 
 
 def test_corner_results_of_hand_built_value_systems():
     scenario = default_scenario()
     # no value 1: the only corner is (0, 0)
     thirds = scan_grid(scenario, ValueSystem("thirds", (F(0), F(1, 3), F(2, 3))))
-    assert [r.values for r in thirds.corner_results()] == [(F(0), F(0))]
+    assert [pair for pair, _ in thirds.corner_results()] == [(F(0), F(0))]
     # corners away from the grid ends come out in scan order
     shuffled = scan_grid(scenario, ValueSystem("shuffled", (HALF, F(1), F(1, 4), F(0))))
     corners = shuffled.corner_results()
-    assert [(r.values, r.violation.constraint) for r in corners] == [
+    assert [(pair, v.constraint) for pair, v in corners] == [
         ((F(1), F(1)), C_COLLAPSE),
         ((F(1), F(0)), C_INT),
         ((F(0), F(1)), C_INT),
         ((F(0), F(0)), C_TRUE),
     ]
-    assert [shuffled.results.index(r) for r in corners] == [5, 7, 13, 15]
+    assert [v for _, v in corners] == [shuffled.results[i] for i in (5, 7, 13, 15)]
+    # each violation sits at its own pair's index
+    for pair, v in shuffled.items():
+        assert v is None or tuple(x for _, x in v.assignment) == pair
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
@@ -611,11 +614,10 @@ def test_escape_exists_in_every_finite_system(n):
 def test_interference_violations_need_all_bridges_forced():
     scenario = default_scenario()
     report = scan_grid(scenario, ValueSystem.finite(5))
-    for r in report.results:
-        if r.violation is None:
+    for (v1, v2), v in report.items():
+        if v is None:
             continue
-        if C_INT in (r.violation.constraint, *r.violation.also_violates):
-            v1, v2 = r.values
+        if C_INT in (v.constraint, *v.also_violates):
             or12 = min(v1 + v2, F(1))
             and12 = max(v1 + v2 - 1, F(0))
             assert bridge(v1) is not None
@@ -637,10 +639,7 @@ def test_observed_interference_computed_only_where_c_int_fires(monkeypatch):
     scenario = default_scenario()
     monkeypatch.setattr(nogo, "interference_term", counting)
     report = scan_grid(scenario, ValueSystem.infinite(10))
-    c_int = [
-        r for r in report.results
-        if r.violation and C_INT in (r.violation.constraint, *r.violation.also_violates)
-    ]
+    c_int = [v for v in report.results if v and C_INT in (v.constraint, *v.also_violates)]
     assert c_int
     assert len(calls) <= 2 * len(c_int) < len(report.results)
 
@@ -706,21 +705,21 @@ def test_supervaluation_on_lantern_distinct_pairs():
 def test_every_violation_trace_replays():
     scenario = default_scenario()
     cert = run_nogo(scenario)
-    for r in cert.corner_results:
-        assert replay_trace(r.violation, scenario)
+    for _, v in cert.corner_results:
+        assert replay_trace(v, scenario)
     report = scan_grid(scenario, ValueSystem.finite(3))
-    for r in report.results:
-        if r.violation is not None:
-            assert replay_trace(r.violation, scenario)
+    for v in report.results:
+        if v is not None:
+            assert replay_trace(v, scenario)
 
 
 def test_traces_end_at_contradiction():
     scenario = default_scenario()
-    for r in run_nogo(scenario).corner_results:
-        trace = r.violation.trace
+    for _, v in run_nogo(scenario).corner_results:
+        trace = v.trace
         assert trace
         assert trace[-1].rule == "contradiction"
-        assert trace[-1].result == r.violation.constraint
+        assert trace[-1].result == v.constraint
 
 
 def test_interference_trace_carries_probability_chain():
