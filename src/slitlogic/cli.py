@@ -17,6 +17,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
@@ -40,7 +41,6 @@ from .valuation import (
     UNDEFINED,
     TruthFunction,
     ValueSystem,
-    enumerate_truth_functions,
     evaluate_degrees,
     formula_element,
     supervalue,
@@ -90,7 +90,8 @@ def _json_text(value, pad: str, memo: dict) -> str:
     lists, str, int, bool and None; ``pad`` is the indent of the value's line.
     A container met again at the same indent is encoded once: ``memo`` maps
     ``(id, pad)`` to False at the first sighting and to the text at the
-    second. It recurses once per level of nesting, as ``json`` does."""
+    second. It recurses once per level of nesting, as ``json`` does; a child
+    that is a plain str or None is encoded in its parent's loop."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None or value is True or value is False:
@@ -108,10 +109,13 @@ def _json_text(value, pad: str, memo: dict) -> str:
     parts = []
     if is_dict:
         for k, v in value.items():  # a key that is no str raises TypeError here
-            parts.append(encode_basestring_ascii(k) + ": " + _json_text(v, inner, memo))
+            parts.append(encode_basestring_ascii(k) + ": " + (
+                encode_basestring_ascii(v) if type(v) is str
+                else "null" if v is None else _json_text(v, inner, memo)))
     else:
         for v in value:
-            parts.append(_json_text(v, inner, memo))
+            parts.append(encode_basestring_ascii(v) if type(v) is str
+                         else "null" if v is None else _json_text(v, inner, memo))
     brackets = "{}" if is_dict else "[]"
     text = brackets if not parts else (
         brackets[0] + "\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + brackets[1])
@@ -395,16 +399,22 @@ def _result_payload(atoms, pair, violation) -> dict:
 
 def _certificate_payload(cert: Certificate) -> dict:
     """The nogo JSON payload. It lists every bivalent truth function with the
-    result of its corner (v(e1), v(e2)), and every function in a corner's
-    class shares that corner's ``assignment`` and ``violation`` sub-dicts, so
-    the payload must be treated as read-only."""
+    result of its corner (v(e1), v(e2)). A function's values are read off
+    string axes, the bottom's "0", the top's "1" and "0" or "1" for every
+    other element, in the order of ``enumerate_truth_functions``, and no
+    value is formatted per function. Every function in a corner's class
+    shares that corner's ``assignment`` and ``violation`` sub-dicts, so the
+    payload must be treated as read-only."""
     atoms = cert.scenario.atom_names
-    corners = {pair: _result_payload(atoms, pair, v) for pair, v in cert.corner_results}
-    e1, e2 = cert.scenario.bound_elements
-    functions = []
-    for tf in enumerate_truth_functions(cert.scenario.lattice, ValueSystem.bivalent()):
-        values = {e: _jsonable(v) for e, v in tf.values.items()}
-        functions.append({"values": values, **corners[tf(e1), tf(e2)]})
+    corners = {(str(v1), str(v2)): _result_payload(atoms, (v1, v2), v)
+               for (v1, v2), v in cert.corner_results}
+    lattice = cert.scenario.lattice
+    elements = lattice.elements
+    i1, i2 = (lattice.index(e) for e in cert.scenario.bound_elements)
+    pinned = {lattice.bottom: ("0",), lattice.top: ("1",)}
+    axes = [pinned.get(e, ("0", "1")) for e in elements]
+    functions = [{"values": dict(zip(elements, row)), **corners[row[i1], row[i2]]}
+                 for row in product(*axes)]
     return {
         "command": "nogo",
         "verdict": cert.verdict,
@@ -433,21 +443,32 @@ def _cmd_scan(ns) -> Report:
         system = ValueSystem.infinite(ns.denominator if ns.denominator is not None else 10)
     scenario = _scenario_from_args(ns)
     report = scan_grid(scenario, system)
-    atoms = scenario.atom_names
+    a1, a2 = scenario.atom_names
     corner_results = report.corner_results()
     corners_violated = sum(1 for _, v in corner_results if v)
-    consistent = report.consistent_pairs()
+    # each grid value is formatted once; a pair is consistent unless listed
+    # among the report's violations
+    labels = [str(v) for v in system.values]
+    violations = dict(report.violations)
+    results, consistent = [], []
+    for k, (l1, l2) in enumerate(product(labels, repeat=2)):
+        violation = violations.get(k)
+        if violation is None:
+            consistent.append([l1, l2])
+        else:
+            violation = _violation_payload(violation)
+        results.append({"assignment": {a1: l1, a2: l2}, "violation": violation})
     payload = {
         "command": "scan",
         "verdict": (
             f"corners violated: {corners_violated}/{len(corner_results)}; "
-            f"consistent: {len(consistent)}/{len(report.results)}"
+            f"consistent: {len(consistent)}/{len(results)}"
         ),
         "scenario": _scenario_payload(scenario),
-        "value_system": report.value_system.kind,
-        "values": _jsonable(report.value_system.values),
-        "results": [_result_payload(atoms, pair, v) for pair, v in report.items()],
-        "consistent": [_jsonable(pair) for pair in consistent],
+        "value_system": system.kind,
+        "values": labels,
+        "results": results,
+        "consistent": consistent,
         "corners": {
             f"({v1}, {v2})": v.constraint if v else "consistent"
             for (v1, v2), v in corner_results

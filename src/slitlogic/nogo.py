@@ -30,8 +30,9 @@ the sum of the values it is min(s, 1) - max(s - 1, 0), so s is 0 or 2.
 C-INT needs every bridge forced, so each value 0 or 1. A pair with a value
 strictly between 0 and 1, or with no value, escapes all three:
 ``check_assignment`` returns None for it and decides any other pair by its
-corner. Fractions are built only for the trace of a pair that breaks a
-constraint.
+corner. So ``scan_grid`` checks only the bivalent cells of a grid and keeps
+their violations; every other pair is consistent without a check. Fractions
+are built only for the trace of a pair that breaks a constraint.
 """
 
 from __future__ import annotations
@@ -203,24 +204,32 @@ class Certificate:
 
 @dataclass(frozen=True)
 class GridReport:
-    """Outcome of sweeping every admissible value pair of a value system:
-    ``results[i]`` is the violation of the i-th pair of ``product(values,
-    repeat=2)``, the scan order, or None when that pair is consistent."""
+    """Outcome of sweeping every admissible value pair of a value system.
+
+    The k-th pair of ``product(values, repeat=2)``, the scan order, is cell k.
+    ``violations`` holds the ``(k, violation)`` items of the cells that break
+    a constraint, in scan order; only a bivalent cell can, so every other
+    pair is consistent. The three methods are views over that, in scan order.
+    """
 
     scenario: Scenario
     value_system: ValueSystem
-    results: tuple[Violation | None, ...]
+    violations: tuple[tuple[int, Violation], ...]
 
     def items(self) -> Iterator[tuple[Pair, Violation | None]]:
-        """Each grid pair with its result, in scan order."""
-        return zip(product(self.value_system.values, repeat=2), self.results)
+        """Each grid pair with its violation, or None, in scan order."""
+        violations = dict(self.violations)
+        return ((pair, violations.get(k))
+                for k, pair in enumerate(product(self.value_system.values, repeat=2)))
 
     def consistent_pairs(self) -> tuple[Pair, ...]:
         return tuple(pair for pair, violation in self.items() if violation is None)
 
     def corner_results(self) -> tuple[tuple[Pair, Violation | None], ...]:
         """The items whose two values are each 0 or 1, in scan order."""
-        return tuple(item for item in self.items() if _bivalent(*item[0]))
+        violations = dict(self.violations)
+        return tuple((pair, violations.get(k))
+                     for k, pair in _bivalent_cells(self.value_system.values))
 
 
 @dataclass(frozen=True)
@@ -234,14 +243,19 @@ class SupervaluationReport:
     consistent: bool
 
 
-def _bivalent(v1: TruthValue, v2: TruthValue) -> bool:
-    """Whether both validated values are 0 or 1, so the pair can break a
-    constraint: a value in [0, 1] is 0 or 1 exactly when its denominator
-    is 1."""
-    return (
-        v1 is not UNDEFINED and v2 is not UNDEFINED
-        and v1.denominator == 1 and v2.denominator == 1
-    )
+def _extreme(value: TruthValue) -> bool:
+    """Whether a validated value is 0 or 1: a value in [0, 1] is 0 or 1
+    exactly when its denominator is 1."""
+    return value is not UNDEFINED and value.denominator == 1
+
+
+def _bivalent_cells(values) -> Iterator[tuple[int, Pair]]:
+    """The cells ``(k, (v1, v2))`` of ``product(values, repeat=2)`` whose two
+    values are each 0 or 1, in scan order: the only cells that can break a
+    constraint."""
+    n = len(values)
+    extremes = [(i, v) for i, v in enumerate(values) if _extreme(v)]
+    return ((i * n + j, (v1, v2)) for i, v1 in extremes for j, v2 in extremes)
 
 
 def check_assignment(scenario: Scenario, v1, v2) -> Violation | None:
@@ -261,7 +275,7 @@ def check_assignment(scenario: Scenario, v1, v2) -> Violation | None:
     the degree functions and the bridge.
     """
     v1, v2 = as_value(v1), as_value(v2)
-    if not _bivalent(v1, v2):
+    if not (_extreme(v1) and _extreme(v2)):
         return None
     if v1 == v2:
         # A double-click both falsifies the compound and breaks collapse;
@@ -337,7 +351,7 @@ def run_nogo(scenario: Scenario) -> Certificate:
     The verdict is "no-go holds" exactly when all four corners violate a
     constraint.
     """
-    corners = tuple(scan_grid(scenario, ValueSystem.bivalent()).items())
+    corners = scan_grid(scenario, ValueSystem.bivalent()).corner_results()
     return Certificate(
         scenario=scenario,
         corner_results=corners,
@@ -347,37 +361,38 @@ def run_nogo(scenario: Scenario) -> Certificate:
 
 
 def scan_grid(scenario: Scenario, value_system: ValueSystem) -> GridReport:
-    """Check every admissible value pair of the system, in scan order."""
-    pairs = product(value_system.values, repeat=2)
-    return GridReport(scenario, value_system,
-                      tuple([check_assignment(scenario, v1, v2) for v1, v2 in pairs]))
+    """Check the bivalent cells of the system's grid, in scan order; every
+    other pair escapes all three constraints and is not checked."""
+    violations = []
+    for k, (v1, v2) in _bivalent_cells(value_system.values):
+        violation = check_assignment(scenario, v1, v2)
+        if violation is not None:
+            violations.append((k, violation))
+    return GridReport(scenario, value_system, tuple(violations))
 
 
 def check_supervaluation(scenario: Scenario) -> SupervaluationReport:
     """Evaluate the scenario when unverified propositions carry no value.
 
     The atoms must be bound to non-extreme elements (otherwise
-    :class:`BindingAtExtreme` is raised); they come out undefined, no bridge
-    fires, and no constraint applies. The exactly-one compound still reduces
-    to a lattice element, which may be the top and hence carry value 1
-    despite its parts having none.
+    :class:`BindingAtExtreme` is raised), so both come out undefined. An
+    undefined value forces no bridge and breaks no constraint, so the report
+    is consistent and fires no bridge, by construction. The exactly-one
+    compound still reduces to a lattice element, which may be the top and
+    hence carry value 1 despite its parts having none.
     """
     lattice = scenario.lattice
     for atom, element in scenario.binding:
         if element in (lattice.bottom, lattice.top):
             raise BindingAtExtreme(f"atom {atom!r} is bound to extreme element {element!r}")
-    atom_values = tuple((atom, supervalue(element, lattice))
-                        for atom, element in scenario.binding)
     a1, a2 = scenario.atom_names
     compound_element = formula_element(Xor(Atom(a1), Atom(a2)), dict(scenario.binding), lattice)
-    compound_value = supervalue(compound_element, lattice)
-    violation = check_assignment(scenario, atom_values[0][1], atom_values[1][1])
     return SupervaluationReport(
-        atom_values=atom_values,
+        atom_values=((a1, UNDEFINED), (a2, UNDEFINED)),
         compound_element=compound_element,
-        compound_value=compound_value,
-        bridges_fired=any(bridge(v) is not None for _, v in atom_values),
-        consistent=violation is None,
+        compound_value=supervalue(compound_element, lattice),
+        bridges_fired=False,
+        consistent=True,
     )
 
 

@@ -466,14 +466,21 @@ def test_closed_stdout_keeps_the_exit_code_and_prints_no_traceback():
 
 # ---------------------------------------------------------------- JSON writer
 
+class _Text(str):
+    """A str subclass: the writer encodes it on its general path, not inline."""
+
+
 _TEXTS = st.text(st.sampled_from('a"\\/\b\f\n\r\t\x00\x1f\x7f\x80 é€\u2028\U0001f600') | st.characters())
 _SCALARS = (
-    st.none() | st.booleans() | _TEXTS
+    st.none() | st.booleans() | _TEXTS | _TEXTS.map(_Text)
+    # bools next to the ints they equal
+    | st.sampled_from([False, True, 0, 1, -1, 2])
     | st.integers(min_value=-2**63, max_value=2**63) | st.integers(min_value=-10**300, max_value=10**300)
 )
 _VALUES = st.recursive(
     _SCALARS,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXTS, inner, max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_TEXTS | _TEXTS.map(_Text), inner, max_size=4),
     max_leaves=24,
 )
 

@@ -317,8 +317,8 @@ def _refuse(*args, **kwargs):
     ("builtin:chain:18", "X1=m1,X2=m2", 17),
 ])
 def test_nogo_exits_2_above_2_16_listed_functions(monkeypatch, ref, bind, free):
-    # refused before a function is listed
-    monkeypatch.setattr(cli, "enumerate_truth_functions", _refuse)
+    # refused before the payload, which lists the functions, is built
+    monkeypatch.setattr(cli, "_certificate_payload", _refuse)
     report = dispatch(["nogo", f"--lattice={ref}", f"--bind={bind}"])
     assert report.exit_code == 2
     assert report.render() == (
@@ -326,13 +326,13 @@ def test_nogo_exits_2_above_2_16_listed_functions(monkeypatch, ref, bind, free):
     )
 
 
-def test_nogo_runs_at_its_cap(monkeypatch):
-    # chain:17 has 18 elements, so 2^16 functions; listing them takes seconds
+def test_nogo_runs_at_its_cap():
+    # chain:17 has 18 elements, so 2^16 functions, each listed
     assert cli._LISTED_FUNCTION_LIMIT == 2**16
-    monkeypatch.setattr(cli, "enumerate_truth_functions", lambda lattice, system: iter(()))
     report = dispatch(["nogo", "--lattice=builtin:chain:17", "--bind=X1=m1,X2=m2"])
     assert report.exit_code == 0
     assert report.payload["enumerated"] == 4 + 2**16
+    assert len(report.payload["truth_functions"]) == 2**16
 
 
 # ------------------------------------------------------- the grid value cap

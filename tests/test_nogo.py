@@ -31,6 +31,7 @@ from slitlogic.valuation import (
     UNDEFINED,
     ValueSystem,
     as_value,
+    enumerate_truth_functions,
     lukasiewicz_and,
     lukasiewicz_neg,
     lukasiewicz_or,
@@ -517,13 +518,44 @@ def test_run_nogo_checks_only_the_four_corners(monkeypatch):
     assert cert.holds
 
 
+def _nogo_row_cases():
+    """Every ordered pair of distinct elements, extremes included."""
+    for family, sizes in (("boolean", (1, 2, 3)), ("chain", (1, 2, 3, 4)),
+                          ("lantern", (1, 2, 3, 4))):
+        for n in sizes:
+            lat = builtin(family, n)
+            for e1, e2 in product(lat.elements, repeat=2):
+                if e1 != e2:
+                    yield lat, e1, e2
+
+
+def test_nogo_rows_match_the_enumerated_truth_functions():
+    inputs = amplitude_interference(*IN_PHASE)
+    for lat, e1, e2 in _nogo_row_cases():
+        cert = run_nogo(Scenario.build(lat, {"X1": e1, "X2": e2}, inputs))
+        payload = cli._certificate_payload(cert)
+        corners = {(c["assignment"]["X1"], c["assignment"]["X2"]): c for c in payload["corners"]}
+        functions = list(enumerate_truth_functions(lat, ValueSystem.bivalent()))
+        assert len(payload["truth_functions"]) == len(functions) == cert.functions_covered
+        for row, tf in zip(payload["truth_functions"], functions):
+            assert row["values"] == {e: str(v) for e, v in tf.values.items()}
+            assert list(row["values"]) == list(lat.elements)
+            corner = corners[str(tf(e1)), str(tf(e2))]
+            assert row["assignment"] is corner["assignment"]
+            assert row["violation"] is corner["violation"]
+    # X1 at the bottom: no function has v(X1) = 1, so two corners list none
+    cert = run_nogo(Scenario.build(builtin("boolean", 3), {"X1": "0", "X2": "a"}, inputs))
+    rows = cli._certificate_payload(cert)["truth_functions"]
+    assert {(r["assignment"]["X1"], r["assignment"]["X2"]) for r in rows} == {("0", "0"), ("0", "1")}
+
+
 # ------------------------------------------------------------------ scan
 
 
 def test_scan_three_valued_grid_exactly():
     scenario = default_scenario()
     report = scan_grid(scenario, ValueSystem.finite(3))
-    assert len(report.results) == 9
+    assert len(tuple(report.items())) == 9
     # oracle: recompute every pair independently
     expected = {}
     for v1 in (F(0), HALF, F(1)):
@@ -568,8 +600,11 @@ def test_scan_denominator_10_keeps_half_half():
     scenario = default_scenario()
     report = scan_grid(scenario, ValueSystem.infinite(10))
     # one result per pair of the grid, a violation or None
-    assert len(report.results) == len(report.value_system.values) ** 2 == 121
-    assert all(v is None or type(v) is Violation for v in report.results)
+    items = tuple(report.items())
+    assert len(items) == len(report.value_system.values) ** 2 == 121
+    assert all(v is None or type(v) is Violation for _, v in items)
+    # only the four corners are kept, by their index in scan order
+    assert [k for k, _ in report.violations] == [0, 10, 110, 120]
     consistent = set(report.consistent_pairs())
     assert (HALF, HALF) in consistent
     # every interior pair that forces no bridge survives; corners never do
@@ -591,10 +626,56 @@ def test_corner_results_of_hand_built_value_systems():
         ((F(0), F(1)), C_INT),
         ((F(0), F(0)), C_TRUE),
     ]
-    assert [v for _, v in corners] == [shuffled.results[i] for i in (5, 7, 13, 15)]
+    assert [k for k, _ in shuffled.violations] == [5, 7, 13, 15]
+    assert [v for _, v in corners] == [v for _, v in shuffled.violations]
     # each violation sits at its own pair's index
     for pair, v in shuffled.items():
         assert v is None or tuple(x for _, x in v.assignment) == pair
+
+
+def dense_reference(scenario, values):
+    """Every grid pair with its check_assignment result, in scan order."""
+    return tuple(((v1, v2), check_assignment(scenario, v1, v2))
+                 for v1, v2 in product(values, repeat=2))
+
+
+# Hand-built systems: unsorted, with 0 or 1 repeated, missing or both.
+_hand_built_values = st.lists(
+    st.sampled_from([F(0), F(1)]) | _unit_fractions, min_size=1, max_size=8)
+
+
+@settings(max_examples=300)
+@given(_hand_built_values, st.booleans(), st.booleans())
+def test_sparse_grid_report_matches_the_dense_reference(values, equal_priors, degenerate):
+    scenario = _PROPERTY_SCENARIOS[equal_priors, degenerate]
+    report = scan_grid(scenario, ValueSystem("hand-built", tuple(values)))
+    dense = dense_reference(scenario, values)
+    assert tuple(report.items()) == dense
+    assert report.consistent_pairs() == tuple(pair for pair, v in dense if v is None)
+    assert report.corner_results() == tuple(
+        (pair, v) for pair, v in dense if pair[0] in (0, 1) and pair[1] in (0, 1))
+    assert report.violations == tuple(
+        (k, v) for k, (_, v) in enumerate(dense) if v is not None)
+
+
+@pytest.mark.parametrize("values, checks", [
+    (ValueSystem.infinite(100).values, 4),
+    ((HALF, F(1), F(1, 4), F(0)), 4),
+    ((F(0), F(0), F(1), HALF), 9),
+    ((F(1, 3), F(2, 3)), 0),
+])
+def test_scan_checks_only_the_bivalent_cells(monkeypatch, values, checks):
+    calls = []
+    real = nogo.check_assignment
+
+    def counting(scenario, v1, v2):
+        calls.append((v1, v2))
+        return real(scenario, v1, v2)
+
+    monkeypatch.setattr(nogo, "check_assignment", counting)
+    scan_grid(default_scenario(), ValueSystem("hand-built", values))
+    assert len(calls) == checks
+    assert all(v in (0, 1) for pair in calls for v in pair)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
@@ -639,9 +720,9 @@ def test_observed_interference_computed_only_where_c_int_fires(monkeypatch):
     scenario = default_scenario()
     monkeypatch.setattr(nogo, "interference_term", counting)
     report = scan_grid(scenario, ValueSystem.infinite(10))
-    c_int = [v for v in report.results if v and C_INT in (v.constraint, *v.also_violates)]
+    c_int = [v for _, v in report.items() if v and C_INT in (v.constraint, *v.also_violates)]
     assert c_int
-    assert len(calls) <= 2 * len(c_int) < len(report.results)
+    assert len(calls) <= 2 * len(c_int) < len(tuple(report.items()))
 
 
 # --------------------------------------------------------- supervaluation
@@ -708,7 +789,7 @@ def test_every_violation_trace_replays():
     for _, v in cert.corner_results:
         assert replay_trace(v, scenario)
     report = scan_grid(scenario, ValueSystem.finite(3))
-    for v in report.results:
+    for _, v in report.items():
         if v is not None:
             assert replay_trace(v, scenario)
 
