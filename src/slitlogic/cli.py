@@ -88,39 +88,98 @@ class Report:
 def _json_text(value, pad: str, memo: dict) -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for dicts with str keys,
     lists, str, int, bool and None; ``pad`` is the indent of the value's line.
-    A container met again at the same indent is encoded once: ``memo`` maps
-    ``(id, pad)`` to False at the first sighting and to the text at the
-    second. It recurses once per level of nesting, as ``json`` does; a child
-    that is a plain str or None is encoded in its parent's loop."""
+
+    :func:`_json_write` appends the text to one list of chunks, joined once
+    here, so no byte is copied again into each enclosing container. Each
+    container that is an item of a list is joined into one chunk as it is
+    written, so a listing holds one string per row. ``"key": `` heads and
+    plain str leaves are encoded once per call, in dicts local to it.
+    ``memo`` maps the id of each non-empty container to the indent it was
+    first met at; met again at that indent, the container is encoded once
+    more and the entry becomes that indent and the text, which every later
+    sighting at that indent appends as it is. A container met at another
+    indent is encoded again and its text is not kept."""
+    out = []
+    _json_write(value, pad, out, memo, {}, {})
+    return "".join(out)
+
+
+def _json_write(value, pad: str, out: list, memo: dict, heads: dict, leaves: dict) -> None:
+    """Append the JSON text of ``value`` to ``out``, as :func:`_json_text`
+    describes. Each chunk a container writes starts with its separator, a comma,
+    a newline and the indent, and the first one's comma becomes the opening bracket.
+    ``heads`` maps an indent to the head chunks of the keys met at it, and
+    ``leaves`` maps a str to its encoding. This recurses once per level of
+    nesting, as ``json`` does; a child that is a plain str or None is written
+    in its parent's loop."""
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        out.append(encode_basestring_ascii(value))
+        return
     if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
+        out.append("null" if value is None else "true" if value else "false")
+        return
     if isinstance(value, int):
-        return int.__repr__(value)
+        out.append(int.__repr__(value))
+        return
     is_dict = isinstance(value, dict)
     if not (is_dict or isinstance(value, list)):
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    key = (id(value), pad)
-    seen = memo.get(key)
-    if seen:
-        return seen
+    if not value:
+        out.append("{}" if is_dict else "[]")
+        return
+    seen = memo.get(id(value))
+    if seen is None:
+        memo[id(value)] = pad
+    elif type(seen) is tuple and seen[0] == pad:
+        out.append(seen[1])
+        return
+    elif seen != pad:
+        seen = None  # met at another indent: encoded again and not kept
+    start = len(out)
     inner = pad + "  "
-    parts = []
+    append = out.append
     if is_dict:
-        for k, v in value.items():  # a key that is no str raises TypeError here
-            parts.append(encode_basestring_ascii(k) + ": " + (
-                encode_basestring_ascii(v) if type(v) is str
-                else "null" if v is None else _json_text(v, inner, memo)))
+        at = heads.get(inner)
+        if at is None:
+            at = heads[inner] = {}
+        for k, v in value.items():
+            head = at.get(k)
+            if head is None:  # a key that is no str raises TypeError here
+                head = at[k] = ",\n" + inner + encode_basestring_ascii(k) + ": "
+            append(head)
+            if type(v) is str:
+                text = leaves.get(v)
+                if text is None:
+                    text = leaves[v] = encode_basestring_ascii(v)
+                append(text)
+            elif v is None:
+                append("null")
+            else:
+                _json_write(v, inner, out, memo, heads, leaves)
+        append("\n" + pad + "}")
     else:
+        sep = ",\n" + inner
         for v in value:
-            parts.append(encode_basestring_ascii(v) if type(v) is str
-                         else "null" if v is None else _json_text(v, inner, memo))
-    brackets = "{}" if is_dict else "[]"
-    text = brackets if not parts else (
-        brackets[0] + "\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + brackets[1])
-    memo[key] = text if seen is False else False
-    return text
+            if type(v) is str:
+                text = leaves.get(v)
+                if text is None:
+                    text = leaves[v] = encode_basestring_ascii(v)
+                append(sep)
+                append(text)
+            elif v is None:
+                append(sep)
+                append("null")
+            else:
+                item = [sep]
+                _json_write(v, inner, item, memo, heads, leaves)
+                append("".join(item))
+        append("\n" + pad + "]")
+    out[start] = ("{" if is_dict else "[") + out[start][1:]
+    if seen is not None:  # the second sighting at this indent: keep the text
+        text = "".join(out[start:])
+        del out[start:]
+        append(text)
+        memo[id(value)] = (pad, text)
 
 
 def _fraction(text: str, what: str = "value") -> Fraction:

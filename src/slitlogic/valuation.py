@@ -159,16 +159,23 @@ def lukasiewicz_and(s, t) -> TruthValue:
 class ValueSystem:
     """The admissible truth values for an analysis run.
 
-    ``values`` holds the admissible values in ascending order. Each value is
-    validated by :func:`as_value` when the system is built, so consumers
-    take them as exact Fractions in [0, 1] without checking again.
+    ``values`` holds at least one defined value, kept in the order given;
+    they need not be sorted and may repeat. Each value is validated by
+    :func:`as_value` when the system is built, and ``UNDEFINED`` or an empty
+    system raises :class:`InvalidValue`, so consumers take them as exact
+    Fractions in [0, 1] without checking again.
     """
 
     kind: str
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(as_value(v) for v in self.values))
+        values = tuple(as_value(v) for v in self.values)
+        if not values:
+            raise InvalidValue("a value system needs at least one value")
+        if UNDEFINED in values:
+            raise InvalidValue("a value system holds defined values only, not undefined")
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def bivalent(cls) -> "ValueSystem":

@@ -431,6 +431,8 @@ def test_parse_json_depth_limit_both_sides():
     limit = cli._JSON_DEPTH_LIMIT
     at_limit = dispatch(["parse", "!" * (limit - 1) + "A", "--format=json"])
     assert at_limit.exit_code == 0
+    # the writer recurses once per level down to the limit
+    assert at_limit.render() == json.dumps(at_limit.payload, indent=2)
     assert json.loads(at_limit.render())["formula"].endswith("!A")
     over = dispatch(["parse", "!" * limit + "A", "--format=json"])
     assert over.exit_code == 2
@@ -491,18 +493,57 @@ def test_json_writer_matches_json_dumps(shared, value):
     # one object met three times at one depth and once at another
     payload = {"a": [shared, shared], "b": {"c": [shared]}, "d": [value, shared], "e": {}}
     assert cli._json_text(payload, "", {}) == json.dumps(payload, indent=2)
+    # a list item at two indents, in turn, and a dict value between them
+    nested = [shared, [shared, [shared]], {"f": shared}, shared, [shared]]
+    assert cli._json_text(nested, "", {}) == json.dumps(nested, indent=2)
+
+
+def test_json_writer_joins_each_container_item_of_a_list_into_one_chunk():
+    payload = {"rows": [{"a": "1", "b": None}, ["x"], "y", None]}
+    out, heads, leaves = [], {}, {}
+    cli._json_write(payload, "", out, {}, heads, leaves)
+    assert out == [
+        '{\n  "rows": ',
+        '[\n    {\n      "a": "1",\n      "b": null\n    }',
+        ',\n    [\n      "x"\n    ]',
+        ',\n    ', '"y"',
+        ',\n    ', "null",
+        "\n  ]",
+        "\n}",
+    ]
+    assert "".join(out) == json.dumps(payload, indent=2)
+    # each key's head, per indent, and each str leaf is encoded once
+    assert heads == {"  ": {"rows": ',\n  "rows": '},
+                     "      ": {"a": ',\n      "a": ', "b": ',\n      "b": '}}
+    assert leaves == {"1": '"1"', "x": '"x"', "y": '"y"'}
 
 
 def test_json_writer_keeps_text_only_for_repeated_containers():
     shared = {"x": ["1"]}
+    other = {"y": []}
+    outer = [shared, shared, shared, other]
     memo = {}
-    cli._json_text([shared, shared, shared, {"y": []}], "", memo)
-    # shared and its list are encoded twice and kept; the rest is encoded once
-    assert [text for text in memo.values() if text] == [
-        '[\n      "1"\n    ]',
-        '{\n    "x": [\n      "1"\n    ]\n  }',
-    ]
-    assert len(memo) == 5
+    cli._json_text(outer, "", memo)
+    # shared and its list are met again at their indents, so their text is
+    # kept; the rest holds the indent it was met at, and [] is not entered
+    assert memo == {
+        id(outer): "",
+        id(shared): ("  ", '{\n    "x": [\n      "1"\n    ]\n  }'),
+        id(shared["x"]): ("    ", '[\n      "1"\n    ]'),
+        id(other): "  ",
+    }
+    # a container met at another indent is encoded again; what is kept for
+    # its first indent stays
+    inner = [shared]
+    outer = [shared, inner, shared, inner]
+    memo = {}
+    assert cli._json_text(outer, "", memo) == json.dumps(outer, indent=2)
+    assert memo == {
+        id(outer): "",
+        id(shared): ("  ", '{\n    "x": [\n      "1"\n    ]\n  }'),
+        id(shared["x"]): ("    ", '[\n      "1"\n    ]'),
+        id(inner): ("  ", '[\n    {\n      "x": [\n        "1"\n      ]\n    }\n  ]'),
+    }
 
 
 @pytest.mark.parametrize("argv", [
@@ -513,8 +554,12 @@ def test_json_writer_keeps_text_only_for_repeated_containers():
      "--assign", "X1=a,X2=b"],
     ["interference", "--amp1", "3/5,0", "--amp2", "0,4/5"],
     ["nogo", "--lattice", "builtin:lantern:4", "--bind", "X1=a1,X2=a2"],
+    # 4096 rows that share their corners' sub-dicts
+    ["nogo", "--lattice", "builtin:lantern:6", "--bind", "X1=a1,X2=b1"],
     ["nogo", "--amp2", "0,0", "--allow-degenerate", "--no-equal-priors"],
     ["scan", "--denominator", "20"],
+    # 10 201 result rows, each joined into one chunk as it is written
+    ["scan", "--denominator", "100"],
     ["super"],
     ["parse", "X1 &"],
 ])

@@ -472,6 +472,23 @@ def test_value_system_rejects_invalid_value_when_built(bad, error):
         ValueSystem("hand-built", (F(0), bad, F(1)))
 
 
+@pytest.mark.parametrize("values, message", [
+    ((UNDEFINED, F(0), F(1)), "a value system holds defined values only, not undefined"),
+    ((F(1), F(0), UNDEFINED), "a value system holds defined values only, not undefined"),
+    ((), "a value system needs at least one value"),
+])
+def test_value_system_rejects_undefined_and_empty(values, message):
+    with pytest.raises(InvalidValue) as info:
+        ValueSystem("hand-built", values)
+    assert str(info.value) == message
+
+
+def test_value_system_keeps_the_order_given():
+    # unsorted, with 0 repeated and no 1: kept as given
+    values = (HALF, F(0), F(1, 4), F(0))
+    assert ValueSystem("hand-built", values).values == values
+
+
 @pytest.mark.parametrize("bad, message", [
     (F(3, 2), "truth value 3/2 outside [0, 1]"),
     (F(-1, 2), "truth value -1/2 outside [0, 1]"),
