@@ -361,8 +361,8 @@ def enumerate_truth_functions(
     """Yield every admissible truth function, in a fixed order.
 
     Bottom and top are pinned to 0 and 1. Enumeration runs over the other
-    elements in declaration order with values ascending, so the stream is
-    deterministic and its length is |admissible| ** free.
+    elements in declaration order with values in the system's order, so the
+    stream is deterministic and its length is len(values) ** free.
 
     The value system's values were validated when it was built; each
     function is assembled from them, total and with the boundary conditions
@@ -372,7 +372,7 @@ def enumerate_truth_functions(
     pinned = {lattice.bottom: (_ZERO,), lattice.top: (_ONE,)}
     elements = lattice.elements
     # A pinned element contributes a one-value axis, so the product advances
-    # the free elements in declaration order with values ascending.
+    # the free elements in declaration order with values in the system's order.
     axes = [pinned.get(e, value_system.values) for e in elements]
     for row in product(*axes):
         yield TruthFunction._trusted(lattice, dict(zip(elements, row)))

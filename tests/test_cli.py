@@ -554,14 +554,14 @@ def test_json_writer_keeps_text_only_for_repeated_containers():
      "--assign", "X1=a,X2=b"],
     ["interference", "--amp1", "3/5,0", "--amp2", "0,4/5"],
     ["nogo", "--lattice", "builtin:lantern:4", "--bind", "X1=a1,X2=a2"],
-    # 4096 rows that share their corners' sub-dicts
-    ["nogo", "--lattice", "builtin:lantern:6", "--bind", "X1=a1,X2=b1"],
     ["nogo", "--amp2", "0,0", "--allow-degenerate", "--no-equal-priors"],
     ["scan", "--denominator", "20"],
-    # 10 201 result rows, each joined into one chunk as it is written
-    ["scan", "--denominator", "100"],
     ["super"],
     ["parse", "X1 &"],
+    # 4096 rows that share their corners' sub-dicts
+    ["nogo", "--lattice", "builtin:lantern:6", "--bind", "X1=a1,X2=b1"],
+    # 10 201 result rows, each joined into one chunk as it is written
+    ["scan", "--denominator", "100"],
 ])
 def test_json_report_is_json_dumps_of_the_payload(argv):
     report = dispatch(argv + ["--format=json"])
