@@ -5,19 +5,20 @@ elements, a partial order in which every pair has a least upper bound (join)
 and a greatest lower bound (meet), and a self-inverse unary map that swaps
 the least and greatest elements.
 
-Join and meet are precomputed as full lookup tables at construction time so
-queries during enumeration stay O(1). Instances are immutable and safe to
-share between threads.
+Join and meet are precomputed as full lookup tables at construction time, so
+each query is O(1). Instances are immutable and safe to share between
+threads.
 
 Construction works on bitsets, after Aït-Kaci, Boyer, Lincoln & Nasr,
 "Efficient implementation of lattice operations" (ACM TOPLAS 11(1), 1989).
 Each element's up-set and down-set is a Python int. The transitive closure
-takes one OR per pair of elements. Numbered by a linear extension of the
-order, the join of y and z is the lowest bit k of ``up[y] & up[z]`` if
-``up[k]`` is that whole intersection, and the pair has no least upper bound
-otherwise; meets take the highest bit of the down-sets. So a build of n
-elements costs O(n^2) operations on n-bit integers: about a second at the
-cap of :data:`MAX_ELEMENTS` elements.
+takes one OR per pair of elements. The upper bounds of y and z have a least
+member exactly when they form that member's up-set (Birkhoff, *Lattice
+Theory*), so the join of y and z is the element whose up-set is
+``up[y] & up[z]``, found in a dict keyed by up-set, and the pair has no least
+upper bound when no element has that up-set; meets look up the intersection
+of the down-sets. So a build of n elements costs O(n^2) operations on n-bit
+integers: about a second at the cap of :data:`MAX_ELEMENTS` elements.
 """
 
 from __future__ import annotations
@@ -246,45 +247,32 @@ def build_from_order(
                 f"{names[i]!r} and {names[j]!r} are below each other"
             )
 
-    # A strictly smaller element has a strictly smaller down-set, so this
-    # order is a linear extension. Up- and down-sets are renumbered by it:
-    # the least element of a set of upper bounds, if any, is its lowest bit.
-    extension = sorted(range(n), key=lambda i: down[i].bit_count())
-    highest_first = extension[::-1]
-
-    def renumbered(row: str) -> int:
-        return int("".join([row[e] for e in highest_first]), 2)
-
-    ups = [renumbered(row) for row in rows]
-    downs = [renumbered(column) for column in columns]
-    up_at = [ups[e] for e in extension]
-    down_at = [downs[e] for e in extension]
-
-    # An empty intersection gives k = -1, and up_at[-1] is not 0, since
-    # every up- and down-set holds its own element.
+    # The upper bounds of i and j have a least member k exactly when they
+    # are k's up-set, so a join is a lookup of that set; meets dually.
+    by_up = {u: i for i, u in enumerate(up)}
+    by_down = {d: i for i, d in enumerate(down)}
     join_table = [[0] * n for _ in range(n)]
     meet_table = [[0] * n for _ in range(n)]
     for i in range(n):
-        up_i, down_i = ups[i], downs[i]
+        up_i, down_i = up[i], down[i]
         for j in range(i, n):
-            common = up_i & ups[j]
-            k = (common & -common).bit_length() - 1
-            if up_at[k] != common:
+            k = by_up.get(up_i & up[j])
+            if k is None:
                 raise NoUniqueBound(
                     f"no least upper bound for ({names[i]}, {names[j]})"
                 )
-            join_table[i][j] = join_table[j][i] = extension[k]
-            common = down_i & downs[j]
-            k = common.bit_length() - 1
-            if down_at[k] != common:
+            join_table[i][j] = join_table[j][i] = k
+            k = by_down.get(down_i & down[j])
+            if k is None:
                 raise NoUniqueBound(
                     f"no greatest lower bound for ({names[i]}, {names[j]})"
                 )
-            meet_table[i][j] = meet_table[j][i] = extension[k]
+            meet_table[i][j] = meet_table[j][i] = k
 
     # Every pair has a join and a meet, so the order has one least and one
-    # greatest element: the first and the last of the extension.
-    bottom, top = extension[0], extension[-1]
+    # greatest element: the one above all and the one below all.
+    full = (1 << n) - 1
+    bottom, top = by_up[full], by_down[full]
 
     inv: dict[int, int] = {}
     for y, z in involution_pairs:
