@@ -270,7 +270,8 @@ def build_from_order(
             meet_table[i][j] = meet_table[j][i] = k
 
     # Every pair has a join and a meet, so the order has one least and one
-    # greatest element: the one above all and the one below all.
+    # greatest element: the one whose up-set, and the one whose down-set,
+    # holds every element.
     full = (1 << n) - 1
     bottom, top = by_up[full], by_down[full]
 

@@ -59,6 +59,18 @@ def test_two_chain_build():
     assert lat.meet("0", "1") == "0"
     assert lat.join("0", "0") == "0"
     assert lat.meet("1", "1") == "1"
+    # declared top first and bottom last: the declaration order need not
+    # list lesser elements first
+    flipped = build_from_order(["1", "0"], [("0", "1")], [("1", "0")])
+    assert (flipped.bottom, flipped.top) == ("0", "1")
+    assert flipped.join_table == ((0, 0), (0, 1))
+    assert flipped.meet_table == ((0, 1), (1, 1))
+    assert flipped.involution == (1, 0)
+    # one element is both the bottom and the top, and its own complement
+    point = build_from_order(["e"], [], [("e", "e")])
+    assert point.bottom == point.top == "e"
+    assert (point.join_table, point.meet_table, point.involution) == (((0,),), ((0,),), (0,))
+    assert verify_axioms(flipped) == verify_axioms(point) == []
 
 
 def test_fixed_point_involution_is_accepted():
@@ -102,14 +114,30 @@ def test_not_a_partial_order():
         )
 
 
+# posets that are not lattices, each with the message for its first pair
+# without a bound; the pairs are scanned as (i, j >= i), join before meet
+_NO_UNIQUE_BOUND_CASES = [
+    # two incomparable minimal upper bounds for (x, y)
+    (
+        ["0", "x", "y", "t1", "t2"],
+        [("0", "x"), ("0", "y"), ("x", "t1"), ("y", "t1"), ("x", "t2"), ("y", "t2")],
+        [("0", "t1"), ("x", "y"), ("t2", "t2")],
+        "no least upper bound for (x, y)",
+    ),
+    # two maximal elements: (a, b) has no upper bound at all
+    (["0", "a", "b"], [("0", "a"), ("0", "b")], [("0", "a"), ("b", "b")],
+     "no least upper bound for (a, b)"),
+    # two minimal elements: (a, b) has a join but no lower bound at all
+    (["a", "b", "1"], [("a", "1"), ("b", "1")], [("a", "1"), ("b", "b")],
+     "no greatest lower bound for (a, b)"),
+]
+
+
 def test_no_unique_bound_at_build():
-    # two incomparable upper bounds for (x, y): a poset but not a lattice
-    with pytest.raises(NoUniqueBound):
-        build_from_order(
-            ["0", "x", "y", "t1", "t2"],
-            [("0", "x"), ("0", "y"), ("x", "t1"), ("y", "t1"), ("x", "t2"), ("y", "t2")],
-            [("0", "t1"), ("x", "y"), ("t2", "t2")],
-        )
+    for elements, order, involution, message in _NO_UNIQUE_BOUND_CASES:
+        with pytest.raises(NoUniqueBound) as raised:
+            build_from_order(elements, order, involution)
+        assert str(raised.value) == message
 
 
 def test_bad_involution_variants():
@@ -353,7 +381,7 @@ def _matching(draw, names):
 
 @st.composite
 def _random_orders(draw):
-    names = [f"e{i}" for i in range(draw(st.integers(1, 6)))]
+    names = [f"e{i}" for i in range(draw(st.integers(1, 8)))]
     pairs = st.tuples(st.sampled_from(names), st.sampled_from(names))
     order = draw(st.lists(pairs, max_size=12))
     involution = _matching(draw, names) if draw(st.booleans()) else draw(st.lists(pairs, max_size=6))
