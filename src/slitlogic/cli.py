@@ -17,13 +17,13 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from . import lattice as lattice_mod
 from .errors import SlitlogicError
-from .formula import desugar_xor, fold, parse, render
+from .formula import fold, parse, render, render_desugared
 from .nogo import (
     Certificate,
     Scenario,
@@ -67,7 +67,9 @@ class _ArgumentParser(argparse.ArgumentParser):
 @dataclass
 class Report:
     """One command's outcome. ``payload`` holds every fact of the report;
-    ``render`` prints it as JSON or derives the text report from it."""
+    ``render`` prints it as JSON, byte for byte as ``json.dumps(payload,
+    indent=2)`` would but written a column at a time (see :func:`_json_text`),
+    or derives the text report from it."""
 
     payload: dict
     exit_code: int
@@ -79,39 +81,47 @@ class Report:
 
     def render(self) -> str:
         if self.format == "json":
-            return _json_text(self.payload, "", {})
+            return _json_text(self.payload)
         # an error payload has no command and renders as its verdict
         body = _TEXT_BODIES.get(self.payload.get("command"))
         return "\n".join([self.verdict, *(body(self.payload) if body else ())])
 
 
-def _json_text(value, pad: str, memo: dict) -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, for dicts with str keys,
-    lists, str, int, bool and None; ``pad`` is the indent of the value's line.
+_JSON_BOOLS = {False: "false", True: "true"}
+# A column of fewer values is written value by value: below this many, its
+# setup costs more than it saves.
+_JSON_COLUMN_MIN = 16
 
-    :func:`_json_write` appends the text to one list of chunks, joined once
-    here, so no byte is copied again into each enclosing container. Each
-    container that is an item of a list is joined into one chunk as it is
-    written, so a listing holds one string per row. ``"key": `` heads and
-    plain str leaves are encoded once per call, in dicts local to it.
-    ``memo`` maps the id of each non-empty container to the indent it was
-    first met at; met again at that indent, the container is encoded once
-    more and the entry becomes that indent and the text, which every later
-    sighting at that indent appends as it is. A container met at another
-    indent is encoded again and its text is not kept."""
+
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for dicts with str keys,
+    lists, str, int, bool and None.
+
+    The text is written a column at a time. :func:`_json_column` encodes in
+    one call all the values that sit at one indent under one key path: all
+    rows of a listing, then all their ``assignment`` dicts, then all their
+    ``X1`` values. A value alone at its key path, such as the payload or a
+    node of a parse tree, and the values of a column too short to pay for
+    its setup, are written one at a time by :func:`_json_write`. The text goes
+    into one list of chunks, joined once here; each item of a list that is
+    written as a column is one chunk, so no row is copied again into the text
+    of its list. ``"key": `` heads and str leaves are encoded once per call,
+    in dicts local to it."""
     out = []
-    _json_write(value, pad, out, memo, {}, {})
+    _json_write(value, "", out, {}, {})
     return "".join(out)
 
 
-def _json_write(value, pad: str, out: list, memo: dict, heads: dict, leaves: dict) -> None:
-    """Append the JSON text of ``value`` to ``out``, as :func:`_json_text`
-    describes. Each chunk a container writes starts with its separator, a comma,
-    a newline and the indent, and the first one's comma becomes the opening bracket.
-    ``heads`` maps an indent to the head chunks of the keys met at it, and
-    ``leaves`` maps a str to its encoding. This recurses once per level of
-    nesting, as ``json`` does; a child that is a plain str or None is written
-    in its parent's loop."""
+def _json_write(value, pad: str, out: list, heads: dict, leaves: dict) -> None:
+    """Append the JSON text of ``value``, whose line is indented by ``pad``,
+    to ``out``. ``heads`` maps an indent to the heads of the keys met at it,
+    and ``leaves`` maps a str to its encoding. Each chunk a container writes
+    starts with its separator, a comma, a newline and the indent, and the
+    first one becomes the opening bracket. A dict writes its values one at a
+    time, as does a list shorter than ``_JSON_COLUMN_MIN``; a longer list
+    hands its items to :func:`_json_column` as one column and appends each
+    item's text as one chunk. This recurses once per level of nesting, as
+    ``json`` does."""
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
         return
@@ -127,26 +137,12 @@ def _json_write(value, pad: str, out: list, memo: dict, heads: dict, leaves: dic
     if not value:
         out.append("{}" if is_dict else "[]")
         return
-    seen = memo.get(id(value))
-    if seen is None:
-        memo[id(value)] = pad
-    elif type(seen) is tuple and seen[0] == pad:
-        out.append(seen[1])
-        return
-    elif seen != pad:
-        seen = None  # met at another indent: encoded again and not kept
-    start = len(out)
     inner = pad + "  "
     append = out.append
     if is_dict:
-        at = heads.get(inner)
-        if at is None:
-            at = heads[inner] = {}
+        start = len(out)
         for k, v in value.items():
-            head = at.get(k)
-            if head is None:  # a key that is no str raises TypeError here
-                head = at[k] = ",\n" + inner + encode_basestring_ascii(k) + ": "
-            append(head)
+            append(_json_head(heads, inner, k))
             if type(v) is str:
                 text = leaves.get(v)
                 if text is None:
@@ -155,31 +151,129 @@ def _json_write(value, pad: str, out: list, memo: dict, heads: dict, leaves: dic
             elif v is None:
                 append("null")
             else:
-                _json_write(v, inner, out, memo, heads, leaves)
+                _json_write(v, inner, out, heads, leaves)
+        out[start] = "{" + out[start][1:]
         append("\n" + pad + "}")
-    else:
-        sep = ",\n" + inner
+        return
+    sep = ",\n" + inner
+    start = len(out)
+    if len(value) < _JSON_COLUMN_MIN:
         for v in value:
-            if type(v) is str:
-                text = leaves.get(v)
-                if text is None:
-                    text = leaves[v] = encode_basestring_ascii(v)
-                append(sep)
-                append(text)
-            elif v is None:
-                append(sep)
-                append("null")
+            append(sep)
+            _json_write(v, inner, out, heads, leaves)
+    else:
+        out += chain.from_iterable(zip(repeat(sep), _json_column(value, inner, heads, leaves)))
+    out[start] = "[\n" + inner
+    append("\n" + pad + "]")
+
+
+def _json_column(values, pad: str, heads: dict, leaves: dict) -> list:
+    """The JSON texts of ``values``, whose lines are all indented by ``pad``:
+    one str per value, in order.
+
+    The values are split by type, each part is encoded with C-level ``map``,
+    ``zip`` and ``str.join``, and the parts are merged back in order. A
+    container met more than once in the column is encoded once. Containers
+    are grouped by shape, a dict's keys or a list's length. In a group of
+    dicts, the values of each key form the next column, and each dict's text
+    joins the keys' heads with its values' texts. In a group of lists, all
+    items form the next column, whose texts are cut back into lists of the
+    group's length. A next column shorter than ``_JSON_COLUMN_MIN`` is
+    written value by value by :func:`_json_write`. This recurses once per
+    level of nesting."""
+    kinds, types = _json_groups(values, type)
+    inner = pad + "  "
+    for kind, part in kinds.items():
+        if issubclass(kind, str):
+            missing = set(part).difference(leaves)
+            leaves.update(zip(missing, map(encode_basestring_ascii, missing)))
+            kinds[kind] = list(map(leaves.__getitem__, part))
+            continue
+        if kind is type(None):
+            kinds[kind] = ["null"] * len(part)
+            continue
+        if kind is bool:
+            kinds[kind] = list(map(_JSON_BOOLS.__getitem__, part))
+            continue
+        if issubclass(kind, int):
+            kinds[kind] = list(map(int.__repr__, part))
+            continue
+        is_dict = issubclass(kind, dict)
+        if not (is_dict or issubclass(kind, list)):
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        ids = None
+        if len(set(map(id, part))) < len(part):
+            ids = list(map(id, part))
+            distinct = dict(zip(ids, part))
+            part = list(distinct.values())
+        groups, shapes = _json_groups(part, tuple if is_dict else len)
+        close = repeat("\n" + pad + ("}" if is_dict else "]"))
+        for shape, members in groups.items():
+            if not shape:
+                groups[shape] = ["{}" if is_dict else "[]"] * len(members)
+                continue
+            if is_dict:
+                openers = [_json_head(heads, inner, k) for k in shape]
+                openers[0] = "{" + openers[0][1:]
+                columns = [list(map(dict.__getitem__, members, repeat(k))) for k in shape]
             else:
-                item = [sep]
-                _json_write(v, inner, item, memo, heads, leaves)
-                append("".join(item))
-        append("\n" + pad + "]")
-    out[start] = ("{" if is_dict else "[") + out[start][1:]
-    if seen is not None:  # the second sighting at this indent: keep the text
-        text = "".join(out[start:])
-        del out[start:]
-        append(text)
-        memo[id(value)] = (pad, text)
+                openers = ["[\n" + inner]
+                columns = [list(chain.from_iterable(members))]
+            pieces = []
+            for opener, column in zip(openers, columns):
+                if len(column) >= _JSON_COLUMN_MIN:
+                    texts = _json_column(column, inner, heads, leaves)
+                else:
+                    texts = []
+                    for v in column:
+                        chunks = []
+                        _json_write(v, inner, chunks, heads, leaves)
+                        texts.append("".join(chunks))
+                if not is_dict:  # cut the items' texts back into lists
+                    texts = map((",\n" + inner).join, zip(*[iter(texts)] * shape))
+                pieces += (repeat(opener), texts)
+            groups[shape] = list(map("".join, zip(*pieces, close)))
+        texts = _json_merge(groups, shapes)
+        if ids is not None:  # each sighting of a repeated container takes its text
+            texts = list(map(dict(zip(distinct, texts)).__getitem__, ids))
+        kinds[kind] = texts
+    return _json_merge(kinds, types)
+
+
+def _json_groups(values, key) -> tuple[dict, list | None]:
+    """``values`` grouped by ``key(value)``, in the order the keys are first
+    met, and the key of each value in order, or None when they share one."""
+    groups = dict.fromkeys(map(key, values))
+    if len(groups) == 1:
+        groups[next(iter(groups))] = values
+        return groups, None
+    keys = list(map(key, values))
+    for k in groups:
+        groups[k] = []
+    for k, value in zip(keys, values):
+        groups[k].append(value)
+    return groups, keys
+
+
+def _json_merge(groups: dict, keys: list | None) -> list:
+    """The texts of :func:`_json_groups`' groups back in the values' order."""
+    if keys is None:
+        return next(iter(groups.values()))
+    parts = {k: iter(texts) for k, texts in groups.items()}
+    return list(map(next, map(parts.__getitem__, keys)))
+
+
+def _json_head(heads: dict, inner: str, key) -> str:
+    """The chunk that leads a dict's item ``key`` at indent ``inner``: a comma,
+    a newline, the indent, the encoded key and a colon, encoded once per
+    indent and key."""
+    at = heads.get(inner)
+    if at is None:
+        at = heads[inner] = {}
+    head = at.get(key)
+    if head is None:  # a key that is no str raises TypeError here
+        head = at[key] = ",\n" + inner + encode_basestring_ascii(key) + ": "
+    return head
 
 
 def _fraction(text: str, what: str = "value") -> Fraction:
@@ -341,7 +435,7 @@ def _cmd_parse(ns) -> Report:
         "verdict": f"ok: {text}",
         "formula": text,
         "tree": _tree_payload(f),
-        "desugared": render(desugar_xor(f)),
+        "desugared": render_desugared(f),
     }
     return Report(payload, 0, ns.format)
 

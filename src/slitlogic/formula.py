@@ -32,6 +32,7 @@ __all__ = [
     "ParseError",
     "parse",
     "render",
+    "render_desugared",
     "atoms",
     "desugar_xor",
     "fold",
@@ -266,3 +267,10 @@ def atoms(formula: Formula) -> tuple[str, ...]:
 def desugar_xor(formula: Formula) -> Formula:
     """Rewrite every ``a ^ b`` to ``(a | b) & !(a & b)``, innermost first."""
     return fold(formula, lambda a: a, Not, And, Or)
+
+
+def render_desugared(formula: Formula) -> str:
+    """``render(desugar_xor(formula))``, in one fold that builds no tree:
+    :func:`fold`'s default ``xor`` combines the rendered operands as the
+    desugared node would."""
+    return fold(formula, *_RENDER[:4])[0]

@@ -485,65 +485,116 @@ _VALUES = st.recursive(
     | st.dictionaries(_TEXTS | _TEXTS.map(_Text), inner, max_size=4),
     max_leaves=24,
 )
+# a record's values: null next to dicts, empty containers, str subclasses,
+# and bools next to the ints they equal
+_FIELDS = (
+    st.none() | st.just({}) | st.just([]) | _TEXTS | _TEXTS.map(_Text)
+    | st.sampled_from([False, True, 0, 1])
+    | st.dictionaries(st.sampled_from(["k", _Text("m"), "n"]), st.none() | _TEXTS, max_size=2)
+    | st.lists(st.none() | _TEXTS.map(_Text), max_size=3)
+)
 
 
-@given(_VALUES, _VALUES)
-def test_json_writer_matches_json_dumps(shared, value):
-    assert cli._json_text(value, "", {}) == json.dumps(value, indent=2)
-    # one object met three times at one depth and once at another
-    payload = {"a": [shared, shared], "b": {"c": [shared]}, "d": [value, shared], "e": {}}
-    assert cli._json_text(payload, "", {}) == json.dumps(payload, indent=2)
-    # a list item at two indents, in turn, and a dict value between them
-    nested = [shared, [shared, [shared]], {"f": shared}, shared, [shared]]
-    assert cli._json_text(nested, "", {}) == json.dumps(nested, indent=2)
+@st.composite
+def _records(draw):
+    """2-20 dicts drawn from a few key tuples, some of them met more than once."""
+    keys = st.lists(st.sampled_from(["a", _Text("b"), "c", "d"]), unique=True, max_size=3)
+    shapes = draw(st.lists(keys, min_size=1, max_size=3))
+    records = []
+    for _ in range(draw(st.integers(min_value=2, max_value=20))):
+        if records and draw(st.booleans()):
+            records.append(draw(st.sampled_from(records)))
+        else:
+            records.append({key: draw(_FIELDS) for key in draw(st.sampled_from(shapes))})
+    return records
 
 
-def test_json_writer_joins_each_container_item_of_a_list_into_one_chunk():
-    payload = {"rows": [{"a": "1", "b": None}, ["x"], "y", None]}
+def test_json_writer_writes_a_long_mixed_column_as_json_dumps():
+    # every kind of value in one column, each kind more than once, and
+    # containers grouped by shape, some of them repeated
+    shared = {"k": [], "m": None}
+    column = [None, True, False, 0, 1, -2, "s", _Text("t"), {}, [], [[]], {"k": {}},
+              shared, [True, 1], ["u", None], shared, {"m": [0, False]}, [[], {}]] * 2
+    payload = {"column": column, "rows": [{"value": v} for v in column]}
+    assert cli._json_text(payload) == json.dumps(payload, indent=2)
+
+
+def _nest(depth, wrap):
+    value = "x"
+    for level in range(depth):
+        value = wrap(value, level)
+    return value
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda value, level: [value],
+    lambda value, level: [value] if level % 2 else {"k": value},
+    # each list long enough to be written as a column
+    lambda value, level: [value, *range(16)] if level % 2 else {"k": value, "n": None},
+], ids=["list-in-list", "dict-in-list", "long-lists"])
+def test_json_writer_writes_500_levels_as_json_dumps(wrap):
+    value = _nest(500, wrap)
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_appends_one_chunk_per_item_of_a_long_list():
+    rows = [{"a": str(i % 3), "b": None} for i in range(16)]
+    payload = {"rows": rows, "few": [{"a": "1"}, ["x"], "y", None]}
     out, heads, leaves = [], {}, {}
-    cli._json_write(payload, "", out, {}, heads, leaves)
-    assert out == [
-        '{\n  "rows": ',
-        '[\n    {\n      "a": "1",\n      "b": null\n    }',
-        ',\n    [\n      "x"\n    ]',
-        ',\n    ', '"y"',
-        ',\n    ', "null",
+    cli._json_write(payload, "", out, heads, leaves)
+    assert "".join(out) == json.dumps(payload, indent=2)
+    # 16 rows make a column: each row's text is one chunk after its separator
+    texts = ['{\n      "a": "%d",\n      "b": null\n    }' % (i % 3) for i in range(16)]
+    assert out[:33] == ['{\n  "rows": ', "[\n    ", texts[0],
+                        *[chunk for text in texts[1:] for chunk in (",\n    ", text)]]
+    # a shorter list writes its items in place, one chunk at a time
+    assert out[33:] == [
+        "\n  ]",
+        ',\n  "few": ',
+        "[\n    ", '{\n      "a": ', '"1"', "\n    }",
+        ",\n    ", "[\n      ", '"x"', "\n    ]",
+        ",\n    ", '"y"',
+        ",\n    ", "null",
         "\n  ]",
         "\n}",
     ]
-    assert "".join(out) == json.dumps(payload, indent=2)
-    # each key's head, per indent, and each str leaf is encoded once
-    assert heads == {"  ": {"rows": ',\n  "rows": '},
+    # each key's head, per indent, and each str of a column or a dict value
+    # is encoded once
+    assert heads == {"  ": {"rows": ',\n  "rows": ', "few": ',\n  "few": '},
                      "      ": {"a": ',\n      "a": ', "b": ',\n      "b": '}}
-    assert leaves == {"1": '"1"', "x": '"x"', "y": '"y"'}
+    assert leaves == {"0": '"0"', "1": '"1"', "2": '"2"'}
 
 
-def test_json_writer_keeps_text_only_for_repeated_containers():
-    shared = {"x": ["1"]}
-    other = {"y": []}
-    outer = [shared, shared, shared, other]
-    memo = {}
-    cli._json_text(outer, "", memo)
-    # shared and its list are met again at their indents, so their text is
-    # kept; the rest holds the indent it was met at, and [] is not entered
-    assert memo == {
-        id(outer): "",
-        id(shared): ("  ", '{\n    "x": [\n      "1"\n    ]\n  }'),
-        id(shared["x"]): ("    ", '[\n      "1"\n    ]'),
-        id(other): "  ",
-    }
-    # a container met at another indent is encoded again; what is kept for
-    # its first indent stays
-    inner = [shared]
-    outer = [shared, inner, shared, inner]
-    memo = {}
-    assert cli._json_text(outer, "", memo) == json.dumps(outer, indent=2)
-    assert memo == {
-        id(outer): "",
-        id(shared): ("  ", '{\n    "x": [\n      "1"\n    ]\n  }'),
-        id(shared["x"]): ("    ", '[\n      "1"\n    ]'),
-        id(inner): ("  ", '[\n    {\n      "x": [\n        "1"\n      ]\n    }\n  ]'),
-    }
+def test_json_writer_encodes_a_container_repeated_in_a_column_once(monkeypatch):
+    columns, writes = [], []
+    column, write = cli._json_column, cli._json_write
+
+    def spy_column(values, pad, *rest):
+        columns.append((pad, [id(v) for v in values]))
+        return column(values, pad, *rest)
+
+    def spy_write(value, pad, *rest):
+        writes.append((pad, id(value)))
+        return write(value, pad, *rest)
+
+    monkeypatch.setattr(cli, "_json_column", spy_column)
+    monkeypatch.setattr(cli, "_json_write", spy_write)
+    shared = {"x": ["1", "2"]}
+    others = [{"x": [str(i)]} for i in range(20)]
+    rows = [shared, *others[:10], shared, *others[10:], shared]
+    assert cli._json_text(rows) == json.dumps(rows, indent=2)
+    # the 23 rows are one column; shared's list is met three times in the
+    # column of the x values and encoded once, with the other 20 lists
+    assert columns[0] == ("  ", [id(row) for row in rows])
+    assert columns[1] == ("    ", [id(shared["x"])] + [id(o["x"]) for o in others])
+    # a container met at two indents is written at each, with its own indent
+    nested = [shared, [shared] * 16, {"y": shared}] * 6
+    columns.clear()
+    writes.clear()
+    assert cli._json_text(nested) == json.dumps(nested, indent=2)
+    pads = {pad for pad, ids in columns if id(shared) in ids}
+    pads |= {pad for pad, key in writes if key == id(shared)}
+    assert pads == {"  ", "    "}
 
 
 @pytest.mark.parametrize("argv", [
@@ -578,3 +629,19 @@ def test_json_report_is_json_dumps_of_the_payload(argv):
 def test_json_writer_refuses_other_types(payload):
     with pytest.raises(TypeError):
         Report(payload, 0, "json").render()
+
+
+@given(_VALUES, _VALUES, _records())
+def test_json_writer_matches_json_dumps(shared, value, records):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+    # one object met three times at one depth and once at another
+    payload = {"a": [shared, shared], "b": {"c": [shared]}, "d": [value, shared], "e": {}}
+    assert cli._json_text(payload) == json.dumps(payload, indent=2)
+    # a list item at two indents, in turn, and a dict value between them
+    nested = [shared, [shared, [shared]], {"f": shared}, shared, [shared]]
+    assert cli._json_text(nested) == json.dumps(nested, indent=2)
+    # records as rows, shallow copies of them as longer rows, and records as
+    # the values of one key of rows
+    rows = {"rows": records, "copies": [dict(r) for r in records * 8],
+            "cells": [{"cell": r} for r in records * 8]}
+    assert cli._json_text(rows) == json.dumps(rows, indent=2)

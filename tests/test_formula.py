@@ -20,6 +20,7 @@ from slitlogic.formula import (
     fold,
     parse,
     render,
+    render_desugared,
 )
 from slitlogic.lattice import builtin
 from slitlogic.valuation import UNDEFINED, evaluate_degrees, formula_element
@@ -235,6 +236,12 @@ def test_lattice_route_values_xor_as_its_desugaring(ref, f, data):
     )
 
 
+@given(_formulas)
+def test_render_desugared_is_the_render_of_the_desugared_tree(f):
+    assume(_desugared_size(f) <= 5000)
+    assert render_desugared(f) == render(desugar_xor(f))
+
+
 @pytest.mark.parametrize(
     "text,rendered,element,degree",
     [
@@ -250,6 +257,7 @@ def test_deep_formulas_need_no_recursion(text, rendered, element, degree):
     assert render(f) == rendered
     assert render(parse(rendered)) == rendered
     assert render(desugar_xor(f)) == rendered
+    assert render_desugared(f) == rendered
     assert atoms(f) == ("A",)
     assert formula_element(f, {"A": "a"}, builtin("boolean", 2)) == element
     assert evaluate_degrees(f, {"A": Fraction(1, 2)}) == degree

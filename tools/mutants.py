@@ -27,6 +27,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 LATTICE = "src/slitlogic/lattice.py"
 LATTICE_TESTS = ("tests/test_lattice.py",)
+CLI = "src/slitlogic/cli.py"
+CLI_TESTS = ("tests/test_cli.py",)
 
 # (name, file, exact old text, new text, test files that must fail)
 MUTANTS = [
@@ -49,6 +51,19 @@ MUTANTS = [
      "if inv[bottom] != top:", "if False:", LATTICE_TESTS),
     ("no two-pairs check on the involution", LATTICE,
      "if inv.get(yi, zi) != zi or inv.get(zi, yi) != yi:", "if False:", LATTICE_TESTS),
+    ("JSON: a repeated container given another container's text", CLI,
+     "dict(zip(distinct, texts))", "dict(zip(distinct, [*texts[1:], texts[0]]))", CLI_TESTS),
+    ("JSON: a column's children written at the parent's indent", CLI,
+     "texts = _json_column(column, inner, heads, leaves)",
+     "texts = _json_column(column, pad, heads, leaves)", CLI_TESTS),
+    ("JSON: list items regrouped with a wrong length", CLI,
+     "zip(*[iter(texts)] * shape)", "zip(*[iter(texts)] * (shape - 1))", CLI_TESTS),
+    ("JSON: the first key's head keeping its comma", CLI,
+     'openers[0] = "{" + openers[0][1:]', 'openers[0] = "{" + openers[0]', CLI_TESTS),
+    ("JSON: an empty list in a column written as {}", CLI,
+     '["{}" if is_dict else "[]"] * len(members)', '["{}"] * len(members)', CLI_TESTS),
+    ("JSON: bools in a column written as ints", CLI,
+     "        if kind is bool:\n", "        if kind is None:\n", CLI_TESTS),
 ]
 
 
