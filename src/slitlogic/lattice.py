@@ -9,9 +9,10 @@ Join and meet are precomputed as full lookup tables at construction time, so
 each query is O(1). Instances are immutable and safe to share between
 threads.
 
-Construction works on bitsets, after Aït-Kaci, Boyer, Lincoln & Nasr,
-"Efficient implementation of lattice operations" (ACM TOPLAS 11(1), 1989).
-Each element's up-set and down-set is a Python int. The transitive closure
+The order is stored once, as each element's up-set held as a Python int,
+after Aït-Kaci, Boyer, Lincoln & Nasr, "Efficient implementation of lattice
+operations" (ACM TOPLAS 11(1), 1989); down-sets are read off the up-sets.
+The transitive closure
 takes one OR per pair of elements. The upper bounds of y and z have a least
 member exactly when they form that member's up-set (Birkhoff, *Lattice
 Theory*), so the join of y and z is the element whose up-set is
@@ -24,6 +25,7 @@ integers: about a second at the cap of :data:`MAX_ELEMENTS` elements.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Iterable, Sequence
@@ -32,6 +34,7 @@ from .errors import SlitlogicError
 
 __all__ = [
     "MAX_ELEMENTS",
+    "MAX_FILE_BYTES",
     "Lattice",
     "LawViolation",
     "build_from_order",
@@ -50,6 +53,10 @@ __all__ = [
 
 # The most elements a lattice may have, from a file or a builtin family.
 MAX_ELEMENTS = 1024
+
+# The most bytes a lattice file may have, so that /dev/zero is refused; the
+# full order of chain:1023, all 523 776 pairs, is 9.35 MB with short names.
+MAX_FILE_BYTES = 64 << 20
 
 
 class LatticeError(SlitlogicError, ValueError):
@@ -92,14 +99,15 @@ class LawViolation:
 class Lattice:
     """A finite bounded lattice with involution.
 
-    ``leq[i][j]`` holds when element ``i`` lies below element ``j``; the
-    join/meet tables and the involution store element indices. Use
-    :func:`build_from_order` or :func:`builtin` for validated instances;
-    hand-assembled ones can be audited with :func:`verify_axioms`.
+    ``up[i]``, element ``i``'s up-set, has bit ``j`` set when element ``i``
+    lies below element ``j``; the join/meet tables and the involution store
+    element indices. Use :func:`build_from_order` or :func:`builtin` for
+    validated instances; hand-assembled ones can be audited with
+    :func:`verify_axioms`.
     """
 
     elements: tuple[str, ...]
-    leq: tuple[tuple[bool, ...], ...]
+    up: tuple[int, ...]
     join_table: tuple[tuple[int, ...], ...]
     meet_table: tuple[tuple[int, ...], ...]
     involution: tuple[int, ...]
@@ -130,7 +138,7 @@ class Lattice:
         return self.elements[self.involution[self.index(y)]]
 
     def is_leq(self, y: str, z: str) -> bool:
-        return self.leq[self.index(y)][self.index(z)]
+        return bool(self.up[self.index(y)] >> self.index(z) & 1)
 
     def non_extremes(self) -> tuple[str, ...]:
         return tuple(e for e in self.elements if e != self.bottom and e != self.top)
@@ -138,15 +146,15 @@ class Lattice:
     def cover_pairs(self) -> list[tuple[str, str]]:
         """The covering pairs only (the Hasse diagram edges), in (i, j)
         order: j covers i when i lies strictly below j and no element lies
-        strictly between, that is when i's strict up-set and j's strict
-        down-set, held as ints, share no bit."""
-        up = _strict_sets(self.leq)
-        down = _strict_sets(zip(*self.leq))
+        strictly between, that is when i's up-set and j's down-set share
+        exactly the two bits i and j."""
+        n = len(self.up)
+        down = _down_sets(self.up)
         return [
             (self.elements[i], self.elements[j])
-            for i, up_i in enumerate(up)
-            for j in compress(range(len(up)), self.leq[i])
-            if j != i and not up_i & down[j]
+            for i, up_i in enumerate(self.up)
+            for j in compress(range(n), map("1".__eq__, format(up_i, f"0{n}b")[::-1]))
+            if (up_i & down[j]).bit_count() == 2
         ]
 
     def involution_pairs(self) -> list[tuple[str, str]]:
@@ -165,16 +173,12 @@ class Lattice:
         }
 
 
-_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _strict_sets(rows: Iterable[Sequence[bool]]) -> list[int]:
-    """Row i of a boolean matrix as an int with bit j set for each true
-    column j other than i."""
-    return [
-        int(bytes(row[::-1]).translate(_BINARY_DIGITS) or b"0", 2) & ~(1 << i)
-        for i, row in enumerate(rows)
-    ]
+def _down_sets(up: Sequence[int]) -> list[int]:
+    """The down-sets of the order whose up-sets are ``up``: each up-set is
+    written as a row of binary digits, and each column read back as an int."""
+    n = len(up)
+    rows = [format(u, f"0{n}b")[::-1] for u in up]
+    return [int("".join(column)[::-1], 2) for column in zip(*rows)]
 
 
 def _lub(leq: Sequence[Sequence[bool]], i: int, j: int) -> int | None:
@@ -231,10 +235,7 @@ def build_from_order(
             if up[i] & bit:
                 up[i] |= above
 
-    # row i as a string, character j for bit j; its columns are the down-sets
-    rows = [format(u, f"0{n}b")[::-1] for u in up]
-    columns = ["".join(column) for column in zip(*rows)]
-    down = [int(column[::-1], 2) for column in columns]
+    down = _down_sets(up)
 
     # An i below each other with some j < i would have raised at j, so the
     # first i to raise has only partners j > i: its lowest partner is the
@@ -294,7 +295,7 @@ def build_from_order(
 
     return Lattice(
         elements=names,
-        leq=tuple(tuple(map("1".__eq__, row)) for row in rows),
+        up=tuple(up),
         join_table=tuple(tuple(row) for row in join_table),
         meet_table=tuple(tuple(row) for row in meet_table),
         involution=tuple(inv[i] for i in range(n)),
@@ -377,8 +378,8 @@ def _shape_violations(lat: Lattice) -> list[LawViolation]:
         return [LawViolation("malformed", (), "empty element set")]
     if len(set(lat.elements)) != n:
         bad.append(LawViolation("malformed", lat.elements, "duplicate element names"))
-    if len(lat.leq) != n or any(len(row) != n for row in lat.leq):
-        bad.append(LawViolation("malformed", (), "order matrix is not square over the elements"))
+    if len(lat.up) != n or any(not isinstance(u, int) or not 0 <= u < 1 << n for u in lat.up):
+        bad.append(LawViolation("malformed", (), "up-sets are not one int in [0, 2^n) per element"))
     for label, table in (("join", lat.join_table), ("meet", lat.meet_table)):
         if len(table) != n or any(len(row) != n for row in table):
             bad.append(LawViolation("malformed", (), f"{label} table is not square over the elements"))
@@ -402,7 +403,7 @@ def verify_axioms(lat: Lattice) -> list[LawViolation]:
     lattice with involution. Anything that :func:`build_from_order`,
     :func:`builtin` or :func:`load` returns passes, since construction
     raises on each of these laws; this is the auditor for a ``Lattice``
-    assembled by hand.
+    assembled by hand from its up-sets, which it expands into a matrix.
     """
     out = _shape_violations(lat)
     if out:
@@ -410,7 +411,7 @@ def verify_axioms(lat: Lattice) -> list[LawViolation]:
 
     names = lat.elements
     n = len(names)
-    leq = lat.leq
+    leq = tuple(tuple(map("1".__eq__, format(u, f"0{n}b")[::-1])) for u in lat.up)
     geq = tuple(zip(*leq))
     jt, mt = lat.join_table, lat.meet_table
 
@@ -525,11 +526,17 @@ def from_dict(data: dict) -> Lattice:
 
 
 def load(path: str) -> Lattice:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:
-            raise LatticeError("lattice file nests too deeply to read") from None
-        except ValueError as exc:  # bad JSON or UTF-8, or an integer too long
-            raise LatticeError(str(exc)) from exc
+    with open(path, "rb") as fh:
+        # a read allocates its whole size up front, 64 MiB at the cap, so a
+        # regular file is read to its size; /dev/zero and pipes report 0
+        size = os.fstat(fh.fileno()).st_size or MAX_FILE_BYTES
+        raw = fh.read(min(size, MAX_FILE_BYTES) + 1)
+    if len(raw) > MAX_FILE_BYTES:
+        raise LatticeError(f"the lattice file has more than the {MAX_FILE_BYTES} bytes allowed")
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except RecursionError:
+        raise LatticeError("lattice file nests too deeply to read") from None
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer too long
+        raise LatticeError(str(exc)) from exc
     return from_dict(data)

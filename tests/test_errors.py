@@ -4,9 +4,10 @@ reports exactly those (and OSError) as exit 2, and anything else escapes."""
 import json
 import string
 import sys
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from slitlogic import cli, lattice, valuation
@@ -38,6 +39,8 @@ def test_a_fault_in_a_handler_propagates(monkeypatch, argv):
         dispatch(argv)
 
 
+# every other file below is smaller than this
+_TEST_FILE_CAP = 1 << 19
 _LATTICE_FILES = {
     "integer-elements": (json.dumps({"elements": [0, 1], "order": [[0, 1]],
                                      "involution": [[0, 1]]}), "'elements'"),
@@ -51,12 +54,16 @@ _LATTICE_FILES = {
     "deep-nesting": ("[" * 200_000 + "]" * 200_000, "nests too deeply"),
     "not-utf-8": (b"\xff\xfe{}", "can't decode byte 0xff"),
     "5000-digit-integer": ("1" * 5000, "Exceeds the limit"),
+    # a lawful lattice padded one byte past the cap the test sets
+    "oversized": (json.dumps(lattice.builtin("boolean", 2).to_dict()).ljust(_TEST_FILE_CAP + 1),
+                  f"the lattice file has more than the {_TEST_FILE_CAP} bytes allowed"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_LATTICE_FILES))
 @pytest.mark.parametrize("fmt", ("text", "json"))
-def test_malformed_lattice_files_exit_2_with_one_line(tmp_path, case, fmt):
+def test_malformed_lattice_files_exit_2_with_one_line(monkeypatch, tmp_path, case, fmt):
+    monkeypatch.setattr(lattice, "MAX_FILE_BYTES", _TEST_FILE_CAP)
     content, fragment = _LATTICE_FILES[case]
     path = tmp_path / "lattice.json"
     if isinstance(content, bytes):
@@ -185,6 +192,137 @@ def test_every_argv_ends_in_a_report(tmp_path_factory, content, argv):
     assert isinstance(text, str) and text
     if report.exit_code == 2:
         assert "\n" not in report.verdict
+
+
+# ---------------------------------------- every well-formed argv reaches an engine
+
+# Builtins that build in milliseconds. nogo lists 2^(elements - 2) truth
+# functions: 256 for lantern:4, the largest drawn.
+_WELL_FORMED_SIZES = {"boolean": 3, "chain": 8, "lantern": 4}
+_ATOMS = ("X1", "X2", "A", "B")
+_unit = st.fractions(0, 1, max_denominator=6)
+_part = st.fractions(-1, 1, max_denominator=4)
+
+
+def _formulas(atoms):
+    return st.recursive(st.sampled_from(atoms), lambda inner: st.one_of(
+        inner.map("!{}".format),
+        st.tuples(inner, st.sampled_from((" & ", " | ", " ^ ")), inner).map("".join).map("({})".format),
+    ), max_leaves=8)
+
+
+def _probabilities_in_range(parts):
+    re1, im1, re2, im2 = parts
+    return max(re1**2 + im1**2, re2**2 + im2**2, ((re1 + re2) ** 2 + (im1 + im2) ** 2) / 2) <= 1
+
+
+@st.composite
+def _well_formed_lattice(draw, non_extremes=0):
+    """A builtin with at least ``non_extremes`` non-extreme elements, and
+    its reference: the builtin's name, or the file that holds its to_dict."""
+    family = draw(st.sampled_from(sorted(_WELL_FORMED_SIZES)))
+    n = draw(st.integers(1, _WELL_FORMED_SIZES[family]))
+    lat = lattice.builtin(family, n)
+    assume(len(lat.non_extremes()) >= non_extremes)
+    return lat, _FILE if draw(st.booleans()) else f"builtin:{family}:{n}"
+
+
+@st.composite
+def _interference_options(draw):
+    """Amplitudes whose probabilities lie in [0, 1], the probabilities
+    themselves, or neither (the default amplitudes); and the interference
+    term they give."""
+    kind = draw(st.sampled_from(("amplitudes", "probabilities", "defaults")))
+    if kind == "amplitudes":
+        re1, im1, re2, im2 = draw(st.tuples(_part, _part, _part, _part).filter(_probabilities_in_range))
+        return {"--amp1": f"{re1},{im1}", "--amp2": f"{re2},{im2}"}, re1 * re2 + im1 * im2
+    if kind == "probabilities":
+        p_or, p1, p2 = draw(st.tuples(_unit, _unit, _unit))
+        return {"--p-or": str(p_or), "--p1": str(p1), "--p2": str(p2)}, p_or - p1 / 2 - p2 / 2
+    return {}, Fraction(1, 2)
+
+
+@st.composite
+def _scenario_options(draw, command):
+    # super leaves both atoms without a value, so it binds them to non-extremes:
+    # an atom at an extreme has a value, and super refuses it
+    lat, ref = draw(_well_formed_lattice(2 if command == "super" else 0))
+    elements = lat.non_extremes() if command == "super" else lat.elements
+    (e1, e2), (a1, a2) = (draw(st.lists(st.sampled_from(choices), min_size=2, max_size=2, unique=True))
+                          for choices in (elements, _ATOMS))
+    options, term = draw(_interference_options())
+    options.update({"--lattice": ref, "--bind": f"{a1}={e1},{a2}={e2}"})
+    flags = ("--equal-priors", "--no-equal-priors", "--allow-degenerate")
+    options.update(dict.fromkeys(draw(st.lists(st.sampled_from(flags), unique=True))))
+    if term == 0:  # a scenario without interference is refused unless allowed
+        options["--allow-degenerate"] = None
+    grid = draw(st.sampled_from((None, "--values", "--denominator"))) if command == "scan" else None
+    if grid:
+        options[grid] = str(draw(st.integers(2 if grid == "--values" else 1, 24)))
+    return options, lat
+
+
+@st.composite
+def _eval_options(draw):
+    atoms = draw(st.lists(st.sampled_from(_ATOMS), min_size=1, max_size=3, unique=True))
+    mode = draw(st.sampled_from(("lattice", "lukasiewicz", "super")))
+    options = {"--formula": draw(_formulas(atoms)), "--mode": mode}
+    if mode == "lukasiewicz":
+        options["--assign"] = ",".join(f"{a}={draw(_rational)}" for a in atoms)
+        return options, None
+    lat, options["--lattice"] = draw(_well_formed_lattice())
+    options["--assign"] = ",".join(f"{a}={draw(st.sampled_from(lat.elements))}" for a in atoms)
+    # --mode lattice needs a value for every element but the extremes
+    if mode == "lattice" and lat.non_extremes():
+        value = _rational | st.just("undefined")
+        options["--values"] = ",".join(f"{e}={draw(value)}" for e in lat.non_extremes())
+    return options, lat
+
+
+@st.composite
+def _well_formed_argv(draw):
+    """A command built from valid values only, the lattice whose file it
+    may name (or None), and the exit codes its verdict may give."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    positionals, options, lat = [], {}, None
+    if command == "lattice-check":
+        lat, ref = draw(_well_formed_lattice())
+        positionals = [ref]
+    elif command == "parse":
+        positionals = [draw(_formulas(_ATOMS))]
+    elif command == "eval":
+        options, lat = draw(_eval_options())
+    elif command == "interference":
+        options = draw(_interference_options())[0]
+    else:
+        options, lat = draw(_scenario_options(command))
+    argv = [command, *positionals]
+    for flag in draw(st.permutations(sorted(options))):
+        if options[flag] is None:
+            argv.append(flag)
+        elif draw(st.booleans()):
+            argv.append(f"{flag}={options[flag]}")
+        else:
+            argv += [flag, options[flag]]
+    return argv, lat, (0, 1) if command in ("nogo", "scan", "super") else (0,)
+
+
+@settings(max_examples=150, deadline=None)
+# the grid at its cap, 501 values
+@example(drawn=(["scan", "--values=501"], None, (0, 1)))
+@given(drawn=_well_formed_argv())
+def test_every_well_formed_argv_reaches_an_engine(tmp_path_factory, drawn):
+    argv, lat, codes = drawn
+    if lat is not None:
+        path = tmp_path_factory.getbasetemp() / "well-formed-lattice.json"
+        path.write_text(json.dumps(lat.to_dict()), encoding="utf-8")
+        argv = [a.replace(_FILE, str(path)) for a in argv]
+    text, as_json = (dispatch(argv + [f"--format={fmt}"]) for fmt in ("text", "json"))
+    event(f"{argv[0]} exit {text.exit_code}")
+    assert text.exit_code in codes, text.verdict
+    assert as_json.exit_code == text.exit_code
+    assert text.render().startswith(text.verdict)
+    assert json.loads(as_json.render())["verdict"] == text.verdict
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from slitlogic import lattice as lattice_module
 from slitlogic.lattice import (
     MAX_ELEMENTS,
+    MAX_FILE_BYTES,
     BadInvolution,
     Lattice,
     LatticeError,
@@ -246,7 +248,7 @@ def test_algebraic_laws_exhaustive(family, n):
 def test_round_trip_through_extracted_order(family, n):
     lat = builtin(family, n)
     names = lat.elements
-    order = [(y, z) for i, y in enumerate(names) for j, z in enumerate(names) if lat.leq[i][j]]
+    order = [(y, z) for y in names for z in names if lat.is_leq(y, z)]
     rebuilt = build_from_order(names, order, lat.involution_pairs())
     assert rebuilt.join_table == lat.join_table
     assert rebuilt.meet_table == lat.meet_table
@@ -277,16 +279,12 @@ def test_verify_reports_missing_bound():
     # hand-built structure over the poset 0 < x, 0 < y: the pair (x, y) has
     # no least upper bound, and the join table's claim cannot fix that
     elements = ("0", "x", "y")
-    leq = (
-        (True, True, True),
-        (False, True, False),
-        (False, False, True),
-    )
+    up = (0b111, 0b010, 0b100)  # bit j of up[i]: element i lies below element j
     join = ((0, 1, 2), (1, 1, 1), (2, 1, 2))
     meet = ((0, 0, 0), (0, 1, 0), (0, 0, 2))
     lat = Lattice(
         elements=elements,
-        leq=leq,
+        up=up,
         join_table=join,
         meet_table=meet,
         involution=(0, 2, 1),
@@ -305,7 +303,7 @@ def test_verify_reports_wrong_table_entry():
     jt[a][b] = jt[b][a] = a  # claim join(a, b) = a
     broken = Lattice(
         elements=lat.elements,
-        leq=lat.leq,
+        up=lat.up,
         join_table=tuple(tuple(r) for r in jt),
         meet_table=lat.meet_table,
         involution=lat.involution,
@@ -320,7 +318,7 @@ def test_verify_reports_broken_involution():
     lat = builtin("boolean", 2)
     broken = Lattice(
         elements=lat.elements,
-        leq=lat.leq,
+        up=lat.up,
         join_table=lat.join_table,
         meet_table=lat.meet_table,
         involution=(0, 1, 2, 3),  # identity map: extremes no longer swap
@@ -337,6 +335,21 @@ def test_file_round_trip(tmp_path):
     path.write_text(json.dumps(lat.to_dict()))
     loaded = load(str(path))
     assert loaded == lat
+
+
+def test_a_lattice_file_is_read_up_to_the_byte_cap(monkeypatch, tmp_path):
+    assert MAX_FILE_BYTES == 64 * 2**20
+    lat = builtin("lantern", 2)
+    path = tmp_path / "lantern2.json"
+    path.write_text(json.dumps(lat.to_dict()))
+    size = path.stat().st_size
+    monkeypatch.setattr(lattice_module, "MAX_FILE_BYTES", size)
+    assert load(str(path)) == lat
+    monkeypatch.setattr(lattice_module, "MAX_FILE_BYTES", size - 1)
+    for endless in (False, True):
+        # a file without end reports no size and is read up to the cap
+        with pytest.raises(LatticeError, match=rf"^the lattice file has more than the {size - 1} bytes allowed$"):
+            load("/dev/zero" if endless else str(path))
 
 
 def test_from_dict_validates_shape():
@@ -358,7 +371,7 @@ def test_duplicate_and_empty_elements_rejected():
 def test_verify_reports_malformed_shape():
     lat = Lattice(
         elements=("0", "1"),
-        leq=((True,),),
+        up=(1,),
         join_table=((0,),),
         meet_table=((0,),),
         involution=(0,),
@@ -367,6 +380,12 @@ def test_verify_reports_malformed_shape():
     )
     laws = {v.law for v in verify_axioms(lat)}
     assert laws == {"malformed"}
+    # one up-set per element, but one of them names a third element
+    chain = builtin("chain", 1)
+    wide = Lattice(chain.elements, (0b11, 0b110), chain.join_table, chain.meet_table,
+                   chain.involution, chain.bottom, chain.top)
+    assert [str(v) for v in verify_axioms(wide)] == [
+        "malformed at (): up-sets are not one int in [0, 2^n) per element"]
 
 
 # ------------------------------------------- construction is the law check
@@ -460,17 +479,10 @@ def test_what_construction_accepts_passes_every_law(spec):
 # ------------------------------------- the bitset build against the old search
 
 
-def reference_build(elements, order_pairs, involution_pairs):
-    """The construction before bitsets: a Warshall closure over a boolean
-    matrix and a brute-force bound search per pair, O(n^4) in all."""
-    names = tuple(elements)
-    if not names:
-        raise LatticeError("element set must be nonempty")
-    if len(set(names)) != len(names):
-        raise LatticeError("duplicate element names")
+def reference_order(names, order_pairs):
+    """The order as a boolean matrix: a Warshall closure of the pairs."""
     pos = {e: i for i, e in enumerate(names)}
     n = len(names)
-
     leq = [[i == j for j in range(n)] for i in range(n)]
     for lesser, greater in order_pairs:
         for name in (lesser, greater):
@@ -483,6 +495,22 @@ def reference_build(elements, order_pairs, involution_pairs):
                 for j in range(n):
                     if leq[k][j]:
                         leq[i][j] = True
+    return leq
+
+
+def reference_build(elements, order_pairs, involution_pairs):
+    """The construction before bitsets: a Warshall closure over a boolean
+    matrix and a brute-force bound search per pair, O(n^4) in all. Only the
+    up-sets passed to ``Lattice`` are read off the matrix."""
+    names = tuple(elements)
+    if not names:
+        raise LatticeError("element set must be nonempty")
+    if len(set(names)) != len(names):
+        raise LatticeError("duplicate element names")
+    pos = {e: i for i, e in enumerate(names)}
+    n = len(names)
+
+    leq = reference_order(names, order_pairs)
     for i in range(n):
         for j in range(i + 1, n):
             if leq[i][j] and leq[j][i]:
@@ -521,7 +549,7 @@ def reference_build(elements, order_pairs, involution_pairs):
         raise BadInvolution(f"involution must swap {names[bottom]!r} and {names[top]!r}")
     return Lattice(
         elements=names,
-        leq=leq,
+        up=tuple(sum(1 << j for j in range(n) if leq[i][j]) for i in range(n)),
         join_table=tuple(tuple(row) for row in join_table),
         meet_table=tuple(tuple(row) for row in meet_table),
         involution=tuple(inv[i] for i in range(n)),
@@ -534,12 +562,13 @@ def reference_cover_pairs(lat):
     """The covering pairs as they were read before bitsets: a triple loop
     over the order matrix, O(n^3)."""
     n = len(lat.elements)
+    leq = [[lat.is_leq(y, z) for z in lat.elements] for y in lat.elements]
     covers = []
     for i in range(n):
         for j in range(n):
-            if i == j or not lat.leq[i][j]:
+            if i == j or not leq[i][j]:
                 continue
-            if any(k != i and k != j and lat.leq[i][k] and lat.leq[k][j] for k in range(n)):
+            if any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(n)):
                 continue
             covers.append((lat.elements[i], lat.elements[j]))
     return covers
@@ -559,9 +588,13 @@ def test_bitset_build_matches_the_reference(spec):
     *arguments, _ = spec
     expected = _outcome(reference_build, arguments)
     event(f"outcome: {expected[0].__name__ if isinstance(expected, tuple) else 'lattice'}")
-    assert _outcome(build_from_order, arguments) == expected
+    built = _outcome(build_from_order, arguments)
+    assert built == expected
     if not isinstance(expected, tuple):
         assert expected.cover_pairs() == reference_cover_pairs(expected)
+        names = built.elements
+        leq = reference_order(names, arguments[1])
+        assert [[built.is_leq(y, z) for z in names] for y in names] == leq
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -588,7 +621,7 @@ def test_index_answers_as_tuple_index():
     with pytest.raises(UnknownElement, match="is not an element of this lattice"):
         lat.index(["a1"])
     # a hand-assembled lattice may repeat a name: the first position wins
-    twice = Lattice(("0", "a", "a", "1"), lat.leq[:4], lat.join_table[:4],
+    twice = Lattice(("0", "a", "a", "1"), lat.up[:4], lat.join_table[:4],
                     lat.meet_table[:4], (3, 2, 1, 0), "0", "1")
     assert twice.index("a") == ("0", "a", "a", "1").index("a") == 1
     assert "_positions" not in repr(lat)

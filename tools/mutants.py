@@ -29,6 +29,11 @@ LATTICE = "src/slitlogic/lattice.py"
 LATTICE_TESTS = ("tests/test_lattice.py",)
 CLI = "src/slitlogic/cli.py"
 CLI_TESTS = ("tests/test_cli.py",)
+NOGO = "src/slitlogic/nogo.py"
+NOGO_TESTS = ("tests/test_nogo.py",)
+VALUATION = "src/slitlogic/valuation.py"
+VALUATION_TESTS = ("tests/test_valuation.py",)
+ERRORS_TESTS = ("tests/test_errors.py",)
 
 # (name, file, exact old text, new text, test files that must fail)
 MUTANTS = [
@@ -64,6 +69,40 @@ MUTANTS = [
      '["{}" if is_dict else "[]"] * len(members)', '["{}"] * len(members)', CLI_TESTS),
     ("JSON: bools in a column written as ints", CLI,
      "        if kind is bool:\n", "        if kind is None:\n", CLI_TESTS),
+    ("is_leq reads the pair the other way round", LATTICE,
+     "return bool(self.up[self.index(y)] >> self.index(z) & 1)",
+     "return bool(self.up[self.index(z)] >> self.index(y) & 1)", LATTICE_TESTS),
+    ("cover_pairs not strict: each element covers itself", LATTICE,
+     ".bit_count() == 2", ".bit_count() <= 2", LATTICE_TESTS),
+    ("the element cap on a build compared with >=", LATTICE,
+     "if n > MAX_ELEMENTS:", "if n >= MAX_ELEMENTS:", ERRORS_TESTS),
+    ("the element cap on a builtin compared with >=", LATTICE,
+     "if size(n) > MAX_ELEMENTS:", "if size(n) >= MAX_ELEMENTS:", ERRORS_TESTS),
+    ("the lattice file cap compared with >=", LATTICE,
+     "if len(raw) > MAX_FILE_BYTES:", "if len(raw) >= MAX_FILE_BYTES:", LATTICE_TESTS),
+    ("a lattice file without a size read one byte only", LATTICE,
+     "st_size or MAX_FILE_BYTES", "st_size", LATTICE_TESTS),
+    ("a finite grid's cap compared with >=", VALUATION,
+     "if n > MAX_GRID_VALUES:", "if n >= MAX_GRID_VALUES:", VALUATION_TESTS),
+    ("a denominator grid's cap one value too high", VALUATION,
+     "if denominator >= MAX_GRID_VALUES:", "if denominator > MAX_GRID_VALUES:", VALUATION_TESTS),
+    ("C-COLLAPSE moved to the (0, 0) corner", NOGO,
+     "(C_COLLAPSE, (C_TRUE,)) if v1 else", "(C_COLLAPSE, (C_TRUE,)) if not v1 else", NOGO_TESTS),
+    ("C-TRUE moved off the (1, 1) corner", NOGO,
+     "(C_COLLAPSE, (C_TRUE,)) if v1 else", "(C_COLLAPSE, ()) if v1 else", NOGO_TESTS),
+    ("C-INT moved to unequal priors", NOGO,
+     "elif scenario.equal_priors and", "elif not scenario.equal_priors and", NOGO_TESTS),
+    ("functions_covered off by a factor of 2", NOGO,
+     "functions_covered=2 ** (len(scenario.lattice.elements) - 2)",
+     "functions_covered=2 ** (len(scenario.lattice.elements) - 1)", NOGO_TESTS),
+    ("the atom type check dropped from Scenario.build", NOGO,
+     "if not isinstance(atom, str):", "if False:", NOGO_TESTS),
+    ("nogo: a function's corner read with its bound values swapped", CLI,
+     "corners[row[i1], row[i2]]", "corners[row[i2], row[i1]]", NOGO_TESTS),
+    ("scan: a violating pair also listed as consistent", CLI,
+     "        else:\n            violation = _violation_payload(violation)\n",
+     "        else:\n            consistent.append([l1, l2])\n"
+     "            violation = _violation_payload(violation)\n", CLI_TESTS),
 ]
 
 
