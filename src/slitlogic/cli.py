@@ -373,15 +373,17 @@ def _scenario_from_args(ns) -> Scenario:
 # ---------------------------------------------------------------- handlers
 
 
+def _lattice_fields(lat: lattice_mod.Lattice) -> dict:
+    return {"elements": list(lat.elements), "bottom": lat.bottom, "top": lat.top}
+
+
 def _cmd_lattice_check(ns) -> Report:
     # build_from_order rejects every order or involution that breaks a law
     lat = _resolve_lattice(ns.lattice_ref)
     payload = {
         "command": "lattice-check",
         "verdict": f"ok: all lattice laws hold ({_elements_text(lat.elements)})",
-        "elements": list(lat.elements),
-        "bottom": lat.bottom,
-        "top": lat.top,
+        **_lattice_fields(lat),
         "violations": [],  # kept in the report's schema; always empty
     }
     return Report(payload, 0, ns.format)
@@ -527,11 +529,7 @@ def _violation_payload(violation) -> dict | None:
 
 def _scenario_payload(scenario: Scenario) -> dict:
     return {
-        "lattice": {
-            "elements": list(scenario.lattice.elements),
-            "bottom": scenario.lattice.bottom,
-            "top": scenario.lattice.top,
-        },
+        "lattice": _lattice_fields(scenario.lattice),
         "binding": {a: e for a, e in scenario.binding},
         "interference": {
             "p_or": _jsonable(scenario.interference.p_or),

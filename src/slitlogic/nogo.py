@@ -62,7 +62,6 @@ __all__ = [
     "C_INT",
     "C_COLLAPSE",
     "C_TRUE",
-    "CONSTRAINTS",
     "Scenario",
     "TraceStep",
     "Violation",
@@ -81,7 +80,6 @@ __all__ = [
 C_INT = "C-INT"
 C_COLLAPSE = "C-COLLAPSE"
 C_TRUE = "C-TRUE"
-CONSTRAINTS = (C_INT, C_COLLAPSE, C_TRUE)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

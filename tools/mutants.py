@@ -1,12 +1,14 @@
 """A standing mutation gate: every mutant in the table must fail its tests.
 
 Each row of ``MUTANTS`` names a file under ``src/``, an exact text that
-occurs there once, the text that replaces it, and the test files that must
-fail on the result. For each row the script copies ``src/`` to a temporary
-directory, applies the one replacement, and runs ``pytest -x -q`` on the
-named test files with that copy first on ``PYTHONPATH``. It exits 1 when a
-mutant survives, when its tests cannot run, or when an old text is not found
-exactly once, so the table cannot go stale silently.
+occurs there once, the text that replaces it, and the pytest node ids
+(``file::test``) of the tests that kill the result, each of which kills it
+alone. For each row the script copies ``src/`` to a temporary directory,
+applies the one replacement, and runs ``pytest -x -q`` on the named tests
+with that copy first on ``PYTHONPATH``. It exits 1 when a mutant survives,
+when its tests cannot run (a renamed or deleted test is "not found"), or
+when an old text is not found exactly once, so the table cannot go stale
+silently.
 
 Standard library only. Run it from anywhere:
 
@@ -26,83 +28,128 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 LATTICE = "src/slitlogic/lattice.py"
-LATTICE_TESTS = ("tests/test_lattice.py",)
+LATTICE_TESTS = "tests/test_lattice.py"
 CLI = "src/slitlogic/cli.py"
-CLI_TESTS = ("tests/test_cli.py",)
+CLI_TESTS = "tests/test_cli.py"
 NOGO = "src/slitlogic/nogo.py"
-NOGO_TESTS = ("tests/test_nogo.py",)
+NOGO_TESTS = "tests/test_nogo.py"
 VALUATION = "src/slitlogic/valuation.py"
-VALUATION_TESTS = ("tests/test_valuation.py",)
-ERRORS_TESTS = ("tests/test_errors.py",)
+VALUATION_TESTS = "tests/test_valuation.py"
+ERRORS_TESTS = "tests/test_errors.py"
 
-# (name, file, exact old text, new text, test files that must fail)
+
+def node_ids(test_file: str, *tests: str) -> tuple[str, ...]:
+    """The pytest node ids of the named tests in one test file."""
+    return tuple(f"{test_file}::{test}" for test in tests)
+
+
+# (name, file, exact old text, new text, pytest node ids of the tests that kill it)
 MUTANTS = [
     ("join looked up on the union of the up-sets", LATTICE,
-     "k = by_up.get(up_i & up[j])", "k = by_up.get(up_i | up[j])", LATTICE_TESTS),
+     "k = by_up.get(up_i & up[j])", "k = by_up.get(up_i | up[j])",
+     node_ids(LATTICE_TESTS, "test_diamond_build")),
     ("bottom and top swapped", LATTICE,
      "bottom, top = by_up[full], by_down[full]", "bottom, top = by_down[full], by_up[full]",
-     LATTICE_TESTS),
+     node_ids(LATTICE_TESTS, "test_diamond_build")),
     ("the diagonal skipped", LATTICE,
      "for j in range(i, n):\n            k = by_up.get(",
-     "for j in range(i + 1, n):\n            k = by_up.get(", LATTICE_TESTS),
+     "for j in range(i + 1, n):\n            k = by_up.get(",
+     node_ids(LATTICE_TESTS, "test_two_chain_build")),
     ("a missing meet taken as element 0", LATTICE,
      "k = by_down.get(down_i & down[j])", "k = by_down.get(down_i & down[j], 0)",
-     LATTICE_TESTS),
+     node_ids(LATTICE_TESTS, "test_no_unique_bound_at_build")),
     ("no antisymmetry check", LATTICE,
-     "both = (up[i] & down[i]) ^ (1 << i)", "both = 0", LATTICE_TESTS),
+     "both = (up[i] & down[i]) ^ (1 << i)", "both = 0",
+     node_ids(LATTICE_TESTS, "test_not_a_partial_order")),
     ("no transitive closure", LATTICE,
-     "up[i] |= above", "pass", LATTICE_TESTS),
+     "up[i] |= above", "pass",
+     node_ids(LATTICE_TESTS, "test_not_a_partial_order")),
     ("no extremes check on the involution", LATTICE,
-     "if inv[bottom] != top:", "if False:", LATTICE_TESTS),
+     "if inv[bottom] != top:", "if False:",
+     node_ids(LATTICE_TESTS, "test_bad_involution_variants")),
     ("no two-pairs check on the involution", LATTICE,
-     "if inv.get(yi, zi) != zi or inv.get(zi, yi) != yi:", "if False:", LATTICE_TESTS),
+     "if inv.get(yi, zi) != zi or inv.get(zi, yi) != yi:", "if False:",
+     node_ids(LATTICE_TESTS, "test_bad_involution_variants")),
     ("JSON: a repeated container given another container's text", CLI,
-     "dict(zip(distinct, texts))", "dict(zip(distinct, [*texts[1:], texts[0]]))", CLI_TESTS),
+     "dict(zip(distinct, texts))", "dict(zip(distinct, [*texts[1:], texts[0]]))",
+     node_ids(CLI_TESTS, "test_json_writer_encodes_a_container_repeated_in_a_column_once")),
     ("JSON: a column's children written at the parent's indent", CLI,
      "texts = _json_column(column, inner, heads, leaves)",
-     "texts = _json_column(column, pad, heads, leaves)", CLI_TESTS),
+     "texts = _json_column(column, pad, heads, leaves)",
+     node_ids(CLI_TESTS, "test_json_writer_writes_a_long_mixed_column_as_json_dumps")),
     ("JSON: list items regrouped with a wrong length", CLI,
-     "zip(*[iter(texts)] * shape)", "zip(*[iter(texts)] * (shape - 1))", CLI_TESTS),
+     "zip(*[iter(texts)] * shape)", "zip(*[iter(texts)] * (shape - 1))",
+     node_ids(CLI_TESTS, "test_json_writer_writes_a_long_mixed_column_as_json_dumps")),
     ("JSON: the first key's head keeping its comma", CLI,
-     'openers[0] = "{" + openers[0][1:]', 'openers[0] = "{" + openers[0]', CLI_TESTS),
+     'openers[0] = "{" + openers[0][1:]', 'openers[0] = "{" + openers[0]',
+     node_ids(CLI_TESTS, "test_json_writer_writes_a_long_mixed_column_as_json_dumps")),
     ("JSON: an empty list in a column written as {}", CLI,
-     '["{}" if is_dict else "[]"] * len(members)', '["{}"] * len(members)', CLI_TESTS),
+     '["{}" if is_dict else "[]"] * len(members)', '["{}"] * len(members)',
+     node_ids(CLI_TESTS, "test_json_writer_writes_a_long_mixed_column_as_json_dumps")),
     ("JSON: bools in a column written as ints", CLI,
-     "        if kind is bool:\n", "        if kind is None:\n", CLI_TESTS),
+     "        if kind is bool:\n", "        if kind is None:\n",
+     node_ids(CLI_TESTS, "test_json_writer_writes_a_long_mixed_column_as_json_dumps")),
     ("is_leq reads the pair the other way round", LATTICE,
      "return bool(self.up[self.index(y)] >> self.index(z) & 1)",
-     "return bool(self.up[self.index(z)] >> self.index(y) & 1)", LATTICE_TESTS),
+     "return bool(self.up[self.index(z)] >> self.index(y) & 1)",
+     node_ids(LATTICE_TESTS, "test_chain_4_brute_force_all_laws")),
     ("cover_pairs not strict: each element covers itself", LATTICE,
-     ".bit_count() == 2", ".bit_count() <= 2", LATTICE_TESTS),
+     ".bit_count() == 2", ".bit_count() <= 2",
+     node_ids(LATTICE_TESTS, "test_cover_pairs_are_the_hasse_edges")),
     ("the element cap on a build compared with >=", LATTICE,
-     "if n > MAX_ELEMENTS:", "if n >= MAX_ELEMENTS:", ERRORS_TESTS),
+     "if n > MAX_ELEMENTS:", "if n >= MAX_ELEMENTS:",
+     node_ids(ERRORS_TESTS, "test_lattice_files_exit_2_one_past_the_element_cap")),
     ("the element cap on a builtin compared with >=", LATTICE,
-     "if size(n) > MAX_ELEMENTS:", "if size(n) >= MAX_ELEMENTS:", ERRORS_TESTS),
+     "if size(n) > MAX_ELEMENTS:", "if size(n) >= MAX_ELEMENTS:",
+     node_ids(ERRORS_TESTS, "test_builtins_exit_2_one_past_the_element_cap")),
     ("the lattice file cap compared with >=", LATTICE,
-     "if len(raw) > MAX_FILE_BYTES:", "if len(raw) >= MAX_FILE_BYTES:", LATTICE_TESTS),
+     "if len(raw) > MAX_FILE_BYTES:", "if len(raw) >= MAX_FILE_BYTES:",
+     node_ids(LATTICE_TESTS, "test_a_lattice_file_is_read_up_to_the_byte_cap")),
     ("a lattice file without a size read one byte only", LATTICE,
-     "st_size or MAX_FILE_BYTES", "st_size", LATTICE_TESTS),
+     "st_size or MAX_FILE_BYTES", "st_size",
+     node_ids(LATTICE_TESTS, "test_a_lattice_file_is_read_up_to_the_byte_cap")),
     ("a finite grid's cap compared with >=", VALUATION,
-     "if n > MAX_GRID_VALUES:", "if n >= MAX_GRID_VALUES:", VALUATION_TESTS),
+     "if n > MAX_GRID_VALUES:", "if n >= MAX_GRID_VALUES:",
+     node_ids(VALUATION_TESTS, "test_value_systems_stop_at_the_grid_cap")),
     ("a denominator grid's cap one value too high", VALUATION,
-     "if denominator >= MAX_GRID_VALUES:", "if denominator > MAX_GRID_VALUES:", VALUATION_TESTS),
+     "if denominator >= MAX_GRID_VALUES:", "if denominator > MAX_GRID_VALUES:",
+     node_ids(VALUATION_TESTS, "test_value_systems_stop_at_the_grid_cap")),
     ("C-COLLAPSE moved to the (0, 0) corner", NOGO,
-     "(C_COLLAPSE, (C_TRUE,)) if v1 else", "(C_COLLAPSE, (C_TRUE,)) if not v1 else", NOGO_TESTS),
+     "(C_COLLAPSE, (C_TRUE,)) if v1 else", "(C_COLLAPSE, (C_TRUE,)) if not v1 else",
+     node_ids(NOGO_TESTS, "test_corner_one_one_is_collapse_violation")),
     ("C-TRUE moved off the (1, 1) corner", NOGO,
-     "(C_COLLAPSE, (C_TRUE,)) if v1 else", "(C_COLLAPSE, ()) if v1 else", NOGO_TESTS),
+     "(C_COLLAPSE, (C_TRUE,)) if v1 else", "(C_COLLAPSE, ()) if v1 else",
+     node_ids(NOGO_TESTS, "test_corner_one_one_is_collapse_violation")),
     ("C-INT moved to unequal priors", NOGO,
-     "elif scenario.equal_priors and", "elif not scenario.equal_priors and", NOGO_TESTS),
+     "elif scenario.equal_priors and", "elif not scenario.equal_priors and",
+     node_ids(NOGO_TESTS, "test_corner_one_zero_is_interference_violation")),
     ("functions_covered off by a factor of 2", NOGO,
      "functions_covered=2 ** (len(scenario.lattice.elements) - 2)",
-     "functions_covered=2 ** (len(scenario.lattice.elements) - 1)", NOGO_TESTS),
+     "functions_covered=2 ** (len(scenario.lattice.elements) - 1)",
+     node_ids(NOGO_TESTS, "test_run_nogo_checks_only_the_four_corners")),
     ("the atom type check dropped from Scenario.build", NOGO,
-     "if not isinstance(atom, str):", "if False:", NOGO_TESTS),
+     "if not isinstance(atom, str):", "if False:",
+     node_ids(NOGO_TESTS, "test_scenario_requires_distinct_elements")),
     ("nogo: a function's corner read with its bound values swapped", CLI,
-     "corners[row[i1], row[i2]]", "corners[row[i2], row[i1]]", NOGO_TESTS),
+     "corners[row[i1], row[i2]]", "corners[row[i2], row[i1]]",
+     node_ids(NOGO_TESTS, "test_nogo_rows_match_the_enumerated_truth_functions")),
     ("scan: a violating pair also listed as consistent", CLI,
      "        else:\n            violation = _violation_payload(violation)\n",
      "        else:\n            consistent.append([l1, l2])\n"
-     "            violation = _violation_payload(violation)\n", CLI_TESTS),
+     "            violation = _violation_payload(violation)\n",
+     node_ids(CLI_TESTS, "test_scan_values_3")),
+    ("the auditor: transitivity not checked", LATTICE,
+     "if missing := up[j] & ~up_i:", "if missing := 0:",
+     node_ids(LATTICE_TESTS, "test_verify_reports_a_chain_that_does_not_close")),
+    ("the auditor: a join checked against the union of the up-sets", LATTICE,
+     "upper := up_i & up[j]", "upper := up_i | up[j]",
+     node_ids(LATTICE_TESTS, "test_verify_axioms_on_clean_builtins")),
+    ("the auditor: commutativity not checked", LATTICE,
+     "for j in range(i + 1, n):", "for j in ():",
+     node_ids(LATTICE_TESTS, "test_verify_reads_commutativity_off_the_lower_triangle")),
+    ("the auditor: bottom-least never reported", LATTICE,
+     "if not up[b] >> i & 1:", "if False:",
+     node_ids(LATTICE_TESTS, "test_verify_reports_a_bottom_that_is_not_least")),
 ]
 
 
