@@ -1,6 +1,7 @@
 """Lattice construction, builtin families, and the law checker."""
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import event, given, settings
@@ -396,19 +397,11 @@ def test_verify_reports_malformed_shape():
         "malformed at (): up-sets are not one int in [0, 2^n) per element"]
 
 
-def _rebuilt(lat, **changes):
-    """``lat`` with the given fields replaced, assembled by hand."""
-    fields = dict(elements=lat.elements, up=lat.up, join_table=lat.join_table,
-                  meet_table=lat.meet_table, involution=lat.involution,
-                  bottom=lat.bottom, top=lat.top)
-    return Lattice(**{**fields, **changes})
-
-
 def test_verify_reports_a_chain_that_does_not_close():
     # 0 < m1 < 1 with the bit "0 lies below 1" cleared: the order is no
     # longer transitive, and the bounds and extremes that rest on it go too
     chain = builtin("chain", 2)
-    broken = _rebuilt(chain, up=(chain.up[0] & ~0b100, *chain.up[1:]))
+    broken = replace(chain, up=(chain.up[0] & ~0b100, *chain.up[1:]))
     assert [str(v) for v in verify_axioms(broken)] == [
         "transitivity at (0, m1, 1): chain does not close",
         "no-unique-bound at (0, m1): pair has no least upper bound",
@@ -427,14 +420,14 @@ def test_verify_reads_commutativity_off_the_lower_triangle():
     a, b = lat.index("a"), lat.index("b")
     jt = [list(row) for row in lat.join_table]
     jt[b][a] = a
-    broken = _rebuilt(lat, join_table=tuple(map(tuple, jt)))
+    broken = replace(lat, join_table=tuple(map(tuple, jt)))
     assert [str(v) for v in verify_axioms(broken)] == [
         "join-commutative at (a, b): tables disagree on order of arguments"]
 
 
 def test_verify_reports_a_bottom_that_is_not_least():
     lat = builtin("boolean", 2)
-    assert [str(v) for v in verify_axioms(_rebuilt(lat, bottom="a"))] == [
+    assert [str(v) for v in verify_axioms(replace(lat, bottom="a"))] == [
         "bottom-least at (0): element is not above the bottom",
         "bottom-least at (b): element is not above the bottom",
         "involution-extremes at (a): bottom does not map to top",
@@ -837,7 +830,7 @@ def _perturbed_lattices(draw):
             involution[draw(index)] = draw(index)
         else:
             ends[kind] = lat.elements[draw(index)]
-    return _rebuilt(
+    return replace(
         lat, up=tuple(up), involution=tuple(involution),
         join_table=tuple(map(tuple, tables["join"])), meet_table=tuple(map(tuple, tables["meet"])),
         **ends)
