@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from .errors import SlitlogicError
@@ -48,10 +49,31 @@ class ParseError(SlitlogicError):
 
 
 class _Node:
-    """Structural equality, hashing and the dataclass repr, computed by
-    :func:`fold`, so that no tree is too deep for them."""
+    """Structural equality, hashing and the dataclass repr, computed from
+    the postfix program, so that no tree is too deep for them."""
 
     __slots__ = ()
+
+    @cached_property
+    def _program(self) -> list:
+        """The tree in postfix order: its Atom nodes, and the classes Not,
+        And, Or and Xor for the nodes above them. Built by one stack walk
+        the first time the tree is folded, and kept on its root."""
+        out: list = []
+        todo: list = [self]
+        while todo:
+            item = todo.pop()
+            kind = type(item)
+            if kind is Atom:
+                out.append(item)
+            elif kind is Not:
+                todo += (Not, item.child)
+            elif kind in _BINARY_CLASSES:
+                todo += (kind, item.right, item.left)
+            else:
+                # a class, put on the stack under the node's children
+                out.append(item)
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, _Node):
@@ -99,29 +121,18 @@ class Xor(_Node):
 
 Formula = Union[Atom, Not, And, Or, Xor]
 
-_ATOM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_BINARY_CLASSES = (And, Or, Xor)
+
+# One token per operator, parenthesis and atom name; any other non-space
+# character is a token of its own that no rule accepts.
+_TOKEN = re.compile(r"[!&^|()]|[A-Za-z][A-Za-z0-9_]*|\S")
+_TOKEN_STARTS = frozenset("!&^|()ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "!&^|()":
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        m = _ATOM_RE.match(text, i)
-        if m:
-            tokens.append(("atom", m.group(0), i))
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("end", "", len(text)))
-    return tokens
+def _offset(text: str, k: int) -> int:
+    """The character offset of token ``k``, or of the end of the text."""
+    starts = [m.start() for m in _TOKEN.finditer(text)]
+    return starts[k] if k < len(starts) else len(text)
 
 
 _BINARY = {"&": And, "^": Xor, "|": Or}
@@ -133,23 +144,30 @@ def parse(text: str) -> Formula:
 
     One operator-precedence loop over a stack of subtrees and a stack of
     pending operators and parentheses, so nesting depth is bounded by memory.
+    A character that starts no token is reported before any syntax error.
     """
+    tokens = _TOKEN.findall(text)
+    if not _TOKEN_STARTS.issuperset(tok[0] for tok in set(tokens)):
+        k = next(k for k, tok in enumerate(tokens) if tok[0] not in _TOKEN_STARTS)
+        raise ParseError(f"unexpected character {tokens[k]!r}", _offset(text, k))
+    tokens.append("")  # the end of the input
     operands: list[Formula] = []
     pending: list[str] = []
     expect_operand = True
-    for kind, tok, pos in _tokenize(text):
+    for k, tok in enumerate(tokens):
         if expect_operand:
-            if kind == "atom":
+            if tok == "!" or tok == "(":
+                pending.append(tok)
+            elif tok in _BINDS or tok == ")" or not tok:
+                found = repr(tok) if tok else "end of input"
+                raise ParseError(f"expected an atom, '!', or '(', found {found}",
+                                 _offset(text, k))
+            else:
                 operands.append(Atom(tok))
                 expect_operand = False
-            elif kind in ("!", "("):
-                pending.append(kind)
-            else:
-                found = repr(tok) if tok else "end of input"
-                raise ParseError(f"expected an atom, '!', or '(', found {found}", pos)
             continue
         # an operand has ended: apply the pending operators that bind at least as tightly
-        binds = _BINDS[kind] if kind in _BINARY else 0
+        binds = _BINDS[tok] if tok in _BINARY else 0
         while pending and pending[-1] != "(" and _BINDS[pending[-1]] >= binds:
             op = pending.pop()
             if op == "!":
@@ -157,15 +175,15 @@ def parse(text: str) -> Formula:
             else:
                 right = operands.pop()
                 operands[-1] = _BINARY[op](operands[-1], right)
-        if kind in _BINARY:
-            pending.append(kind)
+        if tok in _BINARY:
+            pending.append(tok)
             expect_operand = True
-        elif pending and kind == ")":
+        elif pending and tok == ")":
             pending.pop()
         elif pending:
-            raise ParseError("expected ')'", pos)
-        elif kind != "end":
-            raise ParseError(f"unexpected trailing {tok!r}", pos)
+            raise ParseError("expected ')'", _offset(text, k))
+        elif tok:
+            raise ParseError(f"unexpected trailing {tok!r}", _offset(text, k))
     return operands[0]
 
 
@@ -175,7 +193,8 @@ def fold(formula: Formula, atom, neg, conj, disj, xor=None):
     ``atom`` values each leaf; ``neg``, ``conj``, ``disj`` and ``xor``
     combine the values of a node's children. The default ``xor`` is the
     definition ``conj(disj(y, z), neg(conj(y, z)))``, so each operand of an
-    exclusive disjunction is valued once.
+    exclusive disjunction is valued once. One step per node of the tree's
+    postfix program, which is kept on ``formula`` for its next fold.
     """
     if xor is None:
         def xor(y, z):
@@ -183,36 +202,22 @@ def fold(formula: Formula, atom, neg, conj, disj, xor=None):
 
     combine = {And: conj, Or: disj, Xor: xor}
     values: list = []
-    # nodes still to value, and the class Not or a combiner of the last two
-    # values, to apply once the values are there
-    todo: list = [formula]
-    while todo:
-        item = todo.pop()
-        kind = type(item)
-        if kind is Atom:
+    for item in formula._program:
+        # an Atom node, or the class of the node whose children were just valued
+        if type(item) is Atom:
             values.append(atom(item))
-        elif kind is Not:
-            todo += (Not, item.child)
-        elif kind in combine:
-            todo += (combine[kind], item.right, item.left)
         elif item is Not:
             values[-1] = neg(values[-1])
         else:
             right = values.pop()
-            values[-1] = item(values[-1], right)
+            values[-1] = combine[item](values[-1], right)
     return values[0]
 
 
 def _postfix(formula: Formula) -> list:
     """The tree in postfix order: atom names and node classes. The classes'
     arities make the sequence name exactly one tree."""
-    out: list = []
-
-    def mark(kind):
-        return lambda *values: out.append(kind)
-
-    fold(formula, lambda a: out.append(a.name), mark(Not), mark(And), mark(Or), mark(Xor))
-    return out
+    return [item.name if type(item) is Atom else item for item in formula._program]
 
 
 def _branch_repr(kind: str):

@@ -369,6 +369,11 @@ def builtin(family: str, n: int) -> Lattice:
     return make(n)
 
 
+def _indices(entries, n: int) -> bool:
+    # a number in range that is no int, such as 1.0, indexes no tuple
+    return all(isinstance(e, int) and 0 <= e < n for e in entries)
+
+
 def _shape_violations(lat: Lattice) -> list[LawViolation]:
     bad: list[LawViolation] = []
     n = len(lat.elements)
@@ -381,9 +386,9 @@ def _shape_violations(lat: Lattice) -> list[LawViolation]:
     for label, table in (("join", lat.join_table), ("meet", lat.meet_table)):
         if len(table) != n or any(len(row) != n for row in table):
             bad.append(LawViolation("malformed", (), f"{label} table is not square over the elements"))
-        elif any(not 0 <= e < n for row in table for e in row):
-            bad.append(LawViolation("malformed", (), f"{label} table entry out of range"))
-    if len(lat.involution) != n or any(not 0 <= e < n for e in lat.involution):
+        elif not _indices((e for row in table for e in row), n):
+            bad.append(LawViolation("malformed", (), f"{label} table entry is not an int in [0, n)"))
+    if len(lat.involution) != n or not _indices(lat.involution, n):
         bad.append(LawViolation("malformed", (), "involution is not a total map on the elements"))
     for label, el in (("bottom", lat.bottom), ("top", lat.top)):
         if el not in lat.elements:

@@ -14,8 +14,9 @@ not (y and z), from each operand's value once. ``check_valuational_axioms``
 measures exactly where the two routes part company for a given truth
 function, skipping comparisons that involve undefined values.
 
-All arithmetic is exact (``fractions.Fraction``); floats are rejected so
-axiom checks never see representation noise.
+All arithmetic is exact: ``fractions.Fraction``, and in ``evaluate_degrees``
+integer numerators over the atoms' common denominator. Floats are rejected
+so axiom checks never see representation noise.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Iterator, Mapping, Union
 
 from .errors import SlitlogicError
-from .formula import Atom, Formula, fold
+from .formula import Atom, Formula, atoms, fold
 from .lattice import Lattice, UnknownElement
 
 __all__ = [
@@ -280,14 +282,27 @@ def evaluate_lattice(
 
 
 def evaluate_degrees(formula: Formula, atom_values: Mapping[str, object]) -> TruthValue:
-    """Combine atom truth values through the degree functions."""
+    """Combine atom truth values through the degree functions.
 
-    def value(atom: Atom) -> TruthValue:
-        if atom.name not in atom_values:
-            raise UnboundAtom(f"atom {atom.name!r} has no truth value")
-        return as_value(atom_values[atom.name])
-
-    return fold(formula, value, lukasiewicz_neg, lukasiewicz_and, lukasiewicz_or)
+    Each atom's value is validated once, in first-appearance order. An
+    undefined one makes the result undefined. Otherwise the values k/D over
+    the least common denominator D of the atoms' values are closed under the
+    three functions, so the formula is folded on the numerators k: 1 - t is
+    D - t, min(s + t, 1) is min(s + t, D) and max(s + t - 1, 0) is
+    max(s + t - D, 0).
+    """
+    values = {}
+    for name in atoms(formula):
+        if name not in atom_values:
+            raise UnboundAtom(f"atom {name!r} has no truth value")
+        values[name] = as_value(atom_values[name])
+    if any(v is UNDEFINED for v in values.values()):
+        return UNDEFINED
+    d = lcm(*(v.denominator for v in values.values()))
+    numerators = {name: v.numerator * (d // v.denominator) for name, v in values.items()}
+    result = fold(formula, lambda a: numerators[a.name], lambda t: d - t,
+                  lambda s, t: max(s + t - d, 0), lambda s, t: min(s + t, d))
+    return Fraction(result, d)
 
 
 def evaluate_supervaluation(

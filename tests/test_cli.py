@@ -616,7 +616,20 @@ def test_json_writer_encodes_a_container_repeated_in_a_column_once(monkeypatch):
 ])
 def test_json_report_is_json_dumps_of_the_payload(argv):
     report = dispatch(argv + ["--format=json"])
-    assert report.render() == json.dumps(report.payload, indent=2)
+    # not `assert a == b`: pytest would diff two renderings of up to 1.5 MB for minutes
+    difference = _text_difference(report.render(), json.dumps(report.payload, indent=2))
+    assert not difference, difference
+
+
+def _text_difference(got: str, want: str) -> str:
+    """Empty when the texts are equal; else their lengths and the first
+    offset at which they differ, with the text around it."""
+    if got == want:
+        return ""
+    at = len(os.path.commonprefix([got, want]))
+    start = max(at - 60, 0)
+    return (f"lengths {len(got)} and {len(want)}, first difference at offset {at}: "
+            f"{got[start:at + 60]!r} != {want[start:at + 60]!r}")
 
 
 @pytest.mark.parametrize("payload", [

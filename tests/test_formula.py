@@ -1,6 +1,7 @@
 """Formula parsing, rendering, and the exclusive-disjunction rewrite."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -196,6 +197,126 @@ _formulas = st.recursive(
 @given(_formulas)
 def test_parse_render_round_trip_property(f):
     assert parse(render(f)) == f
+
+
+# ------------------------------------------------ the lexer against the loop it replaced
+
+_REFERENCE_ATOM = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+
+def _reference_tokenize(text):
+    tokens = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in "!&^|()":
+            tokens.append((c, c, i))
+            i += 1
+            continue
+        m = _REFERENCE_ATOM.match(text, i)
+        if m:
+            tokens.append(("atom", m.group(0), i))
+            i = m.end()
+            continue
+        raise ParseError(f"unexpected character {c!r}", i)
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+_REFERENCE_BINARY = {"&": And, "^": Xor, "|": Or}
+_REFERENCE_BINDS = {"!": 4, "&": 3, "^": 2, "|": 1}
+
+
+def reference_parse(text):
+    """The parser over a character-by-character tokenizer, which the
+    one-regex lexer replaced."""
+    operands = []
+    pending = []
+    expect_operand = True
+    for kind, tok, pos in _reference_tokenize(text):
+        if expect_operand:
+            if kind == "atom":
+                operands.append(Atom(tok))
+                expect_operand = False
+            elif kind in ("!", "("):
+                pending.append(kind)
+            else:
+                found = repr(tok) if tok else "end of input"
+                raise ParseError(f"expected an atom, '!', or '(', found {found}", pos)
+            continue
+        binds = _REFERENCE_BINDS[kind] if kind in _REFERENCE_BINARY else 0
+        while pending and pending[-1] != "(" and _REFERENCE_BINDS[pending[-1]] >= binds:
+            op = pending.pop()
+            if op == "!":
+                operands[-1] = Not(operands[-1])
+            else:
+                right = operands.pop()
+                operands[-1] = _REFERENCE_BINARY[op](operands[-1], right)
+        if kind in _REFERENCE_BINARY:
+            pending.append(kind)
+            expect_operand = True
+        elif pending and kind == ")":
+            pending.pop()
+        elif pending:
+            raise ParseError("expected ')'", pos)
+        elif kind != "end":
+            raise ParseError(f"unexpected trailing {tok!r}", pos)
+    return operands[0]
+
+
+def _parse_outcome(parser, text):
+    try:
+        return parser(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+# atom names and their pieces, operators, unbalanced parentheses, ASCII and
+# Unicode spaces (U+001C is a space to str.isspace), Unicode letters and
+# digits, and characters that start no token
+_PIECES = st.sampled_from([
+    "X1", "y_2", "a", "Zz9", "_", "1", "42", "!", "&", "^", "|", "(", ")", "((", "))",
+    " ", "\t", "\n", "\x1c", "\u00a0", "\u2003", "\u3000",
+    "\u00e9", "\u03a9", "\u00df", "\u212a", "\u0663", "x\u0301", "@", "#", "-", ".", "\U0001d400",
+])
+
+
+@st.composite
+def _formula_texts_with_one_piece(draw):
+    text = render(draw(_formulas))
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(_PIECES) + text[at:]
+
+
+_TEXTS = st.one_of(
+    st.lists(_PIECES, max_size=40).map("".join),
+    st.text(max_size=30),
+    _formula_texts_with_one_piece(),
+)
+
+
+@given(_TEXTS)
+def test_parse_agrees_with_the_character_loop(text):
+    assert _parse_outcome(parse, text) == _parse_outcome(reference_parse, text)
+
+
+def test_a_tree_keeps_one_program_on_its_root():
+    f = parse("!(a & b) ^ (c | a)")
+    twin = parse("!(a & b) ^ (c | a)")
+    assert f == twin and hash(f) == hash(twin) and repr(f)
+    render(f)
+    evaluate_degrees(f, dict.fromkeys("abc", Fraction(1, 2)))
+    # equality, hashing, repr and folds leave a program on the roots alone
+    subtrees = [f.left, f.left.child, f.left.child.left, f.right, f.right.right]
+    assert "_program" in vars(f) and "_program" in vars(twin)
+    assert not any("_program" in vars(node) for node in subtrees)
+    # later folds reuse the program: the same list object
+    program = vars(f)["_program"]
+    atoms(f)
+    assert vars(f)["_program"] is program
 
 
 def test_empty_atom_name_rejected():

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import event, given, settings
@@ -395,6 +396,18 @@ def test_verify_reports_malformed_shape():
                    chain.involution, chain.bottom, chain.top)
     assert [str(v) for v in verify_axioms(wide)] == [
         "malformed at (): up-sets are not one int in [0, 2^n) per element"]
+
+
+@pytest.mark.parametrize("field", ["join_table", "meet_table", "involution"])
+@pytest.mark.parametrize("entry", [1.0, Fraction(1), "1", None])
+def test_verify_reports_a_non_int_entry_as_malformed(field, entry):
+    lat = builtin("boolean", 1)
+    if field == "involution":
+        bad = replace(lat, involution=(lat.involution[0], entry))
+    else:
+        table = getattr(lat, field)
+        bad = replace(lat, **{field: (table[0], (table[1][0], entry))})
+    assert [v.law for v in verify_axioms(bad)] == ["malformed"]
 
 
 def test_verify_reports_a_chain_that_does_not_close():

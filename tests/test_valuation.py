@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from slitlogic import valuation
 from slitlogic.errors import SlitlogicError
-from slitlogic.formula import And, Atom, Not, Or, Xor, parse
+from slitlogic.formula import And, Atom, Not, Or, Xor, atoms, fold, parse
 from slitlogic.lattice import build_from_order, builtin
 from slitlogic.probability import InterferenceInputs
 from slitlogic.valuation import (
@@ -34,6 +33,16 @@ from slitlogic.valuation import (
 F = Fraction
 HALF = F(1, 2)
 EXACTLY_ONE = Xor(Atom("X1"), Atom("X2"))
+_DEGREE_FORMULAS = st.recursive(
+    st.builds(Atom, st.sampled_from(["a", "b", "c", "d"])),
+    lambda children: st.one_of(
+        st.builds(Not, children),
+        st.builds(And, children, children),
+        st.builds(Or, children, children),
+        st.builds(Xor, children, children),
+    ),
+    max_leaves=20,
+)
 
 
 def classical_tf(lattice, assignment):
@@ -184,18 +193,53 @@ def test_degrees_xor_matches_classical_xor():
         assert evaluate_degrees(EXACTLY_ONE, {"X1": a, "X2": b}) == F(int(a != b))
 
 
-def test_xor_chain_costs_degree_calls_linear_in_its_length(monkeypatch):
-    calls = []
+def reference_degrees(formula, atom_values):
+    """The degrees route as a Fraction fold of the public degree functions,
+    each atom validated where the fold reaches it."""
 
-    def counted(s, t):
-        calls.append((s, t))
-        return lukasiewicz_and(s, t)
+    def value(atom):
+        if atom.name not in atom_values:
+            raise UnboundAtom(f"atom {atom.name!r} has no truth value")
+        return as_value(atom_values[atom.name])
 
-    monkeypatch.setattr(valuation, "lukasiewicz_and", counted)
-    names = [f"X{i}" for i in range(13)]
-    evaluate_degrees(parse(" ^ ".join(names)), dict.fromkeys(names, HALF))
-    # two conjunctions per xor: (y | z) & !(y & z)
-    assert len(calls) == 2 * 12
+    return fold(formula, value, lukasiewicz_neg, lukasiewicz_and, lukasiewicz_or)
+
+
+def test_a_64_atom_xor_chain_is_valued_in_linear_time():
+    # desugared, the chain would have about 2^63 nodes; the fold values each
+    # operand of a xor once
+    names = [f"X{i}" for i in range(64)]
+    values = {name: F(1, i + 2) for i, name in enumerate(names)}
+    chain = parse(" ^ ".join(names))
+    assert evaluate_degrees(chain, values) == reference_degrees(chain, values)
+
+
+def _degree_outcome(evaluate, formula, atom_values):
+    try:
+        return evaluate(formula, atom_values)
+    except SlitlogicError as exc:
+        return type(exc), str(exc)
+
+
+_DEGREE_INPUTS = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=60),
+    st.integers(0, 1),
+    st.sampled_from(["0", "1", "0.5", "0.125", "1/3", "2/7", "0.0", "1.000", "  3/4 ", "1e-3"]),
+    st.just(UNDEFINED),
+    # invalid: floats, no number, not a rational, outside [0, 1]
+    st.sampled_from([0.5, None, "x", "1/0", "", F(3, 2), -1, 2, "-0.1"]),
+)
+
+
+@given(f=_DEGREE_FORMULAS, data=st.data())
+def test_degrees_route_matches_the_fraction_fold(f, data):
+    values = {}
+    for name in atoms(f):
+        # some atoms are left unbound
+        if data.draw(st.integers(0, 9)):
+            values[name] = data.draw(_DEGREE_INPUTS)
+    assert _degree_outcome(evaluate_degrees, f, values) == _degree_outcome(
+        reference_degrees, f, values)
 
 
 def test_unbound_atom():

@@ -35,6 +35,8 @@ NOGO = "src/slitlogic/nogo.py"
 NOGO_TESTS = "tests/test_nogo.py"
 VALUATION = "src/slitlogic/valuation.py"
 VALUATION_TESTS = "tests/test_valuation.py"
+FORMULA = "src/slitlogic/formula.py"
+FORMULA_TESTS = "tests/test_formula.py"
 ERRORS_TESTS = "tests/test_errors.py"
 
 
@@ -150,6 +152,28 @@ MUTANTS = [
     ("the auditor: bottom-least never reported", LATTICE,
      "if not up[b] >> i & 1:", "if False:",
      node_ids(LATTICE_TESTS, "test_verify_reports_a_bottom_that_is_not_least")),
+    ("the auditor: a table entry 1.0 taken as an index", LATTICE,
+     "isinstance(e, int) and 0 <= e < n", "0 <= e < n",
+     node_ids(LATTICE_TESTS, "test_verify_reports_a_non_int_entry_as_malformed")),
+    ("degrees: the conjunction floored at 1", VALUATION,
+     "max(s + t - d, 0)", "max(s + t - d, 1)",
+     node_ids(VALUATION_TESTS, "test_degrees_route_corner_values")),
+    ("degrees: one UNDEFINED let through", VALUATION,
+     "if any(v is UNDEFINED for v in values.values()):",
+     "if all(v is UNDEFINED for v in values.values()):",
+     node_ids(VALUATION_TESTS, "test_degrees_route_undefined_atom_absorbs")),
+    ("degrees: negation as t in place of D - t", VALUATION,
+     "lambda t: d - t", "lambda t: t",
+     node_ids(VALUATION_TESTS, "test_degrees_route_half_half")),
+    ("degrees: the disjunction capped at D - 1", VALUATION,
+     "min(s + t, d)", "min(s + t, d - 1)",
+     node_ids(VALUATION_TESTS, "test_degrees_route_corner_values")),
+    ("lexer: an error offset off by one", FORMULA,
+     "return starts[k] if k < len(starts)", "return starts[k] + 1 if k < len(starts)",
+     node_ids(FORMULA_TESTS, "test_parse_errors_carry_position")),
+    ("lexer: a character that starts no token reported after a syntax error", FORMULA,
+     "    if not _TOKEN_STARTS.issuperset(", "    if False and not _TOKEN_STARTS.issuperset(",
+     node_ids(FORMULA_TESTS, "test_parse_agrees_with_the_character_loop")),
 ]
 
 
