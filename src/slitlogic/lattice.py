@@ -5,26 +5,23 @@ elements, a partial order in which every pair has a least upper bound (join)
 and a greatest lower bound (meet), and a self-inverse unary map that swaps
 the least and greatest elements.
 
-Join and meet are precomputed as full lookup tables at construction time, so
-each query is O(1). Instances are immutable and safe to share between
-threads.
-
 The order is stored once, as each element's up-set held as a Python int,
 after Aït-Kaci, Boyer, Lincoln & Nasr, "Efficient implementation of lattice
 operations" (ACM TOPLAS 11(1), 1989); down-sets are read off the up-sets.
-The transitive closure
-takes one OR per pair of elements. The upper bounds of y and z have a least
-member exactly when they form that member's up-set (Birkhoff, *Lattice
-Theory*), so the join of y and z is the element whose up-set is
-``up[y] & up[z]``, found in a dict keyed by up-set, and the pair has no least
-upper bound when no element has that up-set; meets look up the intersection
-of the down-sets. So a build of n elements costs O(n^2) operations on n-bit
-integers: about a second at the cap of :data:`MAX_ELEMENTS` elements.
+The transitive closure takes one OR per pair of elements. The upper bounds
+of y and z have a least member exactly when they form that member's up-set
+(Birkhoff, *Lattice Theory*), so the join of y and z is the element whose
+up-set is ``up[y] & up[z]``, found in a dict keyed by up-set, and the pair
+has no least upper bound when no element has that up-set; meets look up the
+intersection of the down-sets. Join and meet are not stored: each query is
+one such lookup. A build checks that every pair has both bounds, so it costs
+O(n^2) operations on n-bit integers, about a second at the cap of
+:data:`MAX_ELEMENTS` elements, and keeps only O(n) ints: the up-sets, the
+down-sets and the two dicts. Instances are immutable and safe to share
+between threads.
 
-:func:`verify_axioms` audits a hand-built ``Lattice`` the same way: it
-checks the stored tables as a witness, each entry against the intersection
-of the pair's up-sets or down-sets, rather than searching for the bounds
-again, so it too takes O(n^2) operations on n-bit integers.
+:func:`verify_axioms` audits a hand-built ``Lattice`` with the same walk over
+the pairs, so it too takes O(n^2) operations on n-bit integers.
 """
 
 from __future__ import annotations
@@ -32,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
@@ -105,16 +103,17 @@ class Lattice:
     """A finite bounded lattice with involution.
 
     ``up[i]``, element ``i``'s up-set, has bit ``j`` set when element ``i``
-    lies below element ``j``; the join/meet tables and the involution store
-    element indices. Use :func:`build_from_order` or :func:`builtin` for
-    validated instances; hand-assembled ones can be audited with
-    :func:`verify_axioms`.
+    lies below element ``j``; the involution stores element indices. Join and
+    meet look up the element whose up-set (down-set) is the intersection of
+    the pair's; the down-sets and the lookup dicts are kept from the build,
+    or derived from ``up`` when first needed. Use :func:`build_from_order` or
+    :func:`builtin` for validated instances; hand-assembled ones can be
+    audited with :func:`verify_axioms`, and on them a pair without a bound
+    raises :class:`NoUniqueBound`.
     """
 
     elements: tuple[str, ...]
     up: tuple[int, ...]
-    join_table: tuple[tuple[int, ...], ...]
-    meet_table: tuple[tuple[int, ...], ...]
     involution: tuple[int, ...]
     bottom: str
     top: str
@@ -127,6 +126,18 @@ class Lattice:
             positions.setdefault(e, i)
         object.__setattr__(self, "_positions", positions)
 
+    @cached_property
+    def _down(self) -> list[int]:
+        return _down_sets(self.up)
+
+    @cached_property
+    def _by_up(self) -> dict[int, int]:
+        return {u: i for i, u in enumerate(self.up)}
+
+    @cached_property
+    def _by_down(self) -> dict[int, int]:
+        return {d: i for i, d in enumerate(self._down)}
+
     def index(self, element: str) -> int:
         try:
             return self._positions[element]
@@ -134,10 +145,16 @@ class Lattice:
             raise UnknownElement(f"{element!r} is not an element of this lattice") from None
 
     def join(self, y: str, z: str) -> str:
-        return self.elements[self.join_table[self.index(y)][self.index(z)]]
+        k = self._by_up.get(self.up[self.index(y)] & self.up[self.index(z)])
+        if k is None:
+            raise NoUniqueBound(f"no least upper bound for ({y}, {z})")
+        return self.elements[k]
 
     def meet(self, y: str, z: str) -> str:
-        return self.elements[self.meet_table[self.index(y)][self.index(z)]]
+        k = self._by_down.get(self._down[self.index(y)] & self._down[self.index(z)])
+        if k is None:
+            raise NoUniqueBound(f"no greatest lower bound for ({y}, {z})")
+        return self.elements[k]
 
     def involute(self, y: str) -> str:
         return self.elements[self.involution[self.index(y)]]
@@ -153,8 +170,7 @@ class Lattice:
         order: j covers i when i lies strictly below j and no element lies
         strictly between, that is when i's up-set and j's down-set share
         exactly the two bits i and j."""
-        n = len(self.up)
-        down = _down_sets(self.up)
+        n, down = len(self.up), self._down
         return [
             (self.elements[i], self.elements[j])
             for i, up_i in enumerate(self.up)
@@ -190,6 +206,23 @@ def _members(bits: int, n: int) -> Iterator[int]:
     """The positions of the set bits of ``bits``, an int below 2^n, in
     ascending order."""
     return compress(range(n), map("1".__eq__, format(bits, f"0{n}b")[::-1]))
+
+
+def _missing_bounds(
+    up: Sequence[int], down: Sequence[int], by_up: dict[int, int], by_down: dict[int, int]
+) -> Iterator[tuple[int, int, str]]:
+    """The pairs (i, j > i) without a least upper or a greatest lower bound,
+    in that order and the join before the meet, as (i, j, the bound that is
+    missing). The upper bounds of i and j have a least member k exactly when
+    they are k's up-set, so the join is a lookup of that set in ``by_up``;
+    meets dually. No pair (i, i) can miss, since up[i] is a key itself, and
+    the pairs (j, i) give the same intersections."""
+    for i, (up_i, down_i) in enumerate(zip(up, down)):
+        for j in range(i + 1, len(up)):
+            if up_i & up[j] not in by_up:
+                yield i, j, "least upper bound"
+            if down_i & down[j] not in by_down:
+                yield i, j, "greatest lower bound"
 
 
 def build_from_order(
@@ -246,27 +279,10 @@ def build_from_order(
                 f"{names[i]!r} and {names[j]!r} are below each other"
             )
 
-    # The upper bounds of i and j have a least member k exactly when they
-    # are k's up-set, so a join is a lookup of that set; meets dually.
     by_up = {u: i for i, u in enumerate(up)}
     by_down = {d: i for i, d in enumerate(down)}
-    join_table = [[0] * n for _ in range(n)]
-    meet_table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        up_i, down_i = up[i], down[i]
-        for j in range(i, n):
-            k = by_up.get(up_i & up[j])
-            if k is None:
-                raise NoUniqueBound(
-                    f"no least upper bound for ({names[i]}, {names[j]})"
-                )
-            join_table[i][j] = join_table[j][i] = k
-            k = by_down.get(down_i & down[j])
-            if k is None:
-                raise NoUniqueBound(
-                    f"no greatest lower bound for ({names[i]}, {names[j]})"
-                )
-            meet_table[i][j] = meet_table[j][i] = k
+    for i, j, what in _missing_bounds(up, down, by_up, by_down):
+        raise NoUniqueBound(f"no {what} for ({names[i]}, {names[j]})")
 
     # Every pair has a join and a meet, so the order has one least and one
     # greatest element: the one whose up-set, and the one whose down-set,
@@ -291,15 +307,17 @@ def build_from_order(
             f"involution must swap {names[bottom]!r} and {names[top]!r}"
         )
 
-    return Lattice(
+    lat = Lattice(
         elements=names,
         up=tuple(up),
-        join_table=tuple(tuple(row) for row in join_table),
-        meet_table=tuple(tuple(row) for row in meet_table),
         involution=tuple(inv[i] for i in range(n)),
         bottom=names[bottom],
         top=names[top],
     )
+    # the bound check built what join and meet look up: keep it, so that no
+    # query derives it again from ``up``
+    vars(lat).update(_down=down, _by_up=by_up, _by_down=by_down)
+    return lat
 
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -369,11 +387,6 @@ def builtin(family: str, n: int) -> Lattice:
     return make(n)
 
 
-def _indices(entries, n: int) -> bool:
-    # a number in range that is no int, such as 1.0, indexes no tuple
-    return all(isinstance(e, int) and 0 <= e < n for e in entries)
-
-
 def _shape_violations(lat: Lattice) -> list[LawViolation]:
     bad: list[LawViolation] = []
     n = len(lat.elements)
@@ -383,12 +396,8 @@ def _shape_violations(lat: Lattice) -> list[LawViolation]:
         bad.append(LawViolation("malformed", lat.elements, "duplicate element names"))
     if len(lat.up) != n or any(not isinstance(u, int) or not 0 <= u < 1 << n for u in lat.up):
         bad.append(LawViolation("malformed", (), "up-sets are not one int in [0, 2^n) per element"))
-    for label, table in (("join", lat.join_table), ("meet", lat.meet_table)):
-        if len(table) != n or any(len(row) != n for row in table):
-            bad.append(LawViolation("malformed", (), f"{label} table is not square over the elements"))
-        elif not _indices((e for row in table for e in row), n):
-            bad.append(LawViolation("malformed", (), f"{label} table entry is not an int in [0, n)"))
-    if len(lat.involution) != n or not _indices(lat.involution, n):
+    # a number in range that is no int, such as 1.0, indexes no tuple
+    if len(lat.involution) != n or not all(isinstance(e, int) and 0 <= e < n for e in lat.involution):
         bad.append(LawViolation("malformed", (), "involution is not a total map on the elements"))
     for label, el in (("bottom", lat.bottom), ("top", lat.top)):
         if el not in lat.elements:
@@ -397,16 +406,17 @@ def _shape_violations(lat: Lattice) -> list[LawViolation]:
 
 
 def verify_axioms(lat: Lattice) -> list[LawViolation]:
-    """Check every lattice law on the stored tables; report, never raise.
+    """Check every lattice law on the stored order; report, never raise.
 
     Covers the order laws, read off the up-sets and down-sets as bits; that
-    each join/meet entry for a pair (i, j >= i) is its least upper / greatest
-    lower bound, which holds exactly when the entry's up-set (down-set) is
-    the intersection of the pair's; commutativity, which covers the pairs
-    j < i; boundedness; and the involution laws. Idempotence, absorption and
-    associativity follow from these (Birkhoff, *Lattice Theory*), so they
-    can fail only beside a violation already reported, and are not checked
-    again. An empty result means a bounded lattice with involution, and
+    each pair (i, j > i) has a least upper and a greatest lower bound, which
+    holds exactly when some element's up-set (down-set) is the intersection
+    of the pair's; boundedness; and the involution laws. Join and meet are
+    looked up from the order, so they commute by construction, and
+    idempotence, absorption and associativity follow from these (Birkhoff,
+    *Lattice Theory*): they can fail only beside a violation already
+    reported, and are not checked again. An empty result means a bounded
+    lattice with involution, and
     whatever :func:`build_from_order`, :func:`builtin` or :func:`load`
     returns passes; this is the auditor for a ``Lattice`` assembled by hand.
     """
@@ -414,10 +424,8 @@ def verify_axioms(lat: Lattice) -> list[LawViolation]:
     if out:
         return out
 
-    names, up = lat.elements, lat.up
+    names, up, down = lat.elements, lat.up, lat._down
     n = len(names)
-    down = _down_sets(up)
-    jt, mt = lat.join_table, lat.meet_table
 
     for i in range(n):
         if not up[i] >> i & 1:
@@ -436,33 +444,8 @@ def verify_axioms(lat: Lattice) -> list[LawViolation]:
                         "transitivity", (names[i], names[j], names[k]),
                         "chain does not close"))
 
-    # the element that has a bound set, for the message; the first one wins
-    by_up: dict[int, int] = {}
-    by_down: dict[int, int] = {}
-    for i in range(n):
-        by_up.setdefault(up[i], i)
-        by_down.setdefault(down[i], i)
-
-    def bound(law: str, i: int, j: int, given: int, least: int | None, what: str) -> LawViolation:
-        pair = (names[i], names[j])
-        if least is None:
-            return LawViolation("no-unique-bound", pair, f"pair has no {what}")
-        return LawViolation(law, pair, f"table gives {names[given]}, {what} is {names[least]}")
-
-    for i in range(n):
-        up_i, down_i, join_i, meet_i = up[i], down[i], jt[i], mt[i]
-        for j in range(i, n):
-            if up[join_i[j]] != (upper := up_i & up[j]):
-                out.append(bound("join-is-lub", i, j, join_i[j], by_up.get(upper), "least upper bound"))
-            if down[meet_i[j]] != (lower := down_i & down[j]):
-                out.append(bound("meet-is-glb", i, j, meet_i[j], by_down.get(lower), "greatest lower bound"))
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if jt[i][j] != jt[j][i]:
-                out.append(LawViolation("join-commutative", (names[i], names[j]), "tables disagree on order of arguments"))
-            if mt[i][j] != mt[j][i]:
-                out.append(LawViolation("meet-commutative", (names[i], names[j]), "tables disagree on order of arguments"))
+    out += [LawViolation("no-unique-bound", (names[i], names[j]), f"pair has no {what}")
+            for i, j, what in _missing_bounds(up, down, lat._by_up, lat._by_down)]
 
     b, t = lat.index(lat.bottom), lat.index(lat.top)
     for i in range(n):

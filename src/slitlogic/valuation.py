@@ -239,16 +239,6 @@ class TruthFunction:
             raise InvalidValue("top element must have truth value 1")
         object.__setattr__(self, "values", normalized)
 
-    @classmethod
-    def _trusted(cls, lattice: Lattice, values: dict[str, TruthValue]) -> "TruthFunction":
-        """Wrap ``values`` without re-validating it. The caller guarantees
-        what ``__post_init__`` would establish: one exact value per element,
-        in declaration order, with bottom at 0 and top at 1."""
-        tf = object.__new__(cls)
-        object.__setattr__(tf, "lattice", lattice)
-        object.__setattr__(tf, "values", values)
-        return tf
-
     def __call__(self, element: str) -> TruthValue:
         try:
             return self.values[element]
@@ -378,11 +368,6 @@ def enumerate_truth_functions(
     Bottom and top are pinned to 0 and 1. Enumeration runs over the other
     elements in declaration order with values in the system's order, so the
     stream is deterministic and its length is len(values) ** free.
-
-    The value system's values were validated when it was built; each
-    function is assembled from them, total and with the boundary conditions
-    by construction, so it skips the per-function validation of
-    ``TruthFunction``.
     """
     pinned = {lattice.bottom: (_ZERO,), lattice.top: (_ONE,)}
     elements = lattice.elements
@@ -390,4 +375,4 @@ def enumerate_truth_functions(
     # the free elements in declaration order with values in the system's order.
     axes = [pinned.get(e, value_system.values) for e in elements]
     for row in product(*axes):
-        yield TruthFunction._trusted(lattice, dict(zip(elements, row)))
+        yield TruthFunction(lattice, dict(zip(elements, row)))

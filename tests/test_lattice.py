@@ -1,6 +1,7 @@
 """Lattice construction, builtin families, and the law checker."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -68,13 +69,14 @@ def test_two_chain_build():
     # list lesser elements first
     flipped = build_from_order(["1", "0"], [("0", "1")], [("1", "0")])
     assert (flipped.bottom, flipped.top) == ("0", "1")
-    assert flipped.join_table == ((0, 0), (0, 1))
-    assert flipped.meet_table == ((0, 1), (1, 1))
+    names = flipped.elements
+    assert [[flipped.join(y, z) for z in names] for y in names] == [["1", "1"], ["1", "0"]]
+    assert [[flipped.meet(y, z) for z in names] for y in names] == [["1", "0"], ["0", "0"]]
     assert flipped.involution == (1, 0)
     # one element is both the bottom and the top, and its own complement
     point = build_from_order(["e"], [], [("e", "e")])
     assert point.bottom == point.top == "e"
-    assert (point.join_table, point.meet_table, point.involution) == (((0,),), ((0,),), (0,))
+    assert (point.join("e", "e"), point.meet("e", "e"), point.involution) == ("e", "e", (0,))
     assert verify_axioms(flipped) == verify_axioms(point) == []
 
 
@@ -253,12 +255,12 @@ def test_round_trip_through_extracted_order(family, n):
     names = lat.elements
     order = [(y, z) for y in names for z in names if lat.is_leq(y, z)]
     rebuilt = build_from_order(names, order, lat.involution_pairs())
-    assert rebuilt.join_table == lat.join_table
-    assert rebuilt.meet_table == lat.meet_table
-    assert rebuilt.involution == lat.involution
+    assert rebuilt == lat
+    assert [[rebuilt.join(y, z) for z in names] for y in names] == [
+        [lat.join(y, z) for z in names] for y in names]
     # covers alone carry the same information
     from_covers = build_from_order(lat.elements, lat.cover_pairs(), lat.involution_pairs())
-    assert from_covers.join_table == lat.join_table
+    assert from_covers == lat
 
 
 def test_cover_pairs_are_the_hasse_edges():
@@ -287,16 +289,12 @@ def test_chain_4_brute_force_all_laws():
 
 def test_verify_reports_missing_bound():
     # hand-built structure over the poset 0 < x, 0 < y: the pair (x, y) has
-    # no least upper bound, and the join table's claim cannot fix that
+    # no least upper bound
     elements = ("0", "x", "y")
     up = (0b111, 0b010, 0b100)  # bit j of up[i]: element i lies below element j
-    join = ((0, 1, 2), (1, 1, 1), (2, 1, 2))
-    meet = ((0, 0, 0), (0, 1, 0), (0, 0, 2))
     lat = Lattice(
         elements=elements,
         up=up,
-        join_table=join,
-        meet_table=meet,
         involution=(0, 2, 1),
         bottom="0",
         top="x",
@@ -306,22 +304,17 @@ def test_verify_reports_missing_bound():
     assert found[0].elements == ("x", "y")
 
 
-def test_verify_reports_wrong_table_entry():
-    lat = builtin("boolean", 2)
-    jt = [list(row) for row in lat.join_table]
-    a, b = lat.index("a"), lat.index("b")
-    jt[a][b] = jt[b][a] = a  # claim join(a, b) = a
-    broken = Lattice(
-        elements=lat.elements,
-        up=lat.up,
-        join_table=tuple(tuple(r) for r in jt),
-        meet_table=lat.meet_table,
-        involution=lat.involution,
-        bottom=lat.bottom,
-        top=lat.top,
-    )
-    laws = {v.law for v in verify_axioms(broken)}
-    assert "join-is-lub" in laws
+def test_a_pair_without_a_bound_raises_on_a_hand_built_lattice():
+    # 0 < x and 0 < y: (x, y) has a meet and no join
+    lat = Lattice(("0", "x", "y"), (0b111, 0b010, 0b100), (0, 2, 1), "0", "x")
+    assert lat.meet("x", "y") == "0"
+    with pytest.raises(NoUniqueBound, match=r"^no least upper bound for \(x, y\)$"):
+        lat.join("x", "y")
+    # x < 1 and y < 1: (x, y) has a join and no meet
+    vee = Lattice(("x", "y", "1"), (0b101, 0b110, 0b100), (1, 0, 2), "x", "1")
+    assert vee.join("x", "y") == "1"
+    with pytest.raises(NoUniqueBound, match=r"^no greatest lower bound for \(x, y\)$"):
+        vee.meet("x", "y")
 
 
 def test_verify_reports_broken_involution():
@@ -329,8 +322,6 @@ def test_verify_reports_broken_involution():
     broken = Lattice(
         elements=lat.elements,
         up=lat.up,
-        join_table=lat.join_table,
-        meet_table=lat.meet_table,
         involution=(0, 1, 2, 3),  # identity map: extremes no longer swap
         bottom=lat.bottom,
         top=lat.top,
@@ -382,8 +373,6 @@ def test_verify_reports_malformed_shape():
     lat = Lattice(
         elements=("0", "1"),
         up=(1,),
-        join_table=((0,),),
-        meet_table=((0,),),
         involution=(0,),
         bottom="0",
         top="1",
@@ -392,21 +381,16 @@ def test_verify_reports_malformed_shape():
     assert laws == {"malformed"}
     # one up-set per element, but one of them names a third element
     chain = builtin("chain", 1)
-    wide = Lattice(chain.elements, (0b11, 0b110), chain.join_table, chain.meet_table,
-                   chain.involution, chain.bottom, chain.top)
+    wide = Lattice(chain.elements, (0b11, 0b110), chain.involution, chain.bottom, chain.top)
     assert [str(v) for v in verify_axioms(wide)] == [
         "malformed at (): up-sets are not one int in [0, 2^n) per element"]
 
 
-@pytest.mark.parametrize("field", ["join_table", "meet_table", "involution"])
+@pytest.mark.parametrize("field", ["up", "involution"])
 @pytest.mark.parametrize("entry", [1.0, Fraction(1), "1", None])
 def test_verify_reports_a_non_int_entry_as_malformed(field, entry):
     lat = builtin("boolean", 1)
-    if field == "involution":
-        bad = replace(lat, involution=(lat.involution[0], entry))
-    else:
-        table = getattr(lat, field)
-        bad = replace(lat, **{field: (table[0], (table[1][0], entry))})
+    bad = replace(lat, **{field: (getattr(lat, field)[0], entry)})
     assert [v.law for v in verify_axioms(bad)] == ["malformed"]
 
 
@@ -424,18 +408,6 @@ def test_verify_reports_a_chain_that_does_not_close():
         "top-greatest at (0): element is not below the top",
         "bottom-least at (1): element is not above the bottom",
     ]
-
-
-def test_verify_reads_commutativity_off_the_lower_triangle():
-    # the bounds are checked on the pairs (i, j >= i); an entry below the
-    # diagonal is checked only against its mirror
-    lat = builtin("boolean", 2)
-    a, b = lat.index("a"), lat.index("b")
-    jt = [list(row) for row in lat.join_table]
-    jt[b][a] = a
-    broken = replace(lat, join_table=tuple(map(tuple, jt)))
-    assert [str(v) for v in verify_axioms(broken)] == [
-        "join-commutative at (a, b): tables disagree on order of arguments"]
 
 
 def test_verify_reports_a_bottom_that_is_not_least():
@@ -572,8 +544,9 @@ def reference_order(names, order_pairs):
 
 def reference_build(elements, order_pairs, involution_pairs):
     """The construction before bitsets: a Warshall closure over a boolean
-    matrix and a brute-force bound search per pair, O(n^4) in all. Only the
-    up-sets passed to ``Lattice`` are read off the matrix."""
+    matrix and a brute-force bound search per pair, O(n^4) in all. Returns
+    the ``Lattice``, whose up-sets are read off the matrix, with the join
+    and meet tables that the search found, as element indices."""
     names = tuple(elements)
     if not names:
         raise LatticeError("element set must be nonempty")
@@ -619,15 +592,14 @@ def reference_build(elements, order_pairs, involution_pairs):
         raise BadInvolution(f"involution does not cover {', '.join(missing)}")
     if inv[bottom] != top:
         raise BadInvolution(f"involution must swap {names[bottom]!r} and {names[top]!r}")
-    return Lattice(
+    lat = Lattice(
         elements=names,
         up=tuple(sum(1 << j for j in range(n) if leq[i][j]) for i in range(n)),
-        join_table=tuple(tuple(row) for row in join_table),
-        meet_table=tuple(tuple(row) for row in meet_table),
         involution=tuple(inv[i] for i in range(n)),
         bottom=names[bottom],
         top=names[top],
     )
+    return lat, join_table, meet_table
 
 
 def reference_cover_pairs(lat):
@@ -647,26 +619,34 @@ def reference_cover_pairs(lat):
 
 
 def _outcome(build, arguments):
-    """The lattice built, or the type and message of the error raised."""
+    """What a build gives: its result and None, or None and the type and
+    message of the error it raised."""
     try:
-        return build(*arguments)
+        return build(*arguments), None
     except LatticeError as exc:
-        return type(exc), str(exc)
+        return None, (type(exc), str(exc))
 
 
 @settings(max_examples=300)
 @given(_random_orders() | _relabelled_builtins())
 def test_bitset_build_matches_the_reference(spec):
     *arguments, _ = spec
-    expected = _outcome(reference_build, arguments)
-    event(f"outcome: {expected[0].__name__ if isinstance(expected, tuple) else 'lattice'}")
-    built = _outcome(build_from_order, arguments)
-    assert built == expected
-    if not isinstance(expected, tuple):
-        assert expected.cover_pairs() == reference_cover_pairs(expected)
-        names = built.elements
-        leq = reference_order(names, arguments[1])
-        assert [[built.is_leq(y, z) for z in names] for y in names] == leq
+    expected, error = _outcome(reference_build, arguments)
+    event(f"outcome: {error[0].__name__ if error else 'lattice'}")
+    built, built_error = _outcome(build_from_order, arguments)
+    assert built_error == error
+    if error:
+        return
+    lat, join_table, meet_table = expected
+    assert built == lat
+    names = built.elements
+    assert [[built.join(y, z) for z in names] for y in names] == [
+        [names[k] for k in row] for row in join_table]
+    assert [[built.meet(y, z) for z in names] for y in names] == [
+        [names[k] for k in row] for row in meet_table]
+    assert built.cover_pairs() == reference_cover_pairs(built)
+    leq = reference_order(names, arguments[1])
+    assert [[built.is_leq(y, z) for z in names] for y in names] == leq
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -693,8 +673,7 @@ def test_index_answers_as_tuple_index():
     with pytest.raises(UnknownElement, match="is not an element of this lattice"):
         lat.index(["a1"])
     # a hand-assembled lattice may repeat a name: the first position wins
-    twice = Lattice(("0", "a", "a", "1"), lat.up[:4], lat.join_table[:4],
-                    lat.meet_table[:4], (3, 2, 1, 0), "0", "1")
+    twice = Lattice(("0", "a", "a", "1"), lat.up[:4], (3, 2, 1, 0), "0", "1")
     assert twice.index("a") == ("0", "a", "a", "1").index("a") == 1
     assert "_positions" not in repr(lat)
 
@@ -708,14 +687,27 @@ def test_the_element_cap_is_checked_before_any_work():
         build_from_order([f"e{i}" for i in range(MAX_ELEMENTS + 1)], [("x", "y")], [])
 
 
+def test_a_lattice_at_the_cap_keeps_no_table_of_its_pairs():
+    # join and meet tables of all 1024 x 1024 pairs took 16.5 MiB; the
+    # up-sets, the down-sets and their two lookup dicts take under 1 MiB
+    tracemalloc.start()
+    try:
+        lat = builtin("lantern", 511)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(lat.elements) == MAX_ELEMENTS
+    assert kept < 4 * 2**20, kept
+
+
 # ------------------------------------- the auditor against the old matrix search
 
 
 def reference_verify_axioms(lat):
     """The auditor before it read the up-sets as bits: the order expanded
     into a boolean matrix, each pair's bounds searched by :func:`_lub`, and
-    idempotence, absorption and associativity checked again over all
-    triples, O(n^4) in all."""
+    idempotence, absorption and associativity checked over all triples of
+    the bounds found, O(n^4) in all."""
     out = _shape_violations(lat)
     if out:
         return out
@@ -724,7 +716,6 @@ def reference_verify_axioms(lat):
     n = len(names)
     leq = tuple(tuple(bool(u >> j & 1) for j in range(n)) for u in lat.up)
     geq = tuple(zip(*leq))
-    jt, mt = lat.join_table, lat.meet_table
 
     for i in range(n):
         if not leq[i][i]:
@@ -743,51 +734,37 @@ def reference_verify_axioms(lat):
                     out.append(LawViolation(
                         "transitivity", (names[i], names[j], names[k]), "chain does not close"))
 
+    # the bounds as tables of indices, None where a pair has none
+    jt = [[_lub(leq, i, j) for j in range(n)] for i in range(n)]
+    mt = [[_lub(geq, i, j) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i, n):
-            up = _lub(leq, i, j)
-            if up is None:
+            if jt[i][j] is None:
                 out.append(LawViolation(
                     "no-unique-bound", (names[i], names[j]), "pair has no least upper bound"))
-            elif jt[i][j] != up:
-                out.append(LawViolation(
-                    "join-is-lub", (names[i], names[j]),
-                    f"table gives {names[jt[i][j]]}, least upper bound is {names[up]}"))
-            down = _lub(geq, i, j)
-            if down is None:
+            if mt[i][j] is None:
                 out.append(LawViolation(
                     "no-unique-bound", (names[i], names[j]), "pair has no greatest lower bound"))
-            elif mt[i][j] != down:
-                out.append(LawViolation(
-                    "meet-is-glb", (names[i], names[j]),
-                    f"table gives {names[mt[i][j]]}, greatest lower bound is {names[down]}"))
 
+    # the laws implied by the bounds, wherever the bounds they name exist
     for i in range(n):
-        if jt[i][i] != i:
+        if jt[i][i] not in (i, None):
             out.append(LawViolation("join-idempotent", (names[i],), f"y join y gives {names[jt[i][i]]}"))
-        if mt[i][i] != i:
+        if mt[i][i] not in (i, None):
             out.append(LawViolation("meet-idempotent", (names[i],), f"y meet y gives {names[mt[i][i]]}"))
     for i in range(n):
-        for j in range(i + 1, n):
-            if jt[i][j] != jt[j][i]:
-                out.append(LawViolation(
-                    "join-commutative", (names[i], names[j]), "tables disagree on order of arguments"))
-            if mt[i][j] != mt[j][i]:
-                out.append(LawViolation(
-                    "meet-commutative", (names[i], names[j]), "tables disagree on order of arguments"))
-    for i in range(n):
         for j in range(n):
-            if jt[i][mt[i][j]] != i:
+            if mt[i][j] is not None and jt[i][mt[i][j]] not in (i, None):
                 out.append(LawViolation("absorption", (names[i], names[j]), "y join (y meet z) is not y"))
-            if mt[i][jt[i][j]] != i:
+            if jt[i][j] is not None and mt[i][jt[i][j]] not in (i, None):
                 out.append(LawViolation("absorption", (names[i], names[j]), "y meet (y join z) is not y"))
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if jt[jt[i][j]][k] != jt[i][jt[j][k]]:
+                if None not in (jt[i][j], jt[j][k]) and jt[jt[i][j]][k] != jt[i][jt[j][k]]:
                     out.append(LawViolation(
                         "join-associative", (names[i], names[j], names[k]), "grouping changes the join"))
-                if mt[mt[i][j]][k] != mt[i][mt[j][k]]:
+                if None not in (mt[i][j], mt[j][k]) and mt[mt[i][j]][k] != mt[i][mt[j][k]]:
                     out.append(LawViolation(
                         "meet-associative", (names[i], names[j], names[k]), "grouping changes the meet"))
 
@@ -810,7 +787,7 @@ def reference_verify_axioms(lat):
     return out
 
 
-# the laws that follow from the order laws, the bounds and commutativity
+# the laws that follow from the order laws and the bounds
 _IMPLIED_LAWS = {"join-idempotent", "meet-idempotent", "absorption", "join-associative", "meet-associative"}
 _ORDER_LAWS = {"reflexivity", "antisymmetry", "transitivity"}
 _PERTURBED_SIZES = {"boolean": 4, "chain": 15, "lantern": 7}
@@ -819,8 +796,8 @@ _PERTURBED_SIZES = {"boolean": 4, "chain": 15, "lantern": 7}
 @st.composite
 def _perturbed_lattices(draw):
     """A lattice of at most 16 elements, a builtin or a meet-closed family,
-    with one to three stored facts changed: an up-set bit, a join or meet
-    entry, an involution entry, or the bottom or top."""
+    with one to three stored facts changed: an up-set bit, an involution
+    entry, or the bottom or top."""
     if draw(st.booleans()):
         family = draw(st.sampled_from(sorted(_PERTURBED_SIZES)))
         lat = builtin(family, draw(st.integers(1, _PERTURBED_SIZES[family])))
@@ -829,24 +806,17 @@ def _perturbed_lattices(draw):
         lat = build_from_order(*arguments)
     index = st.integers(0, len(lat.elements) - 1)
     up, involution = list(lat.up), list(lat.involution)
-    tables = {"join": [list(row) for row in lat.join_table],
-              "meet": [list(row) for row in lat.meet_table]}
     ends = {"bottom": lat.bottom, "top": lat.top}
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["up", "join", "meet", "involution", "bottom", "top"]))
+        kind = draw(st.sampled_from(["up", "involution", "bottom", "top"]))
         event(f"perturbed: {kind}")
         if kind == "up":
             up[draw(index)] ^= 1 << draw(index)
-        elif kind in tables:
-            tables[kind][draw(index)][draw(index)] = draw(index)
         elif kind == "involution":
             involution[draw(index)] = draw(index)
         else:
             ends[kind] = lat.elements[draw(index)]
-    return replace(
-        lat, up=tuple(up), involution=tuple(involution),
-        join_table=tuple(map(tuple, tables["join"])), meet_table=tuple(map(tuple, tables["meet"])),
-        **ends)
+    return replace(lat, up=tuple(up), involution=tuple(involution), **ends)
 
 
 @settings(max_examples=300)
