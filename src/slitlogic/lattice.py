@@ -15,7 +15,7 @@ up-set is ``up[y] & up[z]``, found in a dict keyed by up-set, and the pair
 has no least upper bound when no element has that up-set; meets look up the
 intersection of the down-sets. Join and meet are not stored: each query is
 one such lookup. A build checks that every pair has both bounds, so it costs
-O(n^2) operations on n-bit integers, about a second at the cap of
+O(n^2) operations on n-bit integers, under half a second at the cap of
 :data:`MAX_ELEMENTS` elements, and keeps only O(n) ints: the up-sets, the
 down-sets and the two dicts. Instances are immutable and safe to share
 between threads.
@@ -416,9 +416,9 @@ def verify_axioms(lat: Lattice) -> list[LawViolation]:
     idempotence, absorption and associativity follow from these (Birkhoff,
     *Lattice Theory*): they can fail only beside a violation already
     reported, and are not checked again. An empty result means a bounded
-    lattice with involution, and
-    whatever :func:`build_from_order`, :func:`builtin` or :func:`load`
-    returns passes; this is the auditor for a ``Lattice`` assembled by hand.
+    lattice with involution, and whatever :func:`build_from_order`,
+    :func:`builtin` or :func:`load` returns passes; this is the auditor for a
+    ``Lattice`` assembled by hand.
     """
     out = _shape_violations(lat)
     if out:
