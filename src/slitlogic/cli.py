@@ -68,7 +68,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 class Report:
     """One command's outcome. ``payload`` holds every fact of the report;
     ``render`` prints it as JSON, byte for byte as ``json.dumps(payload,
-    indent=2)`` would but written a column at a time (see :func:`_json_text`),
+    indent=2)`` would but written a column at a time (see :func:`_json_chunks`),
     or derives the text report from it."""
 
     payload: dict
@@ -79,12 +79,20 @@ class Report:
     def verdict(self) -> str:
         return self.payload["verdict"]
 
-    def render(self) -> str:
+    def chunks(self) -> list[str]:
+        """The rendering in pieces, in order: ``render`` joins them, and
+        :func:`main` writes them a batch at a time."""
         if self.format == "json":
-            return _json_text(self.payload)
+            return _json_chunks(self.payload)
         # an error payload has no command and renders as its verdict
         body = _TEXT_BODIES.get(self.payload.get("command"))
-        return "\n".join([self.verdict, *(body(self.payload) if body else ())])
+        lines = [self.verdict, *(body(self.payload) if body else ())]
+        out = ["\n"] * (2 * len(lines) - 1)
+        out[::2] = lines
+        return out
+
+    def render(self) -> str:
+        return "".join(self.chunks())
 
 
 _JSON_BOOLS = {False: "false", True: "true"}
@@ -93,23 +101,24 @@ _JSON_BOOLS = {False: "false", True: "true"}
 _JSON_COLUMN_MIN = 16
 
 
-def _json_text(value) -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, for dicts with str keys,
-    lists, str, int, bool and None.
+def _json_chunks(value) -> list[str]:
+    """The pieces of ``json.dumps(value, indent=2)``, in order, for dicts with
+    str keys, lists, str, int, bool and None.
 
     The text is written a column at a time. :func:`_json_column` encodes in
     one call all the values that sit at one indent under one key path: all
     rows of a listing, then all their ``assignment`` dicts, then all their
     ``X1`` values. A value alone at its key path, such as the payload or a
     node of a parse tree, and the values of a column too short to pay for
-    its setup, are written one at a time by :func:`_json_write`. The text goes
-    into one list of chunks, joined once here; each item of a list that is
-    written as a column is one chunk, so no row is copied again into the text
-    of its list. ``"key": `` heads and str leaves are encoded once per call,
-    in dicts local to it."""
+    its setup, are written one at a time by :func:`_json_write`. Each item of
+    a list that is written as a column is one chunk, so no row is copied
+    again into the text of its list; a row that holds a container repeated
+    in its column, as ``nogo``'s rows hold their corner's sub-dicts, is its
+    pieces, so the repeated text is held once. ``"key": `` heads and str
+    leaves are encoded once per call, in dicts local to it."""
     out = []
     _json_write(value, "", out, {}, {})
-    return "".join(out)
+    return out
 
 
 def _json_write(value, pad: str, out: list, heads: dict, leaves: dict) -> None:
@@ -120,8 +129,8 @@ def _json_write(value, pad: str, out: list, heads: dict, leaves: dict) -> None:
     first one becomes the opening bracket. A dict writes its values one at a
     time, as does a list shorter than ``_JSON_COLUMN_MIN``; a longer list
     hands its items to :func:`_json_column` as one column and appends each
-    item's text as one chunk. This recurses once per level of nesting, as
-    ``json`` does."""
+    item's text as one chunk, or each piece of a split text. This recurses
+    once per level of nesting, as ``json`` does."""
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
         return
@@ -162,14 +171,18 @@ def _json_write(value, pad: str, out: list, heads: dict, leaves: dict) -> None:
             append(sep)
             _json_write(v, inner, out, heads, leaves)
     else:
-        out += chain.from_iterable(zip(repeat(sep), _json_column(value, inner, heads, leaves)))
+        texts, _ = _json_column(value, inner, heads, leaves)
+        if type(texts[0]) is tuple:
+            out += chain.from_iterable(chain.from_iterable(zip(repeat((sep,)), texts)))
+        else:
+            out += chain.from_iterable(zip(repeat(sep), texts))
     out[start] = "[\n" + inner
     append("\n" + pad + "]")
 
 
-def _json_column(values, pad: str, heads: dict, leaves: dict) -> list:
-    """The JSON texts of ``values``, whose lines are all indented by ``pad``:
-    one str per value, in order.
+def _json_column(values, pad: str, heads: dict, leaves: dict) -> tuple[list, bool]:
+    """The JSON texts of ``values``, whose lines are all indented by ``pad``,
+    one per value in order, and whether they hold a repeated text.
 
     The values are split by type, each part is encoded with C-level ``map``,
     ``zip`` and ``str.join``, and the parts are merged back in order. A
@@ -180,9 +193,18 @@ def _json_column(values, pad: str, heads: dict, leaves: dict) -> list:
     items form the next column, whose texts are cut back into lists of the
     group's length. A next column shorter than ``_JSON_COLUMN_MIN`` is
     written value by value by :func:`_json_write`. This recurses once per
-    level of nesting."""
+    level of nesting.
+
+    The texts hold a repeated text when the column repeats a container, or
+    when a next column holds one. A container whose next column holds one
+    is split: its text is the tuple of its heads and its values' pieces, not
+    their join, so the repeated text is held once and not copied into each
+    container that holds it. Either all texts of a column are str or all are
+    tuples; a column that repeats no container at any depth gives one str
+    per value."""
     kinds, types = _json_groups(values, type)
     inner = pad + "  "
+    repeated = False
     for kind, part in kinds.items():
         if issubclass(kind, str):
             missing = set(part).difference(leaves)
@@ -206,8 +228,9 @@ def _json_column(values, pad: str, heads: dict, leaves: dict) -> list:
             ids = list(map(id, part))
             distinct = dict(zip(ids, part))
             part = list(distinct.values())
+            repeated = True
         groups, shapes = _json_groups(part, tuple if is_dict else len)
-        close = repeat("\n" + pad + ("}" if is_dict else "]"))
+        close = "\n" + pad + ("}" if is_dict else "]")
         for shape, members in groups.items():
             if not shape:
                 groups[shape] = ["{}" if is_dict else "[]"] * len(members)
@@ -219,25 +242,63 @@ def _json_column(values, pad: str, heads: dict, leaves: dict) -> list:
             else:
                 openers = ["[\n" + inner]
                 columns = [list(chain.from_iterable(members))]
-            pieces = []
+            pieces, held = [], False
             for opener, column in zip(openers, columns):
                 if len(column) >= _JSON_COLUMN_MIN:
-                    texts = _json_column(column, inner, heads, leaves)
+                    texts, holds = _json_column(column, inner, heads, leaves)
                 else:
-                    texts = []
+                    texts, holds = [], False
                     for v in column:
                         chunks = []
                         _json_write(v, inner, chunks, heads, leaves)
                         texts.append("".join(chunks))
                 if not is_dict:  # cut the items' texts back into lists
-                    texts = map((",\n" + inner).join, zip(*[iter(texts)] * shape))
-                pieces += (repeat(opener), texts)
-            groups[shape] = list(map("".join, zip(*pieces, close)))
+                    items = zip(*[iter(texts)] * shape)
+                    sep = ",\n" + inner
+                    texts = list(map(_json_spliced, repeat(sep), items)) if holds else map(sep.join, items)
+                pieces.append((opener, texts))
+                held |= holds
+            if not held or all(type(texts[0]) is str for _, texts in pieces):
+                rows = zip(*chain.from_iterable((repeat(o), t) for o, t in pieces), repeat(close))
+                # a member that holds a repeated text is the tuple of its pieces
+                groups[shape] = list(rows) if held else list(map("".join, rows))
+                repeated |= held
+                continue
+            repeated = True
+            # a value's text is split itself: its pieces take its place
+            parts = [(repeat((opener,)), zip(texts) if type(texts[0]) is str else texts)
+                     for opener, texts in pieces]
+            rows = zip(*chain.from_iterable(parts), repeat((close,)))
+            groups[shape] = list(map(tuple, map(chain.from_iterable, rows)))
+        _json_split(groups)
         texts = _json_merge(groups, shapes)
         if ids is not None:  # each sighting of a repeated container takes its text
             texts = list(map(dict(zip(distinct, texts)).__getitem__, ids))
         kinds[kind] = texts
-    return _json_merge(kinds, types)
+    _json_split(kinds)
+    return _json_merge(kinds, types), repeated
+
+
+def _json_spliced(sep: str, items: tuple) -> tuple:
+    """The pieces of a list whose items' texts hold a repeated text, ``sep``
+    between one item's text, or its pieces, and the next's."""
+    pieces = []
+    for item in items:
+        pieces.append(sep)
+        if type(item) is tuple:
+            pieces += item
+        else:
+            pieces.append(item)
+    return tuple(pieces[1:])
+
+
+def _json_split(parts: dict) -> None:
+    """When one text list among the values of ``parts`` is split, split
+    the others too: a str becomes the tuple of itself."""
+    if any(type(texts[0]) is tuple for texts in parts.values()):
+        for key, texts in parts.items():
+            if type(texts[0]) is not tuple:
+                parts[key] = list(zip(texts))
 
 
 def _json_groups(values, key) -> tuple[dict, list | None]:
@@ -712,9 +773,17 @@ def _nogo_text(p: dict) -> list[str]:
     lines += ["", f"corner assignments ({len(corners)}):"]
     lines += [f"  {c}" for c in corners]
     lines += ["", f"bivalent truth functions ({len(functions)}):"]
+    # a function shares its corner's sub-dicts (see _certificate_payload), so
+    # each corner's result is formatted once; rows that share nothing, as
+    # after json.loads, are formatted one by one
+    results = {}
     for f in functions:
         values = ", ".join(f"{e}={v}" for e, v in f["values"].items())
-        lines.append(f"  {{{values}}} -> {_result_text(f)}")
+        key = (id(f["assignment"]), id(f["violation"]))
+        result = results.get(key)
+        if result is None:
+            result = results[key] = _result_text(f)
+        lines.append(f"  {{{values}}} -> {result}")
     lines += ["", "derivation traces:"]
     for corner, text in zip(p["corners"], corners):
         lines.append(f"  {text}")
@@ -888,10 +957,22 @@ def dispatch(argv: Sequence[str]) -> Report:
         return Report({"verdict": verdict, "error": message}, 2, _requested_format(argv))
 
 
+# chunks joined into one write to stdout
+_WRITE_BATCH = 4096
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    """Print the report of argv, or of the process's arguments, and return
+    its exit code. The report's chunks are written a batch at a time, so a
+    run holds no copy of the whole text nor of its encoding."""
     report = dispatch(sys.argv[1:] if argv is None else list(argv))
+    chunks = report.chunks()
+    write = sys.stdout.write
     try:
-        print(report.render(), flush=True)
+        for start in range(0, len(chunks), _WRITE_BATCH):
+            write("".join(chunks[start:start + _WRITE_BATCH]))
+        write("\n")
+        sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe; devnull takes the flush at interpreter exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -466,7 +466,36 @@ def test_closed_stdout_keeps_the_exit_code_and_prints_no_traceback():
     assert stderr == b""
 
 
+@pytest.mark.parametrize("argv", [
+    ["nogo", "--lattice", "builtin:lantern:4", "--bind", "X1=a1,X2=a2", "--format", "json"],
+    ["nogo", "--lattice", "builtin:lantern:4", "--bind", "X1=a1,X2=a2"],
+    ["scan", "--denominator", "20", "--format", "json"],
+    # above the listing cap: an exit-2 error report
+    ["nogo", "--lattice", "builtin:boolean:5", "--format", "json"],
+])
+def test_main_prints_the_rendering_and_a_newline(monkeypatch, argv):
+    report = dispatch(argv)
+    want = report.render() + "\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(slitlogic.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "slitlogic.cli", *argv],
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == report.exit_code
+    assert proc.stdout == want.encode()
+    assert proc.stderr == b""
+    # in batches of a few chunks, the last one short
+    monkeypatch.setattr(cli, "_WRITE_BATCH", 7)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == report.exit_code
+    assert len(report.chunks()) % 7
+    assert out.getvalue() == want
+
+
 # ---------------------------------------------------------------- JSON writer
+
+def _json_text(value) -> str:
+    return "".join(cli._json_chunks(value))
+
 
 class _Text(str):
     """A str subclass: the writer encodes it on its general path, not inline."""
@@ -516,7 +545,7 @@ def test_json_writer_writes_a_long_mixed_column_as_json_dumps():
     column = [None, True, False, 0, 1, -2, "s", _Text("t"), {}, [], [[]], {"k": {}},
               shared, [True, 1], ["u", None], shared, {"m": [0, False]}, [[], {}]] * 2
     payload = {"column": column, "rows": [{"value": v} for v in column]}
-    assert cli._json_text(payload) == json.dumps(payload, indent=2)
+    assert _json_text(payload) == json.dumps(payload, indent=2)
 
 
 def _nest(depth, wrap):
@@ -534,7 +563,7 @@ def _nest(depth, wrap):
 ], ids=["list-in-list", "dict-in-list", "long-lists"])
 def test_json_writer_writes_500_levels_as_json_dumps(wrap):
     value = _nest(500, wrap)
-    assert cli._json_text(value) == json.dumps(value, indent=2)
+    assert _json_text(value) == json.dumps(value, indent=2)
 
 
 def test_json_writer_appends_one_chunk_per_item_of_a_long_list():
@@ -565,6 +594,26 @@ def test_json_writer_appends_one_chunk_per_item_of_a_long_list():
     assert leaves == {"0": '"0"', "1": '"1"', "2": '"2"'}
 
 
+def test_json_writer_holds_a_dict_shared_by_the_rows_of_a_listing_once():
+    shared = {"x": "1", "y": None}
+    listings = [
+        # rows that hold it, lists that hold it, and rows that hold it one
+        # level down, next to a null; with the indent of its text
+        ({"rows": [{"i": str(i), "shared": shared} for i in range(16)]}, 6),
+        ({"pairs": [[str(i), shared] for i in range(16)]}, 6),
+        ({"deep": [{"x": {"s": shared}} for _ in range(16)] + [None]}, 8),
+    ]
+    for payload, indent in listings:
+        out = cli._json_chunks(payload)
+        assert "".join(out) == json.dumps(payload, indent=2)
+        # each row is its pieces: the shared dict's text is one str object
+        # that every row refers to, not a copy joined into each row's text
+        text = json.dumps(shared, indent=2).replace("\n", "\n" + " " * indent)
+        sightings = [id(chunk) for chunk in out if chunk == text]
+        assert len(sightings) == 16
+        assert len(set(sightings)) == 1
+
+
 def test_json_writer_encodes_a_container_repeated_in_a_column_once(monkeypatch):
     columns, writes = [], []
     column, write = cli._json_column, cli._json_write
@@ -582,7 +631,7 @@ def test_json_writer_encodes_a_container_repeated_in_a_column_once(monkeypatch):
     shared = {"x": ["1", "2"]}
     others = [{"x": [str(i)]} for i in range(20)]
     rows = [shared, *others[:10], shared, *others[10:], shared]
-    assert cli._json_text(rows) == json.dumps(rows, indent=2)
+    assert _json_text(rows) == json.dumps(rows, indent=2)
     # the 23 rows are one column; shared's list is met three times in the
     # column of the x values and encoded once, with the other 20 lists
     assert columns[0] == ("  ", [id(row) for row in rows])
@@ -591,7 +640,7 @@ def test_json_writer_encodes_a_container_repeated_in_a_column_once(monkeypatch):
     nested = [shared, [shared] * 16, {"y": shared}] * 6
     columns.clear()
     writes.clear()
-    assert cli._json_text(nested) == json.dumps(nested, indent=2)
+    assert _json_text(nested) == json.dumps(nested, indent=2)
     pads = {pad for pad, ids in columns if id(shared) in ids}
     pads |= {pad for pad, key in writes if key == id(shared)}
     assert pads == {"  ", "    "}
@@ -646,15 +695,15 @@ def test_json_writer_refuses_other_types(payload):
 
 @given(_VALUES, _VALUES, _records())
 def test_json_writer_matches_json_dumps(shared, value, records):
-    assert cli._json_text(value) == json.dumps(value, indent=2)
+    assert _json_text(value) == json.dumps(value, indent=2)
     # one object met three times at one depth and once at another
     payload = {"a": [shared, shared], "b": {"c": [shared]}, "d": [value, shared], "e": {}}
-    assert cli._json_text(payload) == json.dumps(payload, indent=2)
+    assert _json_text(payload) == json.dumps(payload, indent=2)
     # a list item at two indents, in turn, and a dict value between them
     nested = [shared, [shared, [shared]], {"f": shared}, shared, [shared]]
-    assert cli._json_text(nested) == json.dumps(nested, indent=2)
+    assert _json_text(nested) == json.dumps(nested, indent=2)
     # records as rows, shallow copies of them as longer rows, and records as
     # the values of one key of rows
     rows = {"rows": records, "copies": [dict(r) for r in records * 8],
             "cells": [{"cell": r} for r in records * 8]}
-    assert cli._json_text(rows) == json.dumps(rows, indent=2)
+    assert _json_text(rows) == json.dumps(rows, indent=2)

@@ -84,8 +84,8 @@ MUTANTS = [
      "dict(zip(distinct, texts))", "dict(zip(distinct, [*texts[1:], texts[0]]))",
      node_ids(CLI_TESTS, "test_json_writer_encodes_a_container_repeated_in_a_column_once")),
     ("JSON: a column's children written at the parent's indent", CLI,
-     "texts = _json_column(column, inner, heads, leaves)",
-     "texts = _json_column(column, pad, heads, leaves)",
+     "texts, holds = _json_column(column, inner, heads, leaves)",
+     "texts, holds = _json_column(column, pad, heads, leaves)",
      node_ids(CLI_TESTS, "test_json_writer_writes_a_long_mixed_column_as_json_dumps")),
     ("JSON: list items regrouped with a wrong length", CLI,
      "zip(*[iter(texts)] * shape)", "zip(*[iter(texts)] * (shape - 1))",
@@ -99,6 +99,10 @@ MUTANTS = [
     ("JSON: bools in a column written as ints", CLI,
      "        if kind is bool:\n", "        if kind is None:\n",
      node_ids(CLI_TESTS, "test_json_writer_writes_a_long_mixed_column_as_json_dumps")),
+    ("JSON: shared rows joined into one text per row", CLI,
+     "            part = list(distinct.values())\n            repeated = True\n",
+     "            part = list(distinct.values())\n",
+     node_ids(CLI_TESTS, "test_json_writer_holds_a_dict_shared_by_the_rows_of_a_listing_once")),
     ("is_leq reads the pair the other way round", LATTICE,
      "return bool(self.up[self.index(y)] >> self.index(z) & 1)",
      "return bool(self.up[self.index(z)] >> self.index(y) & 1)",
