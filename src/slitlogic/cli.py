@@ -17,6 +17,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain, product, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
@@ -845,8 +846,9 @@ def _add_format(p) -> None:
 
 
 def _requested_format(argv: Sequence[str]) -> str:
-    """The format an error report is rendered in: the last ``--format X`` or
-    ``--format=X`` of argv, or text when that is absent or not a choice."""
+    """The format of the error report of an argv that does not parse: the
+    last ``--format X`` or ``--format=X`` of argv, or text when that is
+    absent or not a choice."""
     fmt = "text"
     for flag, value in zip(argv, [*argv[1:], None]):
         if flag == "--format":
@@ -900,8 +902,7 @@ def _add_scan_args(p) -> None:
 
 
 # subcommand -> (help line, adder of its arguments); the handler of "x-y" is
-# _cmd_x_y, looked up when a parser is built, so a replaced handler is the one
-# that runs
+# _cmd_x_y, looked up on every run, so a replaced handler is the one that runs
 _COMMANDS = {
     "lattice-check": ("verify every lattice law of a lattice file", _add_lattice_check_args),
     "parse": ("echo a formula as a tree plus its desugared form", _add_parse_args),
@@ -913,25 +914,16 @@ _COMMANDS = {
 }
 
 
-def _fill(p, command: str) -> None:
-    _COMMANDS[command][1](p)
-    _add_format(p)
-    p.set_defaults(command=command, func=globals()["_cmd_" + command.replace("-", "_")])
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full parser, or given ``command`` that subcommand's parser alone.
-    The same adders fill both, so ``build_parser(c).parse_args(tail)`` and
-    ``build_parser().parse_args([c, *tail])`` give equal namespaces, errors
-    and help."""
-    if command is not None:
-        parser = _ArgumentParser(prog=f"slitlogic {command}")
-        _fill(parser, command)
-        return parser
+@cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command line, built once per process: argparse
+    keeps no state of a parse on its parsers, so each parse starts afresh."""
     parser = _ArgumentParser(prog="slitlogic", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_ArgumentParser)
-    for name, (help_line, _) in _COMMANDS.items():
-        _fill(sub.add_parser(name, help=help_line), name)
+    for name, (help_line, add_args) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        add_args(p)
+        _add_format(p)
     return parser
 
 
@@ -939,22 +931,20 @@ _INPUT_ERRORS = (SlitlogicError, OSError)
 
 
 def dispatch(argv: Sequence[str]) -> Report:
-    """Route argv to a subcommand; rejected input becomes an exit-2 report.
-    An argv that starts with a subcommand's name is parsed by that
-    subcommand's parser alone. Any other argv goes to the full parser: none,
-    top-level help, an unknown name or a flag before the name."""
+    """Parse argv and run its subcommand; rejected input becomes an exit-2
+    report, in the format of the parsed command line, or of
+    :func:`_requested_format` when argv does not parse."""
+    ns = None
     try:
-        if argv and argv[0] in _COMMANDS:
-            ns = build_parser(argv[0]).parse_args(list(argv[1:]))
-        else:
-            ns = build_parser().parse_args(list(argv))
-            if getattr(ns, "command", None) is None:
-                raise UsageError("a subcommand is required (see --help)")
-        return ns.func(ns)
+        ns = build_parser().parse_args(list(argv))
+        if ns.command is None:
+            raise UsageError("a subcommand is required (see --help)")
+        return globals()["_cmd_" + ns.command.replace("-", "_")](ns)
     except _INPUT_ERRORS as exc:
         message = str(exc) or type(exc).__name__
         verdict = f"error: {message}"
-        return Report({"verdict": verdict, "error": message}, 2, _requested_format(argv))
+        fmt = getattr(ns, "format", None) or _requested_format(argv)
+        return Report({"verdict": verdict, "error": message}, 2, fmt)
 
 
 # chunks joined into one write to stdout

@@ -1,5 +1,6 @@
 """Dispatch, report formats, exit codes, and byte determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -257,20 +258,46 @@ _STRAY = st.sampled_from(("--nope", "extra", "--", "-", "-x", "--form", "--equal
                           "--he", "-h", "-1/2,0", "--format=xml", "nogo"))
 
 
-@given(argv=_argv(), stray=st.lists(st.tuples(st.integers(0, 12), _STRAY), max_size=2))
-def test_a_subcommand_parser_alone_parses_as_the_full_parser(argv, stray):
-    command, tail = argv[0], argv[1:]
+@given(argv=_argv(), earlier=_argv(), stray=st.lists(st.tuples(st.integers(0, 12), _STRAY), max_size=2))
+def test_a_subcommand_parser_alone_parses_as_the_full_parser(argv, earlier, stray):
+    """After earlier parses, the one parser, built once per process, parses
+    argv and stray tokens as a freshly built parser does."""
     for at, token in stray:
-        tail.insert(at, token)
-    alone = _parse_outcome(cli.build_parser(command), list(tail))
-    assert alone == _parse_outcome(cli.build_parser(), [command, *tail])
+        argv.insert(at, token)
+    parser = cli.build_parser()
+    _parse_outcome(parser, earlier)
+    fresh = cli.build_parser.__wrapped__()
+    assert fresh is not parser
+    assert _parse_outcome(parser, list(argv)) == _parse_outcome(fresh, list(argv))
 
 
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_a_subcommand_parser_alone_prints_the_same_help(command):
-    code, text = _parse_outcome(cli.build_parser(command), ["-h"])
+    """Each subcommand's help, through the one parser, as a fresh parser prints it."""
+    code, text = _parse_outcome(cli.build_parser(), [command, "-h"])
     assert code == 0 and text.startswith(f"usage: slitlogic {command} [-h]")
-    assert (code, text) == _parse_outcome(cli.build_parser(), [command, "-h"])
+    assert (code, text) == _parse_outcome(cli.build_parser.__wrapped__(), [command, "-h"])
+
+
+def test_the_parser_is_built_once(monkeypatch):
+    dispatch(["interference"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert dispatch(["parse", "X1 & X2"]).exit_code == 0
+    assert dispatch(["lattice-check", "builtin:boolean:2"]).exit_code == 0
+    assert dispatch(["scan", "--values", "x"]).exit_code == 2
+    report = dispatch(["nogo", "--format=json", "--no-equal-priors"])
+    assert (report.exit_code, report.format) == (1, "json")
+    assert built == []
+    report = dispatch(["nogo"])
+    assert (report.exit_code, report.format) == (0, "text")
+    assert "equal priors: yes" in report.render()
 
 
 def test_the_full_parser_lists_every_subcommand():
@@ -305,6 +332,8 @@ def test_scan_degenerate_corners_survive():
     (["nogo", "--format", "json", "--lattice", "nope"], "json"),
     (["nogo", "--format=json", "--format", "xml"], "text"),
     (["nogo", "--lattice", "nope"], "text"),
+    # argparse takes "--form" for "--format"; the parsed command line asks for json
+    (["nogo", "--form", "json", "--bind", "X1=a"], "json"),
 ])
 def test_error_report_takes_the_last_format_flag(argv, fmt):
     report = dispatch(argv)

@@ -33,7 +33,7 @@ def test_a_fault_in_a_handler_propagates(monkeypatch, argv):
     def fault(ns):
         raise ValueError("a fault of the program")
 
-    # the parser looks its handler up when it is built, so the patch is seen
+    # dispatch looks the handler up on every run, so the patch is seen
     monkeypatch.setattr(cli, "_cmd_" + argv[0].replace("-", "_"), fault)
     with pytest.raises(ValueError, match="a fault of the program"):
         dispatch(argv)

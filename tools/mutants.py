@@ -103,6 +103,15 @@ MUTANTS = [
      "            part = list(distinct.values())\n            repeated = True\n",
      "            part = list(distinct.values())\n",
      node_ids(CLI_TESTS, "test_json_writer_holds_a_dict_shared_by_the_rows_of_a_listing_once")),
+    ("dispatch: the parser rebuilt on every run", CLI,
+     "@cache\ndef build_parser()", "def build_parser()",
+     node_ids(CLI_TESTS, "test_the_parser_is_built_once")),
+    ("dispatch: no check for a missing subcommand", CLI,
+     "        if ns.command is None:\n", "        if False:\n",
+     node_ids(CLI_TESTS, "test_usage_errors_are_exit_2")),
+    ("dispatch: an error report ignores the parsed format", CLI,
+     'getattr(ns, "format", None) or _requested_format(argv)', "_requested_format(argv)",
+     node_ids(CLI_TESTS, "test_error_report_takes_the_last_format_flag")),
     ("is_leq reads the pair the other way round", LATTICE,
      "return bool(self.up[self.index(y)] >> self.index(z) & 1)",
      "return bool(self.up[self.index(z)] >> self.index(y) & 1)",
