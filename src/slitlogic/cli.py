@@ -12,6 +12,7 @@ propagates. Output is deterministic: identical inputs give byte-identical report
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import re
 import sys
@@ -951,21 +952,43 @@ def dispatch(argv: Sequence[str]) -> Report:
 _WRITE_BATCH = 4096
 
 
+def _unwritten(reason: str) -> int:
+    """Say on stderr, when there is one, that the report was not written,
+    and return exit code 2."""
+    try:
+        print(f"error: {reason}", file=sys.stderr, flush=True)
+    except (AttributeError, OSError):  # no stderr, or a failing one
+        pass
+    return 2
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Print the report of argv, or of the process's arguments, and return
     its exit code. The report's chunks are written a batch at a time, so a
-    run holds no copy of the whole text nor of its encoding."""
+    run holds no copy of the whole text nor of its encoding.
+
+    A character that stdout's encoding cannot hold is written as a
+    backslash escape (``\\u03b1`` for ``α`` in ASCII), as JSON output
+    escapes it. A reader that closes the pipe early keeps the report's exit
+    code; a missing stdout, or any other failed write, exits 2 with one line
+    on stderr."""
     report = dispatch(sys.argv[1:] if argv is None else list(argv))
     chunks = report.chunks()
-    write = sys.stdout.write
+    out = sys.stdout
+    if out is None:
+        return _unwritten("standard output is closed")
+    if isinstance(out, io.TextIOWrapper):
+        out.reconfigure(errors="backslashreplace")
     try:
         for start in range(0, len(chunks), _WRITE_BATCH):
-            write("".join(chunks[start:start + _WRITE_BATCH]))
-        write("\n")
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed the pipe; devnull takes the flush at interpreter exit
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            out.write("".join(chunks[start:start + _WRITE_BATCH]))
+        out.write("\n")
+        out.flush()
+    except OSError as exc:
+        # devnull takes what is left for the flush at interpreter exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            return _unwritten(f"cannot write the report: {exc}")
     return report.exit_code
 
 

@@ -7,21 +7,26 @@ the least and greatest elements.
 
 The order is stored once, as each element's up-set held as a Python int,
 after Aït-Kaci, Boyer, Lincoln & Nasr, "Efficient implementation of lattice
-operations" (ACM TOPLAS 11(1), 1989); down-sets are read off the up-sets.
-The transitive closure takes one OR per pair of elements. The upper bounds
-of y and z have a least member exactly when they form that member's up-set
-(Birkhoff, *Lattice Theory*), so the join of y and z is the element whose
-up-set is ``up[y] & up[z]``, found in a dict keyed by up-set, and the pair
-has no least upper bound when no element has that up-set; meets look up the
+operations" (ACM TOPLAS 11(1), 1989). A build takes Kahn's topological order
+of the listed pairs (Kahn, "Topological sorting of large networks", CACM
+5(11), 1962) and walks it once each way: an up-set is the element's bit
+and its upper neighbours' up-sets, a down-set dually, so the transitive
+closure is one OR per listed pair. The upper bounds of y and z have a
+least member exactly when they form that member's up-set (Birkhoff,
+*Lattice Theory*), so the join of y and z is the element whose up-set is
+``up[y] & up[z]``, found in a dict keyed by up-set, and the pair has no
+least upper bound when no element has that up-set; meets look up the
 intersection of the down-sets. Join and meet are not stored: each query is
-one such lookup. A build checks that every pair has both bounds, so it costs
-O(n^2) operations on n-bit integers, under half a second at the cap of
-:data:`MAX_ELEMENTS` elements, and keeps only O(n) ints: the up-sets, the
+one such lookup. A finite order with a least element in which every pair
+has a join is a lattice, so a build checks the joins alone: O(n^2)
+operations on n-bit integers, at most a quarter of a second at the cap of
+:data:`MAX_ELEMENTS` elements. It keeps only O(n) ints: the up-sets, the
 down-sets and the two dicts. Instances are immutable and safe to share
 between threads.
 
-:func:`verify_axioms` audits a hand-built ``Lattice`` with the same walk over
-the pairs, so it too takes O(n^2) operations on n-bit integers.
+:func:`verify_axioms` audits a hand-built ``Lattice`` with a walk over the
+pairs that looks up both bounds, so it too takes O(n^2) operations on n-bit
+integers.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .errors import SlitlogicError
@@ -225,6 +230,34 @@ def _missing_bounds(
                 yield i, j, "greatest lower bound"
 
 
+def _refuse_cycle(names: Sequence[str], above: Sequence[list[int]]) -> None:
+    """Raise :class:`NotAPartialOrder` for an order with a cycle, naming the
+    first pair (i, j > i) of elements below each other: the closure is a
+    Warshall pass over the up-sets, which only a refused input pays for."""
+    n = len(names)
+    up = [1 << i for i in range(n)]
+    for i, js in enumerate(above):
+        for j in js:
+            up[i] |= 1 << j
+    # what lies above k lies above all below k
+    for k in range(n):
+        bit, above_k = 1 << k, up[k]
+        for i in range(n):
+            if up[i] & bit:
+                up[i] |= above_k
+    down = _down_sets(up)
+    # An i below each other with some j < i would have raised at j, so the
+    # first i to raise has only partners j > i: its lowest partner is the
+    # pair that a scan over (i, j > i) names first.
+    for i in range(n):
+        both = (up[i] & down[i]) ^ (1 << i)
+        if both:
+            j = (both & -both).bit_length() - 1
+            raise NotAPartialOrder(
+                f"{names[i]!r} and {names[j]!r} are below each other"
+            )
+
+
 def build_from_order(
     elements: Sequence[str],
     order_pairs: Iterable[Sequence[str]],
@@ -236,6 +269,12 @@ def build_from_order(
     relation or any subset of the full order works, the transitive closure
     is taken internally. ``involution_pairs`` must mention every element in
     exactly one pair (fixed points as (y, y)).
+
+    The closure walks Kahn's topological order of the pairs, one OR per
+    pair; only pairs with a cycle, which have no such order, pay for a
+    Warshall closure. An order with a least element is accepted on its joins
+    alone, since the meet of a pair is then the join of its lower bounds
+    (Davey & Priestley, *Introduction to Lattices and Order*, ch. 2).
 
     Raises :class:`NotAPartialOrder`, :class:`NoUniqueBound`, or
     :class:`BadInvolution` rather than returning a structure that breaks a
@@ -251,43 +290,57 @@ def build_from_order(
         raise LatticeError("duplicate element names")
     pos = {e: i for i, e in enumerate(names)}
 
-    # up[i] holds bit j when element i lies below element j
-    up = [1 << i for i in range(n)]
+    # the listed upper neighbours of each element, and how many lower ones;
+    # a pair (y, y) says only that y lies below itself
+    above: list[list[int]] = [[] for _ in range(n)]
+    indegree = [0] * n
     for lesser, greater in order_pairs:
-        for name in (lesser, greater):
-            if name not in pos:
-                raise UnknownElement(f"order pair mentions unknown element {name!r}")
-        up[pos[lesser]] |= 1 << pos[greater]
+        try:
+            i, j = pos[lesser], pos[greater]
+        except KeyError as exc:
+            raise UnknownElement(f"order pair mentions unknown element {exc.args[0]!r}") from None
+        if i != j:
+            above[i].append(j)
+            indegree[j] += 1
 
-    # transitive closure (Warshall): what lies above k lies above all below k
-    for k in range(n):
-        bit, above = 1 << k, up[k]
-        for i in range(n):
-            if up[i] & bit:
-                up[i] |= above
+    # Kahn's topological order, walked as it grows: an element is ranked
+    # once every element listed below it is, and its down-set, complete by
+    # then, is passed to its upper neighbours. The up-sets are gathered
+    # walking the order back down. down[i] (up[i]) holds bit j when element
+    # j lies below (above) element i.
+    down = [1 << i for i in range(n)]
+    ranked = [i for i, d in enumerate(indegree) if not d]
+    for i in ranked:
+        d = down[i]
+        for j in above[i]:
+            down[j] |= d
+            indegree[j] -= 1
+            if not indegree[j]:
+                ranked.append(j)
+    if len(ranked) < n:
+        _refuse_cycle(names, above)
+    up = [0] * n
+    for i in reversed(ranked):
+        u = 1 << i
+        for k in above[i]:
+            u |= up[k]
+        up[i] = u
 
-    down = _down_sets(up)
-
-    # An i below each other with some j < i would have raised at j, so the
-    # first i to raise has only partners j > i: its lowest partner is the
-    # pair that a scan over (i, j > i) names first.
-    for i in range(n):
-        both = (up[i] & down[i]) ^ (1 << i)
-        if both:
-            j = (both & -both).bit_length() - 1
-            raise NotAPartialOrder(
-                f"{names[i]!r} and {names[j]!r} are below each other"
-            )
-
+    # a least element and every join: a lattice. Else the scan of both
+    # bounds names the first pair (i, j > i) without one, join before meet.
+    full = (1 << n) - 1
     by_up = {u: i for i, u in enumerate(up)}
     by_down = {d: i for i, d in enumerate(down)}
-    for i, j, what in _missing_bounds(up, down, by_up, by_down):
-        raise NoUniqueBound(f"no {what} for ({names[i]}, {names[j]})")
+    has = by_up.__contains__
+    if full not in by_up or not all(
+        all(map(has, map(up_i.__and__, up[i + 1:]))) for i, up_i in enumerate(up)
+    ):
+        for i, j, what in _missing_bounds(up, down, by_up, by_down):
+            raise NoUniqueBound(f"no {what} for ({names[i]}, {names[j]})")
 
     # Every pair has a join and a meet, so the order has one least and one
     # greatest element: the one whose up-set, and the one whose down-set,
     # holds every element.
-    full = (1 << n) - 1
     bottom, top = by_up[full], by_down[full]
 
     inv: dict[int, int] = {}
@@ -479,13 +532,15 @@ def from_dict(data: dict) -> Lattice:
             raise LatticeError(f"lattice description is missing {key!r}")
         if not isinstance(data[key], list):
             raise LatticeError(f"lattice description field {key!r} must be a list")
-    if not all(isinstance(e, str) for e in data["elements"]):
+    if not all(map(isinstance, data["elements"], repeat(str))):
         raise LatticeError("lattice description field 'elements' must list strings")
     for key in ("order", "involution"):
-        for pair in data[key]:
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                    and all(isinstance(e, str) for e in pair)):
-                raise LatticeError(f"{key!r} entries must be 2-element lists of element names")
+        # whole-list passes: every entry a list, of length 2, of names
+        pairs = data[key]
+        if not (all(map(isinstance, pairs, repeat((list, tuple))))
+                and all(map((2).__eq__, map(len, pairs)))
+                and all(map(isinstance, chain.from_iterable(pairs), repeat(str)))):
+            raise LatticeError(f"{key!r} entries must be 2-element lists of element names")
     return build_from_order(data["elements"], data["order"], data["involution"])
 
 

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -259,7 +260,7 @@ _STRAY = st.sampled_from(("--nope", "extra", "--", "-", "-x", "--form", "--equal
 
 
 @given(argv=_argv(), earlier=_argv(), stray=st.lists(st.tuples(st.integers(0, 12), _STRAY), max_size=2))
-def test_a_subcommand_parser_alone_parses_as_the_full_parser(argv, earlier, stray):
+def test_the_cached_parser_parses_as_a_fresh_parser(argv, earlier, stray):
     """After earlier parses, the one parser, built once per process, parses
     argv and stray tokens as a freshly built parser does."""
     for at, token in stray:
@@ -272,7 +273,7 @@ def test_a_subcommand_parser_alone_parses_as_the_full_parser(argv, earlier, stra
 
 
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
-def test_a_subcommand_parser_alone_prints_the_same_help(command):
+def test_each_command_prints_its_help_through_the_one_parser(command):
     """Each subcommand's help, through the one parser, as a fresh parser prints it."""
     code, text = _parse_outcome(cli.build_parser(), [command, "-h"])
     assert code == 0 and text.startswith(f"usage: slitlogic {command} [-h]")
@@ -493,6 +494,85 @@ def test_closed_stdout_keeps_the_exit_code_and_prints_no_traceback():
     stderr = proc.stderr.read()
     assert proc.wait(timeout=60) == 0
     assert stderr == b""
+
+
+def _run_cli(argv, shell_redirect="", **kwargs):
+    """Run ``python -m slitlogic.cli argv`` in a shell, its stdout redirected
+    as given, and return the finished process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(slitlogic.__file__).parents[1]), **kwargs.pop("env", {}))
+    command = f'"$0" -m slitlogic.cli "$@" {shell_redirect}'
+    return subprocess.run(["sh", "-c", command, sys.executable, *argv],
+                          capture_output=not shell_redirect, env=env, timeout=60, **kwargs)
+
+
+def _one_error_line(stderr: bytes, fragment: str) -> None:
+    assert stderr.count(b"\n") == 1 and stderr.startswith(b"error: ")
+    assert fragment.encode() in stderr and b"Traceback" not in stderr
+
+
+def test_a_closed_stdout_exits_2_with_one_line():
+    proc = _run_cli(["interference"], ">&-", stderr=subprocess.PIPE)
+    assert proc.returncode == 2
+    _one_error_line(proc.stderr, "standard output is closed")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_write_exits_2_with_one_line():
+    proc = _run_cli(["scan", "--denominator", "50"], "> /dev/full", stderr=subprocess.PIPE)
+    assert proc.returncode == 2
+    _one_error_line(proc.stderr, "No space left on device")
+
+
+def test_text_that_stdout_cannot_encode_is_written_escaped(tmp_path):
+    ascii_out = {"PYTHONIOENCODING": "ascii"}
+    # a parse error that quotes its character
+    proc = _run_cli(["parse", "A\u03b1 & B"], env=ascii_out)
+    assert proc.returncode == 2 and proc.stderr == b""
+    assert proc.stdout == b"error: unexpected character '\\u03b1' (at position 1)\n"
+    # a lawful lattice whose elements are named alpha and beta
+    path = tmp_path / "greek.json"
+    path.write_text(json.dumps({"elements": ["0", "\u03b1", "\u03b2", "1"],
+                                "order": [["0", "\u03b1"], ["0", "\u03b2"], ["\u03b1", "1"], ["\u03b2", "1"]],
+                                "involution": [["0", "1"], ["\u03b1", "\u03b2"]]}), encoding="utf-8")
+    for argv in (["lattice-check", str(path)],
+                 ["nogo", "--lattice", str(path), "--bind", "X1=\u03b1,X2=\u03b2"]):
+        proc = _run_cli(argv, env=ascii_out)
+        want = dispatch(argv)
+        assert proc.returncode == want.exit_code and proc.stderr == b""
+        assert proc.stdout == (want.render() + "\n").encode("ascii", "backslashreplace")
+        assert b"\\u03b1" in proc.stdout
+        # in UTF-8 the same report keeps its bytes
+        proc = _run_cli(argv, env={"PYTHONIOENCODING": "utf-8"})
+        assert proc.stdout == (want.render() + "\n").encode()
+
+
+# names that no ASCII stream can hold, and that the --bind and --assign
+# syntax reads as one name: no separators, spaces or control characters
+_NON_ASCII_NAME = st.text(st.characters(min_codepoint=0x80, max_codepoint=0x2FFF,
+                                        blacklist_categories=("C", "Z")), min_size=1, max_size=3)
+
+
+@given(names=st.lists(_NON_ASCII_NAME, min_size=4, max_size=4, unique=True))
+def test_every_text_report_on_non_ascii_names_is_written_escaped_to_ascii(names):
+    zero, a, b, one = names
+    data = {"elements": names, "order": [[zero, a], [zero, b], [a, one], [b, one]],
+            "involution": [[zero, one], [a, b]]}
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "lattice.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        bind = f"X1={a},X2={b}"
+        for argv in (["lattice-check", path],
+                     ["nogo", "--lattice", path, "--bind", bind],
+                     ["super", "--lattice", path, "--bind", bind],
+                     ["eval", "--formula", "X1 | X2", "--mode", "lattice", "--lattice", path,
+                      "--assign", bind, "--values", f"{a}=1/2,{b}=1/2"],
+                     ["parse", f"{a} & X1"]):
+            want = dispatch(argv)
+            out = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+            with contextlib.redirect_stdout(out):
+                assert cli.main(argv) == want.exit_code
+            assert out.buffer.getvalue() == (want.render() + "\n").encode("ascii", "backslashreplace")
 
 
 @pytest.mark.parametrize("argv", [

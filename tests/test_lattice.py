@@ -1,6 +1,7 @@
 """Lattice construction, builtin families, and the law checker."""
 
 import json
+import random
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import catalogue
 from slitlogic import lattice as lattice_module
 from slitlogic.lattice import (
     MAX_ELEMENTS,
@@ -134,7 +136,8 @@ _NO_UNIQUE_BOUND_CASES = [
     # two maximal elements: (a, b) has no upper bound at all
     (["0", "a", "b"], [("0", "a"), ("0", "b")], [("0", "a"), ("b", "b")],
      "no least upper bound for (a, b)"),
-    # two minimal elements: (a, b) has a join but no lower bound at all
+    # two minimal elements: (a, b) has a join but no lower bound at all;
+    # every pair has a join, so only the missing least element shows it
     (["a", "b", "1"], [("a", "1"), ("b", "1")], [("a", "1"), ("b", "b")],
      "no greatest lower bound for (a, b)"),
 ]
@@ -627,16 +630,15 @@ def _outcome(build, arguments):
         return None, (type(exc), str(exc))
 
 
-@settings(max_examples=300)
-@given(_random_orders() | _relabelled_builtins())
-def test_bitset_build_matches_the_reference(spec):
-    *arguments, _ = spec
+def assert_builds_as_the_reference(arguments):
+    """``build_from_order`` and ``reference_build`` give the same error, or
+    the same lattice with the same joins, meets, covers and order. Returns
+    the error's type and message, or None."""
     expected, error = _outcome(reference_build, arguments)
-    event(f"outcome: {error[0].__name__ if error else 'lattice'}")
     built, built_error = _outcome(build_from_order, arguments)
     assert built_error == error
     if error:
-        return
+        return error
     lat, join_table, meet_table = expected
     assert built == lat
     names = built.elements
@@ -647,6 +649,111 @@ def test_bitset_build_matches_the_reference(spec):
     assert built.cover_pairs() == reference_cover_pairs(built)
     leq = reference_order(names, arguments[1])
     assert [[built.is_leq(y, z) for z in names] for y in names] == leq
+    return None
+
+
+@settings(max_examples=300)
+@given(_random_orders() | _relabelled_builtins())
+def test_bitset_build_matches_the_reference(spec):
+    *arguments, _ = spec
+    error = assert_builds_as_the_reference(arguments)
+    event(f"outcome: {error[0].__name__ if error else 'lattice'}")
+
+
+# --------------------------------------- every lattice of up to 7 elements
+
+
+def test_the_catalogue_counts_the_lattices_of_oeis_a006966():
+    counts = tuple(len(catalogue.lattices(n)) for n in range(1, 8))
+    assert counts == catalogue.A006966 == (1, 1, 1, 2, 5, 15, 53)
+    for n in range(1, 8):
+        for up in catalogue.lattices(n):
+            assert catalogue.is_lattice(up)
+            assert up[0] == (1 << n) - 1 and up[-1] == 1 << (n - 1)
+
+
+def _perturbed(up):
+    """A catalogue lattice's elements and covering pairs, as indices: as
+    they are; then with each cover in turn reversed, listed both ways (a
+    cycle of two) or dropped; with the top also listed below the bottom (a
+    cycle through every element); and with the bottom removed."""
+    covers = catalogue.cover_pairs(up)
+    n = len(up)
+    elements = list(range(n))
+    yield "lattice", elements, covers
+    for k, (i, j) in enumerate(covers):
+        yield "cover reversed", elements, [*covers[:k], (j, i), *covers[k + 1:]]
+        yield "cycle", elements, [*covers, (j, i)]
+        yield "cover dropped", elements, covers[:k] + covers[k + 1:]
+    if n > 1:
+        yield "cycle", elements, [*covers, (n - 1, 0)]
+    yield "bottom removed", elements[1:], [c for c in covers if 0 not in c]
+
+
+def _named(rng, n, elements, covers):
+    """build_from_order's arguments: fresh names, the elements, the covers
+    and the involution pairs each shuffled. The involution swaps bottom and
+    top and pairs or fixes the rest; a pair that names a removed element is
+    left out."""
+    names = [f"{rng.choice('uvwxyz')}{k}" for k in rng.sample(range(100), n)]
+    middle = rng.sample(range(1, n - 1), n - 2) if n > 2 else []
+    cut = rng.randint(0, len(middle) // 2)
+    involution = [(0, n - 1), *zip(middle[:cut], middle[cut:2 * cut])]
+    involution += [(k, k) for k in middle[2 * cut:]]
+    kept = set(elements)
+    return (
+        [names[k] for k in rng.sample(elements, len(elements))],
+        [(names[i], names[j]) for i, j in rng.sample(covers, len(covers))],
+        [(names[y], names[z]) if rng.random() < 0.5 else (names[z], names[y])
+         for y, z in rng.sample(involution, len(involution)) if {y, z} <= kept],
+    )
+
+
+def _kind(error):
+    """An outcome's kind: "lattice", the error's type, or which bound."""
+    if error is None:
+        return "lattice"
+    return error[1][:error[1].index(" for ")] if error[0] is NoUniqueBound else error[0].__name__
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_the_build_matches_the_reference_on_every_small_lattice(n):
+    rng = random.Random(n)
+    outcomes = set()
+    for up in catalogue.lattices(n):
+        for perturbation, elements, covers in _perturbed(up):
+            for _ in range(2):
+                error = assert_builds_as_the_reference(_named(rng, n, elements, covers))
+                outcomes.add((perturbation, _kind(error)))
+    assert {kind for perturbation, kind in outcomes if perturbation == "lattice"} == {"lattice"}
+    assert {kind for perturbation, kind in outcomes if perturbation == "cycle"} <= {"NotAPartialOrder"}
+    if n == 7:
+        # each perturbation reaches the outcomes it can have
+        assert {
+            ("cycle", "NotAPartialOrder"),
+            ("cover reversed", "lattice"),
+            ("cover reversed", "no least upper bound"),
+            ("cover reversed", "no greatest lower bound"),
+            ("cover dropped", "lattice"),
+            ("cover dropped", "no least upper bound"),
+            ("cover dropped", "no greatest lower bound"),
+            ("bottom removed", "no greatest lower bound"),
+            ("bottom removed", "BadInvolution"),
+        } <= outcomes
+
+
+def test_a_lattice_is_accepted_on_its_joins_alone(monkeypatch):
+    # the two-sided scan names the pair a refused order lacks a bound for;
+    # a lattice never needs it
+    def scan(*args):
+        raise AssertionError("the two-sided bound scan ran")
+
+    monkeypatch.setattr(lattice_module, "_missing_bounds", scan)
+    for n in range(1, 8):
+        for up in catalogue.lattices(n):
+            build_from_order(*_named(random.Random(n), n, *next(_perturbed(up))[1:]))
+    for family, n in (("boolean", 4), ("chain", 9), ("lantern", 6)):
+        builtin(family, n)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -820,13 +927,37 @@ def _perturbed_lattices(draw):
     return replace(lat, up=tuple(up), involution=tuple(involution), **ends)
 
 
+def assert_audits_as_the_matrix_search(lat):
+    """``verify_axioms`` and the matrix search agree on whether ``lat`` is
+    lawful, and on a partial order they differ only by the implied laws.
+    Returns whether it is lawful."""
+    expected = reference_verify_axioms(lat)
+    found = verify_axioms(lat)
+    assert (found == []) == (expected == [])
+    if not any(v.law in _ORDER_LAWS for v in expected):
+        assert found == [v for v in expected if v.law not in _IMPLIED_LAWS]
+    return not expected
+
+
 @settings(max_examples=300)
 @given(_perturbed_lattices())
 def test_verify_axioms_agrees_with_the_matrix_search(lat):
-    expected = reference_verify_axioms(lat)
-    found = verify_axioms(lat)
-    event("lawful" if not expected else "lawless")
-    assert (found == []) == (expected == [])
-    # on a partial order the two lists differ only by the implied laws
-    if not any(v.law in _ORDER_LAWS for v in expected):
-        assert found == [v for v in expected if v.law not in _IMPLIED_LAWS]
+    event("lawful" if assert_audits_as_the_matrix_search(lat) else "lawless")
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_verify_axioms_agrees_with_the_matrix_search_on_every_small_lattice(n):
+    # each catalogue lattice as built, then with an up-set bit flipped, an
+    # involution entry moved, or the bottom and top swapped
+    rng = random.Random(n)
+    for up in catalogue.lattices(n):
+        lat = build_from_order(*_named(rng, n, *next(_perturbed(up))[1:]))
+        assert assert_audits_as_the_matrix_search(lat)
+        for _ in range(3):
+            flipped = list(lat.up)
+            flipped[rng.randrange(n)] ^= 1 << rng.randrange(n)
+            moved = list(lat.involution)
+            moved[rng.randrange(n)] = rng.randrange(n)
+            for wrong in (replace(lat, up=tuple(flipped)), replace(lat, involution=tuple(moved))):
+                assert_audits_as_the_matrix_search(wrong)
+        assert_audits_as_the_matrix_search(replace(lat, bottom=lat.top, top=lat.bottom))

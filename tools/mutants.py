@@ -55,9 +55,18 @@ MUTANTS = [
      "self._down[self.index(y)] & self._down[self.index(z)]",
      "self.up[self.index(y)] & self.up[self.index(z)]",
      node_ids(LATTICE_TESTS, "test_diamond_build")),
-    ("the bound check: a join looked up on the union of the up-sets", LATTICE,
+    ("the bound scan: a join looked up on the union of the up-sets", LATTICE,
      "if up_i & up[j] not in by_up:", "if up_i | up[j] not in by_up:",
-     node_ids(LATTICE_TESTS, "test_diamond_build")),
+     node_ids(LATTICE_TESTS, "test_verify_axioms_on_clean_builtins")),
+    ("the joins-only check: a join looked up on the union of the up-sets", LATTICE,
+     "map(has, map(up_i.__and__, up[i + 1:]))", "map(has, map(up_i.__or__, up[i + 1:]))",
+     node_ids(LATTICE_TESTS, "test_a_lattice_is_accepted_on_its_joins_alone")),
+    ("the joins-only check always passes", LATTICE,
+     "all(map(has, map(up_i.__and__, up[i + 1:])))", "True",
+     node_ids(LATTICE_TESTS, "test_no_unique_bound_at_build")),
+    ("the least-element condition dropped", LATTICE,
+     "if full not in by_up or not all(", "if not all(",
+     node_ids(LATTICE_TESTS, "test_no_unique_bound_at_build")),
     ("bottom and top swapped", LATTICE,
      "bottom, top = by_up[full], by_down[full]", "bottom, top = by_down[full], by_up[full]",
      node_ids(LATTICE_TESTS, "test_diamond_build")),
@@ -71,9 +80,24 @@ MUTANTS = [
     ("no antisymmetry check", LATTICE,
      "both = (up[i] & down[i]) ^ (1 << i)", "both = 0",
      node_ids(LATTICE_TESTS, "test_not_a_partial_order")),
-    ("no transitive closure", LATTICE,
-     "up[i] |= above", "pass",
+    ("no transitive closure: each up-set holds its listed neighbours only", LATTICE,
+     "u |= up[k]", "u |= 1 << k",
+     node_ids(LATTICE_TESTS, "test_diamond_build")),
+    ("the cycle scan: no transitive closure", LATTICE,
+     "up[i] |= above_k", "pass",
      node_ids(LATTICE_TESTS, "test_not_a_partial_order")),
+    ("the topological walk skips the first element", LATTICE,
+     "for i in reversed(ranked):", "for i in reversed(ranked[1:]):",
+     node_ids(LATTICE_TESTS, "test_diamond_build")),
+    ("the topological walk ignores a cycle", LATTICE,
+     "if len(ranked) < n:", "if False:",
+     node_ids(LATTICE_TESTS, "test_not_a_partial_order")),
+    ("the down-set pass keeps one lower neighbour's down-set only", LATTICE,
+     "down[j] |= d", "down[j] = d | 1 << j",
+     node_ids(LATTICE_TESTS, "test_diamond_build")),
+    ("from_dict: the names in pairs not checked to be strings", LATTICE,
+     "all(map(isinstance, chain.from_iterable(pairs), repeat(str)))", "True",
+     node_ids(ERRORS_TESTS, "test_malformed_lattice_files_exit_2_with_one_line")),
     ("no extremes check on the involution", LATTICE,
      "if inv[bottom] != top:", "if False:",
      node_ids(LATTICE_TESTS, "test_bad_involution_variants")),
@@ -103,6 +127,15 @@ MUTANTS = [
      "            part = list(distinct.values())\n            repeated = True\n",
      "            part = list(distinct.values())\n",
      node_ids(CLI_TESTS, "test_json_writer_holds_a_dict_shared_by_the_rows_of_a_listing_once")),
+    ("main: a failed write not handled", CLI,
+     "    except OSError as exc:\n", "    except BrokenPipeError as exc:\n",
+     node_ids(CLI_TESTS, "test_a_failed_write_exits_2_with_one_line")),
+    ("main: a missing stdout not handled", CLI,
+     "    if out is None:\n", "    if False:\n",
+     node_ids(CLI_TESTS, "test_a_closed_stdout_exits_2_with_one_line")),
+    ("main: text that stdout cannot encode not escaped", CLI,
+     'out.reconfigure(errors="backslashreplace")', 'out.reconfigure(errors="strict")',
+     node_ids(CLI_TESTS, "test_text_that_stdout_cannot_encode_is_written_escaped")),
     ("dispatch: the parser rebuilt on every run", CLI,
      "@cache\ndef build_parser()", "def build_parser()",
      node_ids(CLI_TESTS, "test_the_parser_is_built_once")),
