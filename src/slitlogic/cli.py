@@ -955,10 +955,11 @@ _WRITE_BATCH = 4096
 def _unwritten(reason: str) -> int:
     """Say on stderr, when there is one, that the report was not written,
     and return exit code 2."""
-    try:
-        print(f"error: {reason}", file=sys.stderr, flush=True)
-    except (AttributeError, OSError):  # no stderr, or a failing one
-        pass
+    if sys.stderr is not None:
+        try:
+            print(f"error: {reason}", file=sys.stderr, flush=True)
+        except OSError:
+            pass
     return 2
 
 

@@ -2,15 +2,16 @@
 
 import json
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import catalogue
 import slitlogic
 from slitlogic import cli, nogo, valuation
-from slitlogic.lattice import builtin
+from slitlogic.lattice import build_from_order, builtin
 from slitlogic.probability import InterferenceInputs, amplitude_interference, bridge
 from slitlogic.nogo import (
     C_COLLAPSE,
@@ -516,6 +517,26 @@ def test_run_nogo_checks_only_the_four_corners(monkeypatch):
     assert len(calls) == 4
     assert cert.functions_covered == 2 ** 30
     assert cert.holds
+
+
+@pytest.mark.parametrize("amplitudes, equal_priors", [
+    (IN_PHASE, True), (IN_PHASE, False), (((HALF, 0), (-HALF, 0)), True)])
+def test_the_corners_and_verdict_are_the_same_on_every_small_lattice(amplitudes, equal_priors):
+    # the engine decides a corner from its two values, the priors and the
+    # interference alone: every binding of two distinct elements, on every
+    # lattice of up to 7 elements, gives boolean:2's corners and verdict
+    inputs = amplitude_interference(*amplitudes)
+    want = run_nogo(Scenario.build(builtin("boolean", 2), {"X1": "a", "X2": "b"}, inputs, equal_priors))
+    for n in range(2, 8):
+        names = [f"e{i}" for i in range(n)]
+        involution = [(names[0], names[-1]), *((e, e) for e in names[1:-1])]
+        for up in catalogue.lattices(n):
+            covers = [(names[i], names[j]) for i, j in catalogue.cover_pairs(up)]
+            lat = build_from_order(names, covers, involution)
+            for e1, e2 in permutations(names, 2):
+                cert = run_nogo(Scenario.build(lat, {"X1": e1, "X2": e2}, inputs, equal_priors))
+                assert (cert.corner_results, cert.verdict) == (want.corner_results, want.verdict)
+                assert cert.functions_covered == 2 ** (n - 2)
 
 
 def _nogo_row_cases():
