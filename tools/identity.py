@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import random
 import sys
 import tempfile
 from itertools import permutations
@@ -100,14 +101,46 @@ def _super_corpus() -> list[list[str]]:
     ]
 
 
-# formulas over the atoms X1, X2 and X3
+def _random_text(rng: random.Random, connectives: int) -> str:
+    """Formula text over X1, X2 and X3 with ``connectives`` connectives, a
+    third of its subformulas in parentheses that may not be needed."""
+    if connectives == 0:
+        text = rng.choice(("X1", "X2", "X3"))
+    elif rng.random() < 0.2:
+        text = "!" + _random_text(rng, connectives - 1)
+    else:
+        left = rng.randrange(connectives)
+        text = (f"{_random_text(rng, left)} {rng.choice('&|^')} "
+                f"{_random_text(rng, connectives - 1 - left)}")
+    return f"({text})" if rng.random() < 0.3 else text
+
+
+def _generated_formulas(count: int = 12, seed: int = 1961) -> tuple[str, ...]:
+    """Formulas of 50-400 connectives, each a left-nested xor chain of 2-6
+    random subformulas with its operands in redundant parentheses."""
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(count):
+        links = rng.randint(2, 6)
+        total = rng.randint(50, 400) - (links - 1)
+        cuts = sorted(rng.sample(range(total + 1), links - 1))
+        sizes = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+        texts.append(" ^ ".join(f"(({_random_text(rng, n)}))" for n in sizes))
+    return tuple(texts)
+
+
+# formulas over the atoms X1, X2 and X3; the last two nest deeper than any
+# recursive walk could go
 _FORMULAS = ("X1", "!X1", "X1 & X2", "X1 | X2", "X1 ^ X2", "(X1 | X2) & !(X1 ^ X2)",
-             "!(X1 & (X2 | !X3)) ^ (X1 | X3)", "X1 ^ X2 ^ X1 ^ X3", "!" * 40 + "X1")
+             "!(X1 & (X2 | !X3)) ^ (X1 | X3)", "X1 ^ X2 ^ X1 ^ X3", "!" * 40 + "X1",
+             *_generated_formulas(), "(" * 3000 + "X1" + ")" * 3000, "!" * 5000 + "X1")
 
 
 def _parse_corpus() -> list[list[str]]:
     bad = ("X1 &", "", "(X1", "X1)", "X1 $ X2", "& X1")
-    return [["parse", text] for text in (*_FORMULAS, *bad)]
+    # 1000 levels deep: printed as text, refused as JSON
+    deep = "!" * 999 + "X1"
+    return [["parse", text] for text in (*_FORMULAS, deep, *bad)]
 
 
 def _eval_corpus() -> list[list[str]]:
