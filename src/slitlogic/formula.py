@@ -17,8 +17,8 @@ equality is structural.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Union
 
 from .errors import SlitlogicError
@@ -48,37 +48,34 @@ class ParseError(SlitlogicError):
         self.position = position
 
 
-class _Node:
-    """Structural equality, hashing and the dataclass repr, computed from
-    the postfix program, so that no tree is too deep for them."""
-
-    __slots__ = ()
+class _Node(tuple):
+    """A node is the tuple of its fields, built in one call to ``tuple.__new__``,
+    with the tuple's sequence protocol hidden. Equality, hashing and the repr
+    are computed from the postfix program, so no tree is too deep for them."""
 
     @cached_property
     def _program(self) -> list:
         """The tree in postfix order: its Atom nodes, and the classes Not,
-        And, Or and Xor for the nodes above them. Built by one stack walk
-        the first time the tree is folded, and kept on its root."""
+        And, Or and Xor for the nodes above them. :func:`parse` records it as
+        it reduces; a tree built by hand walks it once, on its first fold."""
         out: list = []
         todo: list = [self]
         while todo:
             item = todo.pop()
-            kind = type(item)
-            if kind is Atom:
+            if type(item) is Atom or isinstance(item, type):
+                # a leaf, or the class put on the stack under a node's children
                 out.append(item)
-            elif kind is Not:
-                todo += (Not, item.child)
-            elif kind in _BINARY_CLASSES:
-                todo += (kind, item.right, item.left)
             else:
-                # a class, put on the stack under the node's children
-                out.append(item)
+                todo += (type(item), *item[::-1])
         return out
 
     def __eq__(self, other):
-        if not isinstance(other, _Node):
-            return NotImplemented
-        return _postfix(self) == _postfix(other)
+        if isinstance(other, _Node):
+            return _postfix(self) == _postfix(other)
+        # a plain tuple of the same fields is not a formula
+        return False if isinstance(other, tuple) else NotImplemented
+
+    __ne__ = object.__ne__  # the negated __eq__, where tuple's compares the fields
 
     def __hash__(self):
         return hash(tuple(_postfix(self)))
@@ -86,42 +83,65 @@ class _Node:
     def __repr__(self):
         return fold(self, *_REPR)
 
+    def __reduce__(self):
+        # pickle and copy rebuild the node through its constructor
+        return type(self), self[:]
 
-@dataclass(frozen=True, eq=False, repr=False)
+    def _frozen(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def _not_a_sequence(self, *args):
+        raise TypeError(f"{type(self).__name__} is a formula node, not a sequence")
+
+    __len__ = __iter__ = __contains__ = __add__ = __mul__ = __rmul__ = _not_a_sequence
+    __lt__ = __le__ = __gt__ = __ge__ = _not_a_sequence
+
+
+_new = tuple.__new__
+
+
 class Atom(_Node):
-    name: str
+    __match_args__ = ("name",)
+    name = property(itemgetter(0))
 
-    def __post_init__(self):
-        if not self.name:
+    def __new__(cls, name: str):
+        if not name:
             raise ValueError("atom name must be nonempty")
+        return _new(cls, (name,))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Not(_Node):
-    child: "Formula"
+    __match_args__ = ("child",)
+    child = property(itemgetter(0))
+
+    def __new__(cls, child: "Formula"):
+        return _new(cls, (child,))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class And(_Node):
-    left: "Formula"
-    right: "Formula"
+class _Binary(_Node):
+    __match_args__ = ("left", "right")
+    left = property(itemgetter(0))
+    right = property(itemgetter(1))
+
+    def __new__(cls, left: "Formula", right: "Formula"):
+        return _new(cls, (left, right))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Or(_Node):
-    left: "Formula"
-    right: "Formula"
+class And(_Binary):
+    pass
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Xor(_Node):
-    left: "Formula"
-    right: "Formula"
+class Or(_Binary):
+    pass
+
+
+class Xor(_Binary):
+    pass
 
 
 Formula = Union[Atom, Not, And, Or, Xor]
-
-_BINARY_CLASSES = (And, Or, Xor)
 
 # One token per operator, parenthesis and atom name; any other non-space
 # character is a token of its own that no rule accepts.
@@ -153,6 +173,7 @@ def parse(text: str) -> Formula:
     tokens.append("")  # the end of the input
     operands: list[Formula] = []
     pending: list[str] = []
+    program: list = []  # the tree in postfix order, as the loop reduces it
     expect_operand = True
     for k, tok in enumerate(tokens):
         if expect_operand:
@@ -163,7 +184,10 @@ def parse(text: str) -> Formula:
                 raise ParseError(f"expected an atom, '!', or '(', found {found}",
                                  _offset(text, k))
             else:
-                operands.append(Atom(tok))
+                # the token pattern admits no empty name
+                atom = _new(Atom, (tok,))
+                operands.append(atom)
+                program.append(atom)
                 expect_operand = False
             continue
         # an operand has ended: apply the pending operators that bind at least as tightly
@@ -171,10 +195,13 @@ def parse(text: str) -> Formula:
         while pending and pending[-1] != "(" and _BINDS[pending[-1]] >= binds:
             op = pending.pop()
             if op == "!":
-                operands[-1] = Not(operands[-1])
+                operands[-1] = _new(Not, (operands[-1],))
+                program.append(Not)
             else:
+                kind = _BINARY[op]
                 right = operands.pop()
-                operands[-1] = _BINARY[op](operands[-1], right)
+                operands[-1] = _new(kind, (operands[-1], right))
+                program.append(kind)
         if tok in _BINARY:
             pending.append(tok)
             expect_operand = True
@@ -184,7 +211,9 @@ def parse(text: str) -> Formula:
             raise ParseError("expected ')'", _offset(text, k))
         elif tok:
             raise ParseError(f"unexpected trailing {tok!r}", _offset(text, k))
-    return operands[0]
+    root = operands[0]
+    vars(root)["_program"] = program
+    return root
 
 
 def fold(formula: Formula, atom, neg, conj, disj, xor=None):
@@ -259,14 +288,8 @@ def render(formula: Formula) -> str:
 
 
 def atoms(formula: Formula) -> tuple[str, ...]:
-    """Atom names in first-appearance order."""
-    seen: dict[str, None] = {}
-
-    def skip(*values) -> None:
-        return None
-
-    fold(formula, lambda a: seen.setdefault(a.name), skip, skip, skip, skip)
-    return tuple(seen)
+    """Atom names in first-appearance order, read off the postfix program."""
+    return tuple(dict.fromkeys(item.name for item in formula._program if type(item) is Atom))
 
 
 def desugar_xor(formula: Formula) -> Formula:

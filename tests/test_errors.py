@@ -243,10 +243,19 @@ def _interference_options(draw):
 
 
 @st.composite
-def _scenario_options(draw, command):
+def _above_cap_lattice(draw, non_extremes=0):
+    """A builtin above nogo's listing cap, each with more than two
+    non-extreme elements, and its reference: its name or the file."""
+    ref = draw(st.sampled_from(_ABOVE_NOGO_CAP))
+    _, family, n = ref.split(":")
+    return lattice.builtin(family, int(n)), _FILE if draw(st.booleans()) else ref
+
+
+@st.composite
+def _scenario_options(draw, command, lattices=_well_formed_lattice):
     # super leaves both atoms without a value, so it binds them to non-extremes:
     # an atom at an extreme has a value, and super refuses it
-    lat, ref = draw(_well_formed_lattice(2 if command == "super" else 0))
+    lat, ref = draw(lattices(2 if command == "super" else 0))
     elements = lat.non_extremes() if command == "super" else lat.elements
     (e1, e2), (a1, a2) = (draw(st.lists(st.sampled_from(choices), min_size=2, max_size=2, unique=True))
                           for choices in (elements, _ATOMS))
@@ -296,6 +305,14 @@ def _well_formed_argv(draw):
         options = draw(_interference_options())[0]
     else:
         options, lat = draw(_scenario_options(command))
+    argv = draw(_spelled(command, positionals, options))
+    return argv, lat, (0, 1) if command in ("nogo", "scan", "super") else (0,)
+
+
+@st.composite
+def _spelled(draw, command, positionals, options):
+    """The argv of ``options`` in any order, each value joined to its flag
+    by "=" or given as the next word."""
     argv = [command, *positionals]
     for flag in draw(st.permutations(sorted(options))):
         if options[flag] is None:
@@ -304,7 +321,7 @@ def _well_formed_argv(draw):
             argv.append(f"{flag}={options[flag]}")
         else:
             argv += [flag, options[flag]]
-    return argv, lat, (0, 1) if command in ("nogo", "scan", "super") else (0,)
+    return argv
 
 
 @settings(max_examples=150, deadline=None)
@@ -323,6 +340,32 @@ def test_every_well_formed_argv_reaches_an_engine(tmp_path_factory, drawn):
     assert as_json.exit_code == text.exit_code
     assert text.render().startswith(text.verdict)
     assert json.loads(as_json.render())["verdict"] == text.verdict
+
+
+# --------------------- every valid scenario on a big lattice runs or meets the cap
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(("nogo", "scan", "super")), fmt=st.sampled_from(("text", "json")),
+       data=st.data())
+def test_every_valid_scenario_argv_on_a_big_lattice_runs_or_meets_the_listing_cap(
+        tmp_path_factory, command, fmt, data):
+    # the argv property above draws junk for most options, so it seldom
+    # builds a whole scenario command for one of these lattices
+    options, lat = data.draw(_scenario_options(command, _above_cap_lattice))
+    argv = data.draw(_spelled(command, [], {**options, "--format": fmt}))
+    path = tmp_path_factory.getbasetemp() / "big-lattice.json"
+    path.write_text(json.dumps(lat.to_dict()), encoding="utf-8")
+    report = dispatch([a.replace(_FILE, str(path)) for a in argv])
+    event(f"{command} exit {report.exit_code}")
+    if command == "nogo":
+        assert report.exit_code == 2
+        assert report.payload["error"] == (f"nogo would list 2^{len(lat.elements) - 2} bivalent "
+                                           "truth functions; it lists at most 2^16")
+    else:
+        assert report.exit_code in (0, 1), report.verdict
+    text = report.render()
+    assert text.startswith("{" if fmt == "json" else report.verdict)
 
 
 @pytest.mark.parametrize("argv", [

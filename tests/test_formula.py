@@ -1,5 +1,8 @@
 """Formula parsing, rendering, and the exclusive-disjunction rewrite."""
 
+import contextlib
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -306,22 +309,105 @@ def test_parse_agrees_with_the_character_loop(text):
 def test_a_tree_keeps_one_program_on_its_root():
     f = parse("!(a & b) ^ (c | a)")
     twin = parse("!(a & b) ^ (c | a)")
+    # parse leaves the program on the root before anything folds the tree
+    program = vars(f)["_program"]
+    assert "_program" in vars(twin)
     assert f == twin and hash(f) == hash(twin) and repr(f)
     render(f)
     evaluate_degrees(f, dict.fromkeys("abc", Fraction(1, 2)))
+    atoms(f)
     # equality, hashing, repr and folds leave a program on the roots alone
     subtrees = [f.left, f.left.child, f.left.child.left, f.right, f.right.right]
-    assert "_program" in vars(f) and "_program" in vars(twin)
     assert not any("_program" in vars(node) for node in subtrees)
-    # later folds reuse the program: the same list object
-    program = vars(f)["_program"]
-    atoms(f)
+    # and reuse the one that parse recorded: the same list object
     assert vars(f)["_program"] is program
 
 
+def _walked_program(f):
+    """The program of ``f`` from the stack walk, without caching it."""
+    return type(f)._program.func(f)
+
+
+def _assert_parse_records_the_walked_program(text):
+    f = parse(text)
+    recorded = vars(f)["_program"]
+    # the tree's own nodes, in the order of the walk
+    walked = _walked_program(f)
+    assert len(recorded) == len(walked)
+    assert all(r is w for r, w in zip(recorded, walked))
+    # and equal item for item to the program of the same tree built by hand
+    rebuilt = reference_parse(text)
+    assert "_program" not in vars(rebuilt)
+    assert recorded == rebuilt._program
+
+
+@given(_TEXTS)
+def test_parse_records_the_program_of_the_tree_it_builds(text):
+    # both parsers refuse the same texts: test_parse_agrees_with_the_character_loop
+    with contextlib.suppress(ParseError):
+        _assert_parse_records_the_walked_program(text)
+
+
+@given(_formulas)
+def test_parse_records_the_program_of_a_rendered_tree(f):
+    assert vars(parse(render(f)))["_program"] == f._program
+
+
+_PARSED = parse("!(a & b) ^ (c | a) & !!d")
+
+
+@pytest.mark.parametrize("copier", [
+    *(lambda f, p=p: pickle.loads(pickle.dumps(f, protocol=p))
+      for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+    copy.copy, copy.deepcopy,
+], ids=[*(f"pickle-{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)), "copy", "deepcopy"])
+def test_a_parsed_tree_survives_pickle_and_copy(copier):
+    clone = copier(_PARSED)
+    assert clone == _PARSED and hash(clone) == hash(_PARSED) and repr(clone) == repr(_PARSED)
+    assert type(clone.left.child) is And and clone.right.right.child.child.name == "d"
+    assert render(clone) == render(_PARSED)
+
+
+_FIELDS = [
+    (Atom("A"), ("A",)),
+    (Not(X1), (X1,)),
+    (And(X1, X2), (X1, X2)),
+    (Or(X1, X2), (X1, X2)),
+    (Xor(X1, X2), (X1, X2)),
+]
+
+
+@pytest.mark.parametrize("node,fields", _FIELDS, ids=[type(n).__name__ for n, _ in _FIELDS])
+def test_a_node_is_not_equal_to_a_tuple_or_list_of_its_fields(node, fields):
+    for other in (fields, list(fields)):
+        assert not node == other and not other == node
+        assert node != other and other != node
+    assert node == copy.copy(node) and not node != copy.copy(node)
+
+
+@pytest.mark.parametrize("node", [n for n, _ in _FIELDS], ids=[type(n).__name__ for n, _ in _FIELDS])
+def test_a_node_has_no_length_order_or_arithmetic(node):
+    for op in (len, iter, lambda n: X1 in n, lambda n: n + n, lambda n: n * 2, lambda n: 2 * n,
+               lambda n: n < n, lambda n: n <= n, lambda n: n > ("A",), lambda n: ("A",) >= n):
+        with pytest.raises(TypeError):
+            op(node)
+
+
+@pytest.mark.parametrize("node,field", [
+    (Atom("A"), "name"), (Not(X1), "child"), (And(X1, X2), "left"), (Xor(X1, X2), "right"),
+    (_PARSED, "left"), (_PARSED, "_program"), (X1, "extra"),
+])
+def test_node_fields_cannot_be_assigned(node, field):
+    with pytest.raises(AttributeError):
+        setattr(node, field, X3)
+    with pytest.raises(AttributeError):
+        delattr(node, field)
+
+
 def test_empty_atom_name_rejected():
-    with pytest.raises(ValueError):
-        Atom("")
+    for make in (lambda: Atom(""), lambda: Atom(name="")):
+        with pytest.raises(ValueError, match="atom name must be nonempty"):
+            make()
 
 
 # ------------------------------------------------ xor valued once, no depth limit
@@ -374,6 +460,7 @@ def test_render_desugared_is_the_render_of_the_desugared_tree(f):
     ids=["parentheses", "negations", "left-chain", "right-chain"],
 )
 def test_deep_formulas_need_no_recursion(text, rendered, element, degree):
+    _assert_parse_records_the_walked_program(text)
     f = parse(text)
     assert render(f) == rendered
     assert render(parse(rendered)) == rendered

@@ -237,6 +237,31 @@ MUTANTS = [
     ("lexer: a character that starts no token reported after a syntax error", FORMULA,
      "    if not _TOKEN_STARTS.issuperset(", "    if False and not _TOKEN_STARTS.issuperset(",
      node_ids(FORMULA_TESTS, "test_parse_agrees_with_the_character_loop")),
+    ("parse: a binary class recorded before its operands", FORMULA,
+     "program.append(kind)", "program.insert(-2, kind)",
+     node_ids(FORMULA_TESTS, "test_parse_records_the_program_of_the_tree_it_builds",
+              "test_precedence")),
+    ("parse: a Not left out of the recorded program", FORMULA,
+     "program.append(Not)", "pass",
+     node_ids(FORMULA_TESTS, "test_parse_records_the_program_of_a_rendered_tree",
+              "test_precedence")),
+    ("atoms: the program read in reverse", FORMULA,
+     "for item in formula._program if type(item) is Atom",
+     "for item in reversed(formula._program) if type(item) is Atom",
+     node_ids(FORMULA_TESTS, "test_atoms_first_appearance_order")),
+    ("nodes: equality falls back to tuple equality", FORMULA,
+     "return False if isinstance(other, tuple) else NotImplemented", "return NotImplemented",
+     node_ids(FORMULA_TESTS, "test_a_node_is_not_equal_to_a_tuple_or_list_of_its_fields")),
+    ("nodes: != is tuple's, which compares the fields", FORMULA,
+     "    __ne__ = object.__ne__", "    __ne__ = tuple.__ne__",
+     node_ids(FORMULA_TESTS, "test_a_node_is_not_equal_to_a_tuple_or_list_of_its_fields")),
+    ("nodes: pickle and copy use tuple's reduction", FORMULA,
+     "    def __reduce__(self):", "    def _reduce(self):",
+     node_ids(FORMULA_TESTS, "test_a_parsed_tree_survives_pickle_and_copy")),
+    ("nodes: len and order leak from tuple", FORMULA,
+     "__len__ = __iter__ = __contains__ = __add__ = __mul__ = __rmul__ = _not_a_sequence",
+     "__iter__ = __contains__ = __add__ = __mul__ = __rmul__ = _not_a_sequence",
+     node_ids(FORMULA_TESTS, "test_a_node_has_no_length_order_or_arithmetic")),
 ]
 
 
