@@ -350,8 +350,8 @@ def test_every_well_formed_argv_reaches_an_engine(tmp_path_factory, drawn):
        data=st.data())
 def test_every_valid_scenario_argv_on_a_big_lattice_runs_or_meets_the_listing_cap(
         tmp_path_factory, command, fmt, data):
-    # the argv property above draws junk for most options, so it seldom
-    # builds a whole scenario command for one of these lattices
+    # test_every_argv_ends_in_a_report draws junk for most options, so it
+    # seldom builds a whole scenario command for one of these lattices
     options, lat = data.draw(_scenario_options(command, _above_cap_lattice))
     argv = data.draw(_spelled(command, [], {**options, "--format": fmt}))
     path = tmp_path_factory.getbasetemp() / "big-lattice.json"
