@@ -97,7 +97,6 @@ class Report:
         return "".join(self.chunks())
 
 
-_JSON_BOOLS = {False: "false", True: "true"}
 # A column of fewer values is written value by value: below this many, its
 # setup costs more than it saves.
 _JSON_COLUMN_MIN = 16
@@ -116,8 +115,9 @@ def _json_chunks(value) -> list[str]:
     a list that is written as a column is one chunk, so no row is copied
     again into the text of its list; a row that holds a container repeated
     in its column, as ``nogo``'s rows hold their corner's sub-dicts, is its
-    pieces, so the repeated text is held once. ``"key": `` heads and str
-    leaves are encoded once per call, in dicts local to it."""
+    pieces, so the repeated text is held once. Sharing is held one level
+    down only: deeper, each sighting's text is a copy. ``"key": `` heads and
+    str leaves are encoded once per call, in dicts local to it."""
     out = []
     _json_write(value, "", out, {}, {})
     return out
@@ -184,26 +184,27 @@ def _json_write(value, pad: str, out: list, heads: dict, leaves: dict) -> None:
 
 def _json_column(values, pad: str, heads: dict, leaves: dict) -> tuple[list, bool]:
     """The JSON texts of ``values``, whose lines are all indented by ``pad``,
-    one per value in order, and whether they hold a repeated text.
+    one per value in order, and whether the column repeats a container.
 
     The values are split by type, each part is encoded with C-level ``map``,
-    ``zip`` and ``str.join``, and the parts are merged back in order. A
+    ``zip`` and ``str.join``, and the parts are merged back in order. Str
+    and null values are encoded as a part; ints, bools and values of a type
+    JSON refuses are written one at a time by :func:`_json_write`. A
     container met more than once in the column is encoded once. Containers
     are grouped by shape, a dict's keys or a list's length. In a group of
     dicts, the values of each key form the next column, and each dict's text
     joins the keys' heads with its values' texts. In a group of lists, all
     items form the next column, whose texts are cut back into lists of the
-    group's length. A next column shorter than ``_JSON_COLUMN_MIN`` is
-    written value by value by :func:`_json_write`. This recurses once per
-    level of nesting.
+    group's length and joined with their separator. A next column shorter
+    than ``_JSON_COLUMN_MIN`` is written value by value by
+    :func:`_json_write`. This recurses once per level of nesting.
 
-    The texts hold a repeated text when the column repeats a container, or
-    when a next column holds one. A container whose next column holds one
-    is split: its text is the tuple of its heads and its values' pieces, not
-    their join, so the repeated text is held once and not copied into each
-    container that holds it. Either all texts of a column are str or all are
-    tuples; a column that repeats no container at any depth gives one str
-    per value."""
+    A dict whose own next column repeats a container is split: its text is
+    the tuple of its heads and its values' texts, not their join, so the
+    repeated text is held once, as ``nogo``'s rows hold their corner's
+    sub-dicts. Split texts that come up from a next column are joined, so
+    sharing is held one level down and no deeper. Either all texts of a
+    column are str or all are tuples."""
     kinds, types = _json_groups(values, type)
     inner = pad + "  "
     repeated = False
@@ -216,15 +217,12 @@ def _json_column(values, pad: str, heads: dict, leaves: dict) -> tuple[list, boo
         if kind is type(None):
             kinds[kind] = ["null"] * len(part)
             continue
-        if kind is bool:
-            kinds[kind] = list(map(_JSON_BOOLS.__getitem__, part))
-            continue
-        if issubclass(kind, int):
-            kinds[kind] = list(map(int.__repr__, part))
-            continue
         is_dict = issubclass(kind, dict)
-        if not (is_dict or issubclass(kind, list)):
-            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        if not (is_dict or issubclass(kind, list)):  # one chunk per leaf, or TypeError
+            kinds[kind] = texts = []
+            for v in part:
+                _json_write(v, pad, texts, heads, leaves)
+            continue
         ids = None
         if len(set(map(id, part))) < len(part):
             ids = list(map(id, part))
@@ -248,30 +246,22 @@ def _json_column(values, pad: str, heads: dict, leaves: dict) -> tuple[list, boo
             for opener, column in zip(openers, columns):
                 if len(column) >= _JSON_COLUMN_MIN:
                     texts, holds = _json_column(column, inner, heads, leaves)
+                    if type(texts[0]) is tuple:
+                        texts = list(map("".join, texts))
                 else:
                     texts, holds = [], False
                     for v in column:
                         chunks = []
                         _json_write(v, inner, chunks, heads, leaves)
                         texts.append("".join(chunks))
-                if not is_dict:  # cut the items' texts back into lists
-                    items = zip(*[iter(texts)] * shape)
-                    sep = ",\n" + inner
-                    texts = list(map(_json_spliced, repeat(sep), items)) if holds else map(sep.join, items)
+                if is_dict:
+                    held |= holds
+                else:  # cut the items' texts back into lists
+                    texts = map((",\n" + inner).join, zip(*[iter(texts)] * shape))
                 pieces.append((opener, texts))
-                held |= holds
-            if not held or all(type(texts[0]) is str for _, texts in pieces):
-                rows = zip(*chain.from_iterable((repeat(o), t) for o, t in pieces), repeat(close))
-                # a member that holds a repeated text is the tuple of its pieces
-                groups[shape] = list(rows) if held else list(map("".join, rows))
-                repeated |= held
-                continue
-            repeated = True
-            # a value's text is split itself: its pieces take its place
-            parts = [(repeat((opener,)), zip(texts) if type(texts[0]) is str else texts)
-                     for opener, texts in pieces]
-            rows = zip(*chain.from_iterable(parts), repeat((close,)))
-            groups[shape] = list(map(tuple, map(chain.from_iterable, rows)))
+            rows = zip(*chain.from_iterable((repeat(o), t) for o, t in pieces), repeat(close))
+            # a dict whose next column repeats a container is the tuple of its pieces
+            groups[shape] = list(rows) if held else list(map("".join, rows))
         _json_split(groups)
         texts = _json_merge(groups, shapes)
         if ids is not None:  # each sighting of a repeated container takes its text
@@ -279,19 +269,6 @@ def _json_column(values, pad: str, heads: dict, leaves: dict) -> tuple[list, boo
         kinds[kind] = texts
     _json_split(kinds)
     return _json_merge(kinds, types), repeated
-
-
-def _json_spliced(sep: str, items: tuple) -> tuple:
-    """The pieces of a list whose items' texts hold a repeated text, ``sep``
-    between one item's text, or its pieces, and the next's."""
-    pieces = []
-    for item in items:
-        pieces.append(sep)
-        if type(item) is tuple:
-            pieces += item
-        else:
-            pieces.append(item)
-    return tuple(pieces[1:])
 
 
 def _json_split(parts: dict) -> None:

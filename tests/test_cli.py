@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -652,7 +653,11 @@ def test_json_writer_writes_a_long_mixed_column_as_json_dumps():
     shared = {"k": [], "m": None}
     column = [None, True, False, 0, 1, -2, "s", _Text("t"), {}, [], [[]], {"k": {}},
               shared, [True, 1], ["u", None], shared, {"m": [0, False]}, [[], {}]] * 2
-    payload = {"column": column, "rows": [{"value": v} for v in column]}
+    payload = {"column": column, "rows": [{"value": v} for v in column],
+               # lists and dicts that hold a shared dict, and rows that hold
+               # it two levels down, next to a null
+               "pairs": [[str(i), shared] for i in range(16)],
+               "deep": [{"x": {"s": shared}} for _ in range(16)] + [None]}
     assert _json_text(payload) == json.dumps(payload, indent=2)
 
 
@@ -704,22 +709,29 @@ def test_json_writer_appends_one_chunk_per_item_of_a_long_list():
 
 def test_json_writer_holds_a_dict_shared_by_the_rows_of_a_listing_once():
     shared = {"x": "1", "y": None}
-    listings = [
-        # rows that hold it, lists that hold it, and rows that hold it one
-        # level down, next to a null; with the indent of its text
-        ({"rows": [{"i": str(i), "shared": shared} for i in range(16)]}, 6),
-        ({"pairs": [[str(i), shared] for i in range(16)]}, 6),
-        ({"deep": [{"x": {"s": shared}} for _ in range(16)] + [None]}, 8),
-    ]
-    for payload, indent in listings:
-        out = cli._json_chunks(payload)
-        assert "".join(out) == json.dumps(payload, indent=2)
-        # each row is its pieces: the shared dict's text is one str object
-        # that every row refers to, not a copy joined into each row's text
-        text = json.dumps(shared, indent=2).replace("\n", "\n" + " " * indent)
-        sightings = [id(chunk) for chunk in out if chunk == text]
-        assert len(sightings) == 16
-        assert len(set(sightings)) == 1
+    payload = {"rows": [{"i": str(i), "shared": shared} for i in range(16)]}
+    out = cli._json_chunks(payload)
+    assert "".join(out) == json.dumps(payload, indent=2)
+    # each row is its pieces: the shared dict's text is one str object that
+    # every row refers to, not a copy joined into each row's text
+    text = json.dumps(shared, indent=2).replace("\n", "\n      ")
+    sightings = [id(chunk) for chunk in out if chunk == text]
+    assert len(sightings) == 16
+    assert len(set(sightings)) == 1
+
+
+def test_nogo_json_refers_to_each_corners_violation_text_once():
+    report = dispatch(["nogo", "--lattice", "builtin:lantern:6", "--bind", "X1=a1,X2=b1",
+                       "--format", "json"])
+    out = report.chunks()
+    # lantern:6 covers 4096 functions, 1024 in each corner; every row's
+    # violation text is its corner's one str object, not a copy
+    violations = [row["violation"] for row in report.payload["truth_functions"]]
+    texts = {id(v): json.dumps(v, indent=2).replace("\n", "\n      ") for v in violations}
+    assert len(texts) == 4
+    sightings = Counter(id(chunk) for chunk in out if chunk in texts.values())
+    assert sorted(sightings.values()) == [1024] * 4
+    assert all(len(text) > 500 for text in texts.values())
 
 
 def test_json_writer_encodes_a_container_repeated_in_a_column_once(monkeypatch):
@@ -795,6 +807,8 @@ def _text_difference(got: str, want: str) -> str:
     {"verdict": "v", "value": 0.5},
     {"verdict": "v", "pair": ("0", "1")},
     {"verdict": "v", "table": {1: "a"}},
+    # a column long enough to be written a column at a time
+    {"verdict": "v", "values": ["1", None, 0, True, *[Fraction(1, 2)] * 16]},
 ])
 def test_json_writer_refuses_other_types(payload):
     with pytest.raises(TypeError):

@@ -120,9 +120,21 @@ MUTANTS = [
     ("JSON: an empty list in a column written as {}", CLI,
      '["{}" if is_dict else "[]"] * len(members)', '["{}"] * len(members)',
      node_ids(CLI_TESTS, "test_json_writer_writes_a_long_mixed_column_as_json_dumps")),
-    ("JSON: bools in a column written as ints", CLI,
-     "        if kind is bool:\n", "        if kind is None:\n",
+    ("JSON: a column of ints, bools or refused types written with repr", CLI,
+     "_json_write(v, pad, texts, heads, leaves)", "texts.append(repr(v))",
+     node_ids(CLI_TESTS, "test_json_writer_writes_a_long_mixed_column_as_json_dumps",
+              "test_json_writer_refuses_other_types")),
+    ("JSON: split texts from a next column not joined", CLI,
+     'texts = list(map("".join, texts))', "pass",
      node_ids(CLI_TESTS, "test_json_writer_writes_a_long_mixed_column_as_json_dumps")),
+    ("JSON: a row whose next column repeats a container joined into one text", CLI,
+     "held |= holds", "pass",
+     node_ids(CLI_TESTS, "test_json_writer_holds_a_dict_shared_by_the_rows_of_a_listing_once",
+              "test_nogo_json_refers_to_each_corners_violation_text_once")),
+    ("JSON: every row of a column split into its pieces", CLI,
+     'groups[shape] = list(rows) if held else list(map("".join, rows))',
+     "groups[shape] = list(rows)",
+     node_ids(CLI_TESTS, "test_json_writer_appends_one_chunk_per_item_of_a_long_list")),
     ("JSON: shared rows joined into one text per row", CLI,
      "            part = list(distinct.values())\n            repeated = True\n",
      "            part = list(distinct.values())\n",
