@@ -321,11 +321,10 @@ def _fraction(text: str, what: str = "value") -> Fraction:
     if digits > _LITERAL_DIGIT_LIMIT:
         raise UsageError(f"{what} has a literal of {digits} digits; "
                          f"a rational literal has at most {_LITERAL_DIGIT_LIMIT}")
-    # no exponents: "1e5000" would be an integer too long to print
-    if "e" not in text.lower():
+    if _RATIONAL.fullmatch(text):
         try:
             return Fraction(text)
-        except (ValueError, ZeroDivisionError):
+        except ZeroDivisionError:
             pass
     raise UsageError(f"cannot read {what} {text!r} as an exact rational")
 
@@ -450,6 +449,12 @@ _LISTED_FUNCTION_LIMIT = 2**16
 # of the product of their four denominators: 8 * 500 + 1 digits stay printable
 # under the interpreter's 4300-digit limit on int to str.
 _LITERAL_DIGIT_LIMIT = 500
+# A rational literal: an optional sign, then digits with an optional "/digits",
+# or a decimal with digits on at least one side of the point, with optional
+# space around it. Fraction's own grammar differs between Python releases
+# (underscores, spaces around the slash), so texts are matched here first; no
+# exponent is read, since "1e5000" would be an integer too long to print.
+_RATIONAL = re.compile(r"\s*[+-]?(?:\d+(?:/\d+)?|\d+\.\d*|\.\d+)\s*")
 
 
 def _add_one(left: int, right: int) -> int:

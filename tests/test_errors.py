@@ -381,6 +381,29 @@ def test_exponent_literals_are_refused(argv):
     assert report.verdict.endswith(" as an exact rational")
 
 
+@pytest.mark.parametrize("argv", [
+    ["interference", "--amp1", "1_0/2_0,0", "--amp2", "1/2,0"],
+    ["interference", "--p-or", "1", "--p1", "0.2_5", "--p2", "0"],
+    ["interference", "--amp1", "1 / 2,0", "--amp2", "1/2,0"],
+    ["eval", "--formula", "A", "--mode", "lukasiewicz", "--assign", "A=1 / 2"],
+])
+def test_literals_outside_the_rational_grammar_are_refused(argv):
+    # Fraction reads underscores from 3.11 on and spaces around the slash
+    # from 3.12 on; the command line reads neither on any release
+    report = dispatch(argv)
+    assert report.exit_code == 2
+    assert report.verdict.startswith("error: cannot read ")
+    assert report.verdict.endswith(" as an exact rational")
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1/2", Fraction(1, 2)), ("-1/2", Fraction(-1, 2)), ("+1/2", Fraction(1, 2)),
+    (".5", Fraction(1, 2)), ("0.", Fraction(0)), (" 1/2 ", Fraction(1, 2)), ("-0.25", Fraction(-1, 4)),
+])
+def test_rational_literals_are_read_exactly(text, value):
+    assert cli._fraction(text) == value
+
+
 def _literal_of(digits: int, base: int) -> str:
     # a small value over the largest power of base with fewer digits
     power = base
