@@ -143,6 +143,12 @@ def _parse_corpus() -> list[list[str]]:
     return [["parse", text] for text in (*_FORMULAS, deep, *bad)]
 
 
+# Rational literals: Fraction itself reads underscores from Python 3.11 on
+# and spaces around the slash from 3.12 on, and slitlogic refuses both on
+# every release; the other forms are read alike everywhere.
+_LITERALS = ("1_0/2_0", "0.2_5", "1 / 2", "1e3", "1/2", "-1/2", "+1/2", ".5", "0.", " 1/2 ")
+
+
 def _eval_corpus() -> list[list[str]]:
     """``eval`` in its three modes, and the errors that each mode raises."""
     corpus = []
@@ -170,11 +176,15 @@ def _eval_corpus() -> list[list[str]]:
          "--assign", "X1=q"],
         ["eval", "--formula", "X1 &", "--mode", "lukasiewicz", "--assign", "X1=1"],
     ]
+    corpus += [["eval", "--formula", "X1 | X2", "--mode", "lukasiewicz",
+                "--assign", f"X1={literal},X2=1/3"] for literal in _LITERALS]
     return corpus
 
 
 def _interference_corpus() -> list[list[str]]:
-    return [
+    literals = [["interference", "--amp1", f"{literal},0", "--amp2", "0,1/3"] for literal in _LITERALS]
+    literals += [["interference", "--p-or", "1", "--p1", literal, "--p2", "1/4"] for literal in _LITERALS]
+    return literals + [
         ["interference"],
         ["interference", "--amp1", "-1/2,0", "--amp2", "1/2,0"],
         ["interference", "--amp1", "1/3,1/5", "--amp2", "-2/7,1/11"],
