@@ -234,7 +234,10 @@ def _interference_options(draw):
     term they give."""
     kind = draw(st.sampled_from(("amplitudes", "probabilities", "defaults")))
     if kind == "amplitudes":
-        re1, im1, re2, im2 = draw(st.tuples(_part, _part, _part, _part).filter(_probabilities_in_range))
+        parts = draw(st.tuples(_part, _part, _part, _part))
+        # parts in [-1, 1] give probabilities of at most 4; halving the parts
+        # quarters them, so no draw is thrown away
+        re1, im1, re2, im2 = parts if _probabilities_in_range(parts) else (x / 2 for x in parts)
         return {"--amp1": f"{re1},{im1}", "--amp2": f"{re2},{im2}"}, re1 * re2 + im1 * im2
     if kind == "probabilities":
         p_or, p1, p2 = draw(st.tuples(_unit, _unit, _unit))
