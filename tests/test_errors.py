@@ -375,24 +375,15 @@ def test_every_valid_scenario_argv_on_a_big_lattice_runs_or_meets_the_listing_ca
     ["interference", "--p-or", "1", "--p1", "1e5000", "--p2", "0"],
     ["interference", "--amp1", "1e-3000,0", "--amp2", "0,0"],
     ["eval", "--formula", "A", "--mode", "lukasiewicz", "--assign", "A=1E-5000"],
-])
-def test_exponent_literals_are_refused(argv):
-    # a short exponent would stand for an integer too long to print
-    report = dispatch(argv)
-    assert report.exit_code == 2
-    assert report.verdict.startswith("error: cannot read ")
-    assert report.verdict.endswith(" as an exact rational")
-
-
-@pytest.mark.parametrize("argv", [
     ["interference", "--amp1", "1_0/2_0,0", "--amp2", "1/2,0"],
     ["interference", "--p-or", "1", "--p1", "0.2_5", "--p2", "0"],
     ["interference", "--amp1", "1 / 2,0", "--amp2", "1/2,0"],
     ["eval", "--formula", "A", "--mode", "lukasiewicz", "--assign", "A=1 / 2"],
 ])
-def test_literals_outside_the_rational_grammar_are_refused(argv):
-    # Fraction reads underscores from 3.11 on and spaces around the slash
-    # from 3.12 on; the command line reads neither on any release
+def test_exponent_literals_are_refused(argv):
+    # a short exponent would stand for an integer too long to print; and
+    # Fraction reads underscores from Python 3.11 on and spaces around the
+    # slash from 3.12 on, which the command line reads on no release
     report = dispatch(argv)
     assert report.exit_code == 2
     assert report.verdict.startswith("error: cannot read ")
