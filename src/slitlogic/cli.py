@@ -449,11 +449,9 @@ _LISTED_FUNCTION_LIMIT = 2**16
 # of the product of their four denominators: 8 * 500 + 1 digits stay printable
 # under the interpreter's 4300-digit limit on int to str.
 _LITERAL_DIGIT_LIMIT = 500
-# A rational literal: an optional sign, then digits with an optional "/digits",
-# or a decimal with digits on at least one side of the point, with optional
-# space around it. Fraction's own grammar differs between Python releases
-# (underscores, spaces around the slash), so texts are matched here first; no
-# exponent is read, since "1e5000" would be an integer too long to print.
+# A rational literal, read alike on every Python release: Fraction's own
+# grammar takes underscores from 3.11 on and spaces around "/" from 3.12 on,
+# and an exponent such as "1e5000" would be an integer too long to print.
 _RATIONAL = re.compile(r"\s*[+-]?(?:\d+(?:/\d+)?|\d+\.\d*|\.\d+)\s*")
 
 

@@ -139,6 +139,12 @@ MUTANTS = [
      "            part = list(distinct.values())\n            repeated = True\n",
      "            part = list(distinct.values())\n",
      node_ids(CLI_TESTS, "test_json_writer_holds_a_dict_shared_by_the_rows_of_a_listing_once")),
+    ("literals: any text handed to Fraction", CLI,
+     "    if _RATIONAL.fullmatch(text):\n", "    if True:\n",
+     node_ids(ERRORS_TESTS, "test_exponent_literals_are_refused")),
+    ("literals: no space read around a literal", CLI,
+     r're.compile(r"\s*[+-]?', r're.compile(r"[+-]?',
+     node_ids(ERRORS_TESTS, "test_rational_literals_are_read_exactly")),
     ("main: a failed write not handled", CLI,
      "    except OSError as exc:\n", "    except BrokenPipeError as exc:\n",
      node_ids(CLI_TESTS, "test_a_failed_write_exits_2_with_one_line")),
