@@ -43,6 +43,7 @@ from .valuation import (
     UNDEFINED,
     TruthFunction,
     ValueSystem,
+    _exact,
     evaluate_degrees,
     formula_element,
     supervalue,
@@ -316,19 +317,6 @@ def _json_head(heads: dict, inner: str, key) -> str:
     return head
 
 
-def _fraction(text: str, what: str = "value") -> Fraction:
-    digits = sum(map(str.isdigit, text))
-    if digits > _LITERAL_DIGIT_LIMIT:
-        raise UsageError(f"{what} has a literal of {digits} digits; "
-                         f"a rational literal has at most {_LITERAL_DIGIT_LIMIT}")
-    if _RATIONAL.fullmatch(text):
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            pass
-    raise UsageError(f"cannot read {what} {text!r} as an exact rational")
-
-
 def _jsonable(value):
     if value is UNDEFINED:
         return "undefined"
@@ -363,7 +351,7 @@ def _amplitude(text: str, what: str) -> tuple[Fraction, Fraction]:
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError(f"{what} must be re,im")
-    return (_fraction(parts[0], what), _fraction(parts[1], what))
+    return (_exact(parts[0], what), _exact(parts[1], what))
 
 
 def _resolve_lattice(ref: str) -> lattice_mod.Lattice:
@@ -385,9 +373,9 @@ def _interference_from_args(ns) -> InterferenceInputs:
         if not all(v is not None for v in direct):
             raise UsageError("give all of --p-or, --p1, --p2 or none")
         return InterferenceInputs(
-            _fraction(ns.p_or, "--p-or"),
-            _fraction(ns.p1, "--p1"),
-            _fraction(ns.p2, "--p2"),
+            _exact(ns.p_or, "--p-or"),
+            _exact(ns.p1, "--p1"),
+            _exact(ns.p2, "--p2"),
         )
     return amplitude_interference(
         _amplitude(ns.amp1, "--amp1"), _amplitude(ns.amp2, "--amp2")
@@ -445,14 +433,6 @@ _JSON_DEPTH_LIMIT = 500
 # nogo lists each of the 2^(n - 2) bivalent truth functions of an n-element
 # lattice; it lists no more than this, so lattices of up to 18 elements.
 _LISTED_FUNCTION_LIMIT = 2**16
-# The interference of two amplitudes has a denominator dividing twice the square
-# of the product of their four denominators: 8 * 500 + 1 digits stay printable
-# under the interpreter's 4300-digit limit on int to str.
-_LITERAL_DIGIT_LIMIT = 500
-# A rational literal, read alike on every Python release: Fraction's own
-# grammar takes underscores from 3.11 on and spaces around "/" from 3.12 on,
-# and an exponent such as "1e5000" would be an integer too long to print.
-_RATIONAL = re.compile(r"\s*[+-]?(?:\d+(?:/\d+)?|\d+\.\d*|\.\d+)\s*")
 
 
 def _add_one(left: int, right: int) -> int:
@@ -490,7 +470,7 @@ def _cmd_eval(ns) -> Report:
     assigns = _parse_pairs(ns.assign, "--assign")
     element = None
     if ns.mode == "lukasiewicz":
-        atom_values = {k: _fraction(v, f"value for {k}") for k, v in assigns}
+        atom_values = {k: _exact(v, f"value for {k}") for k, v in assigns}
         value = evaluate_degrees(f, atom_values)
         # Literals over coprime denominators add up to a denominator with the
         # digits of them all; the value lies in [0, 1], so its numerator is no
@@ -515,7 +495,7 @@ def _cmd_eval(ns) -> Report:
             }
             for el, raw in entries.items():
                 tf_values[el] = (
-                    UNDEFINED if raw == "undefined" else _fraction(raw, f"value for {el}")
+                    UNDEFINED if raw == "undefined" else _exact(raw, f"value for {el}")
                 )
             missing = [e for e in lat.elements if e not in tf_values]
             if missing:

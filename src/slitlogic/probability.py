@@ -30,7 +30,7 @@ class OutOfRange(SlitlogicError):
 
 
 def _unit(value, what: str) -> Fraction:
-    v = _exact(value)
+    v = _exact(value, what)
     if not 0 <= v <= 1:
         raise OutOfRange(f"{what} = {v} is outside [0, 1]")
     return v

@@ -21,6 +21,7 @@ so axiom checks never see representation noise.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -104,13 +105,30 @@ def _grid_size(size, what: str) -> int:
     return size
 
 
-def _exact(value) -> Fraction:
+# The interference of two amplitudes has a denominator dividing twice the square
+# of the product of their four denominators: 8 * 500 + 1 digits stay printable
+# under the interpreter's 4300-digit limit on int to str.
+_LITERAL_DIGIT_LIMIT = 500
+# A rational literal, read alike on every Python release: Fraction's own
+# grammar takes underscores from 3.11 on and spaces around "/" from 3.12 on,
+# and an exponent such as "1e5000" would be an integer too long to print.
+_RATIONAL = re.compile(r"\s*[+-]?(?:\d+(?:/\d+)?|\d+\.\d*|\.\d+)\s*")
+
+
+def _exact(value, what: str = "value") -> Fraction:
     if isinstance(value, float):
         raise InexactValue("floats are inexact; pass a Fraction, int, or decimal string")
+    if isinstance(value, str):
+        digits = sum(map(str.isdigit, value))
+        if digits > _LITERAL_DIGIT_LIMIT:
+            raise InvalidValue(f"{what} has a literal of {digits} digits; "
+                               f"a rational literal has at most {_LITERAL_DIGIT_LIMIT}")
     try:
+        if isinstance(value, str) and not _RATIONAL.fullmatch(value):
+            raise ValueError(value)  # Fraction's own grammar is wider
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidValue(f"not an exact rational: {exc}") from exc
+        raise InvalidValue(f"cannot read {what} {value!r} as an exact rational") from exc
     except TypeError as exc:
         raise InexactValue(f"a {type(value).__name__} is not an exact rational; "
                            "pass a Fraction, int, or decimal string") from exc

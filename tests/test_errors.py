@@ -395,7 +395,7 @@ def test_exponent_literals_are_refused(argv):
     (".5", Fraction(1, 2)), ("0.", Fraction(0)), (" 1/2 ", Fraction(1, 2)), ("-0.25", Fraction(-1, 4)),
 ])
 def test_rational_literals_are_read_exactly(text, value):
-    assert cli._fraction(text) == value
+    assert valuation._exact(text) == value
 
 
 def _literal_of(digits: int, base: int) -> str:
@@ -409,7 +409,7 @@ def _literal_of(digits: int, base: int) -> str:
 @pytest.mark.parametrize("command", [["interference"], ["nogo"], ["scan", "--values=3"], ["super"]])
 def test_literals_at_the_digit_limit_print(command):
     # coprime denominators make the interference term's denominator as long as it gets
-    limit = cli._LITERAL_DIGIT_LIMIT
+    limit = valuation._LITERAL_DIGIT_LIMIT
     re1, im1, re2, im2 = (_literal_of(limit, base) for base in (3, 7, 11, 13))
     assert all(sum(map(str.isdigit, x)) == limit for x in (re1, im1, re2, im2))
     argv = command + [f"--amp1={re1},{im1}", f"--amp2={re2},{im2}"]
@@ -428,12 +428,12 @@ def test_literals_at_the_digit_limit_print(command):
 ])
 def test_literals_over_the_digit_limit_are_refused(argv, what, literal):
     digits = sum(map(str.isdigit, literal))
-    assert digits == cli._LITERAL_DIGIT_LIMIT + 1 or digits > 3000
+    assert digits == valuation._LITERAL_DIGIT_LIMIT + 1 or digits > 3000
     for fmt in ("text", "json"):
         report = dispatch([a.format(literal) for a in argv] + [f"--format={fmt}"])
         assert report.exit_code == 2
         assert report.verdict == (f"error: {what} has a literal of {digits} digits; "
-                                  f"a rational literal has at most {cli._LITERAL_DIGIT_LIMIT}")
+                                  f"a rational literal has at most {valuation._LITERAL_DIGIT_LIMIT}")
 
 
 def _sum_of_literals(digits: int) -> list[str]:

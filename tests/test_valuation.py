@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from slitlogic.errors import SlitlogicError
 from slitlogic.formula import And, Atom, Not, Or, Xor, atoms, fold, parse
 from slitlogic.lattice import build_from_order, builtin
-from slitlogic.probability import InterferenceInputs
+from slitlogic.probability import InterferenceInputs, amplitude_interference
 from slitlogic.valuation import (
     MAX_GRID_VALUES,
     UNDEFINED,
@@ -114,6 +114,50 @@ def test_unreadable_values_raise_typed_errors(coerce, error):
         coerce()
     assert isinstance(info.value, SlitlogicError)
     assert str(info.value) and "\n" not in str(info.value)
+
+
+# each entry point that reads a literal, with the name its messages give it
+_LITERAL_READERS = [
+    (as_value, "value"),
+    (lambda v: InterferenceInputs(v, 0, 0), "p_or"),
+    (lambda v: amplitude_interference((v, 0), (0, 0)), "value"),
+]
+
+
+def _read_outcome(read, value):
+    try:
+        return read(value)
+    except SlitlogicError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("read, what", _LITERAL_READERS)
+@pytest.mark.parametrize("text", ["1_0/2_0", "0.2_5", "1 / 2", "1e-3", "1/0"])
+def test_the_library_refuses_the_literals_the_command_line_refuses(read, what, text):
+    # Fraction reads the first two from Python 3.11 on, the third from 3.12
+    # on and the fourth on every release; the literal grammar on none
+    with pytest.raises(InvalidValue) as info:
+        read(text)
+    assert str(info.value) == f"cannot read {what} {text!r} as an exact rational"
+
+
+@pytest.mark.parametrize("read, what", _LITERAL_READERS)
+def test_the_library_refuses_a_literal_over_the_digit_limit(read, what):
+    text = "0." + "1" * 500
+    with pytest.raises(InvalidValue) as info:
+        read(text)
+    assert str(info.value) == (f"{what} has a literal of 501 digits; "
+                               "a rational literal has at most 500")
+
+
+@pytest.mark.parametrize("read, what", _LITERAL_READERS)
+@pytest.mark.parametrize("text, value", [
+    ("1/2", F(1, 2)), ("-1/2", F(-1, 2)), ("+1/2", F(1, 2)), (".5", F(1, 2)),
+    ("0.", F(0)), (" 1/2 ", F(1, 2)), ("0.25", F(1, 4)),
+])
+def test_the_library_reads_a_literal_as_its_value(read, what, text, value):
+    # the same result, or the same refusal of a value out of range
+    assert _read_outcome(read, text) == _read_outcome(read, value)
 
 
 def test_out_of_range_rejected():
@@ -224,10 +268,10 @@ def _degree_outcome(evaluate, formula, atom_values):
 _DEGREE_INPUTS = st.one_of(
     st.fractions(min_value=0, max_value=1, max_denominator=60),
     st.integers(0, 1),
-    st.sampled_from(["0", "1", "0.5", "0.125", "1/3", "2/7", "0.0", "1.000", "  3/4 ", "1e-3"]),
+    st.sampled_from(["0", "1", "0.5", "0.125", "1/3", "2/7", "0.0", "1.000", "  3/4 "]),
     st.just(UNDEFINED),
-    # invalid: floats, no number, not a rational, outside [0, 1]
-    st.sampled_from([0.5, None, "x", "1/0", "", F(3, 2), -1, 2, "-0.1"]),
+    # invalid: floats, no number, not a rational literal, outside [0, 1]
+    st.sampled_from([0.5, None, "x", "1/0", "1e-3", "", F(3, 2), -1, 2, "-0.1"]),
 )
 
 

@@ -139,12 +139,6 @@ MUTANTS = [
      "            part = list(distinct.values())\n            repeated = True\n",
      "            part = list(distinct.values())\n",
      node_ids(CLI_TESTS, "test_json_writer_holds_a_dict_shared_by_the_rows_of_a_listing_once")),
-    ("literals: any text handed to Fraction", CLI,
-     "    if _RATIONAL.fullmatch(text):\n", "    if True:\n",
-     node_ids(ERRORS_TESTS, "test_exponent_literals_are_refused")),
-    ("literals: no space read around a literal", CLI,
-     r're.compile(r"\s*[+-]?', r're.compile(r"[+-]?',
-     node_ids(ERRORS_TESTS, "test_rational_literals_are_read_exactly")),
     ("main: a failed write not handled", CLI,
      "    except OSError as exc:\n", "    except BrokenPipeError as exc:\n",
      node_ids(CLI_TESTS, "test_a_failed_write_exits_2_with_one_line")),
@@ -185,6 +179,14 @@ MUTANTS = [
     ("a lattice file without a size read one byte only", LATTICE,
      "st_size or MAX_FILE_BYTES", "st_size",
      node_ids(LATTICE_TESTS, "test_a_lattice_file_is_read_up_to_the_byte_cap")),
+    ("literals: any text handed to Fraction", VALUATION,
+     "if isinstance(value, str) and not _RATIONAL.fullmatch(value):", "if False:",
+     node_ids(ERRORS_TESTS, "test_exponent_literals_are_refused")
+     + node_ids(VALUATION_TESTS, "test_the_library_refuses_the_literals_the_command_line_refuses")),
+    ("literals: no space read around a literal", VALUATION,
+     r're.compile(r"\s*[+-]?', r're.compile(r"[+-]?',
+     node_ids(ERRORS_TESTS, "test_rational_literals_are_read_exactly")
+     + node_ids(VALUATION_TESTS, "test_the_library_reads_a_literal_as_its_value")),
     ("a finite grid's cap compared with >=", VALUATION,
      "if n > MAX_GRID_VALUES:", "if n >= MAX_GRID_VALUES:",
      node_ids(VALUATION_TESTS, "test_value_systems_stop_at_the_grid_cap")),
