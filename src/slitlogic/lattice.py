@@ -38,7 +38,7 @@ from functools import cached_property
 from itertools import chain, compress, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .errors import SlitlogicError
+from .errors import SlitlogicError, _shown
 
 __all__ = [
     "MAX_ELEMENTS",
@@ -163,9 +163,6 @@ class Lattice:
 
     def involute(self, y: str) -> str:
         return self.elements[self.involution[self.index(y)]]
-
-    def is_leq(self, y: str, z: str) -> bool:
-        return bool(self.up[self.index(y)] >> self.index(z) & 1)
 
     def non_extremes(self) -> tuple[str, ...]:
         return tuple(e for e in self.elements if e != self.bottom and e != self.top)
@@ -436,7 +433,7 @@ def builtin(family: str, n: int) -> Lattice:
         raise UnsupportedFamily(f"no builtin lattice family {family!r}")
     make, size = _FAMILIES[family]
     if size(n) > MAX_ELEMENTS:
-        raise LatticeError(f"{family}({n}) has more than the {MAX_ELEMENTS} elements allowed")
+        raise LatticeError(f"{family}({_shown(n)}) has more than the {MAX_ELEMENTS} elements allowed")
     return make(n)
 
 

@@ -210,7 +210,6 @@ class GridReport:
     pair is consistent. The three methods are views over that, in scan order.
     """
 
-    scenario: Scenario
     value_system: ValueSystem
     violations: tuple[tuple[int, Violation], ...]
 
@@ -366,7 +365,7 @@ def scan_grid(scenario: Scenario, value_system: ValueSystem) -> GridReport:
         violation = check_assignment(scenario, v1, v2)
         if violation is not None:
             violations.append((k, violation))
-    return GridReport(scenario, value_system, tuple(violations))
+    return GridReport(value_system, tuple(violations))
 
 
 def check_supervaluation(scenario: Scenario) -> SupervaluationReport:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SlitlogicError
+from .errors import SlitlogicError, _shown
 from .valuation import UNDEFINED, _exact, as_value
 
 __all__ = [
@@ -32,7 +32,7 @@ class OutOfRange(SlitlogicError):
 def _unit(value, what: str) -> Fraction:
     v = _exact(value, what)
     if not 0 <= v <= 1:
-        raise OutOfRange(f"{what} = {v} is outside [0, 1]")
+        raise OutOfRange(f"{what} = {_shown(v)} is outside [0, 1]")
     return v
 
 
@@ -82,9 +82,9 @@ def amplitude_interference(a1, a2) -> InterferenceInputs:
     p2 = re2 * re2 + im2 * im2
     p_or = ((re1 + re2) ** 2 + (im1 + im2) ** 2) / 2
     if p1 > 1:
-        raise OutOfRange(f"|a1|^2 = {p1} exceeds 1")
+        raise OutOfRange(f"|a1|^2 = {_shown(p1)} exceeds 1")
     if p2 > 1:
-        raise OutOfRange(f"|a2|^2 = {p2} exceeds 1")
+        raise OutOfRange(f"|a2|^2 = {_shown(p2)} exceeds 1")
     if p_or > 1:
-        raise OutOfRange(f"|a1+a2|^2/2 = {p_or} exceeds 1")
+        raise OutOfRange(f"|a1+a2|^2/2 = {_shown(p_or)} exceeds 1")
     return InterferenceInputs(p_or, p1, p2)

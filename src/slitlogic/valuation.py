@@ -28,7 +28,7 @@ from itertools import product
 from math import lcm
 from typing import Iterator, Mapping, Union
 
-from .errors import SlitlogicError
+from .errors import SlitlogicError, _shown
 from .formula import Atom, Formula, atoms, fold
 from .lattice import Lattice, UnknownElement
 
@@ -127,7 +127,7 @@ def _exact(value, what: str = "value") -> Fraction:
         if isinstance(value, str) and not _RATIONAL.fullmatch(value):
             raise ValueError(value)  # Fraction's own grammar is wider
         return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InvalidValue(f"cannot read {what} {value!r} as an exact rational") from exc
     except TypeError as exc:
         raise InexactValue(f"a {type(value).__name__} is not an exact rational; "
@@ -147,7 +147,7 @@ def as_value(value) -> TruthValue:
         value = _exact(value)
     # a Fraction's denominator is positive
     if not 0 <= value.numerator <= value.denominator:
-        raise InvalidValue(f"truth value {value} outside [0, 1]")
+        raise InvalidValue(f"truth value {_shown(value)} outside [0, 1]")
     return value
 
 
@@ -208,7 +208,8 @@ class ValueSystem:
         if _grid_size(n, "the size of a finite value system") < 2:
             raise InvalidValue("a finite value system needs at least the two extremes")
         if n > MAX_GRID_VALUES:
-            raise InvalidValue(f"finite({n}) has more than the {MAX_GRID_VALUES} values allowed")
+            raise InvalidValue(
+                f"finite({_shown(n)}) has more than the {MAX_GRID_VALUES} values allowed")
         return cls(f"finite({n})", tuple(Fraction(k, n - 1) for k in range(n)))
 
     @classmethod
@@ -218,9 +219,8 @@ class ValueSystem:
         if _grid_size(denominator, "denominator") < 1:
             raise InvalidValue("denominator must be positive")
         if denominator >= MAX_GRID_VALUES:
-            raise InvalidValue(
-                f"infinite({denominator}) has more than the {MAX_GRID_VALUES} values allowed"
-            )
+            raise InvalidValue(f"infinite({_shown(denominator)}) has more than "
+                               f"the {MAX_GRID_VALUES} values allowed")
         return cls(
             f"infinite({denominator})",
             tuple(Fraction(k, denominator) for k in range(denominator + 1)),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from slitlogic import cli, lattice, valuation
 from slitlogic.cli import dispatch
-from slitlogic.errors import SlitlogicError
+from slitlogic.errors import SlitlogicError, _shown
 
 def test_cli_catches_the_root_and_os_errors_only():
     assert cli._INPUT_ERRORS == (SlitlogicError, OSError)
@@ -255,13 +255,21 @@ def _above_cap_lattice(draw, non_extremes=0):
 
 
 @st.composite
+def _distinct_pair(draw, choices):
+    """Two distinct items of ``choices``: one at a drawn index and one at a
+    nonzero offset from it, modulo the length, so no draw is thrown away."""
+    i = draw(st.integers(0, len(choices) - 1))
+    j = (i + draw(st.integers(1, len(choices) - 1))) % len(choices)
+    return choices[i], choices[j]
+
+
+@st.composite
 def _scenario_options(draw, command, lattices=_well_formed_lattice):
     # super leaves both atoms without a value, so it binds them to non-extremes:
     # an atom at an extreme has a value, and super refuses it
     lat, ref = draw(lattices(2 if command == "super" else 0))
     elements = lat.non_extremes() if command == "super" else lat.elements
-    (e1, e2), (a1, a2) = (draw(st.lists(st.sampled_from(choices), min_size=2, max_size=2, unique=True))
-                          for choices in (elements, _ATOMS))
+    (e1, e2), (a1, a2) = (draw(_distinct_pair(choices)) for choices in (elements, _ATOMS))
     options, term = draw(_interference_options())
     options.update({"--lattice": ref, "--bind": f"{a1}={e1},{a2}={e2}"})
     flags = ("--equal-priors", "--no-equal-priors", "--allow-degenerate")
@@ -468,6 +476,20 @@ def test_a_sum_of_literals_prints_up_to_the_interpreter_limit():
         assert report.render() and report.verdict == (
             f"error: the value has a denominator of more than {limit} digits, "
             "more than this interpreter prints")
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="this interpreter prints ints of any length")
+@pytest.mark.parametrize("over", [1, 2, 700, 6000, 60000])
+def test_a_value_too_long_to_print_is_named_by_its_digit_count(over):
+    # the least and the greatest numbers of that many digits, where a count
+    # estimated from the bit length would go wrong first
+    digits = sys.get_int_max_str_digits() + over
+    for value in (10 ** (digits - 1), 1 - 10**digits):
+        assert _shown(value) == f"a number of {digits} digits"
+    assert _shown(Fraction(-7, 10**digits - 1)) == f"a number of {digits + 1} digits"
+    assert _shown(Fraction(10**digits, 3)) == f"a number of {digits + 2} digits"
+    assert _shown(10**400) == str(10**400)
 
 
 # ------------------------------------------------ the lattice element cap

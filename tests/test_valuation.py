@@ -1,5 +1,6 @@
 """Degree functions, the evaluation routes, axiom checking, enumeration."""
 
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from slitlogic.errors import SlitlogicError
 from slitlogic.formula import And, Atom, Not, Or, Xor, atoms, fold, parse
 from slitlogic.lattice import build_from_order, builtin
-from slitlogic.probability import InterferenceInputs, amplitude_interference
+from slitlogic.probability import InterferenceInputs, OutOfRange, amplitude_interference
 from slitlogic.valuation import (
     MAX_GRID_VALUES,
     UNDEFINED,
@@ -108,6 +109,14 @@ def test_floats_rejected():
     (lambda: ValueSystem.finite(True), InvalidValue),
     (lambda: ValueSystem.infinite(None), InvalidValue),
     (lambda: ValueSystem.infinite(True), InvalidValue),
+    # an infinity has no integer ratio
+    (lambda: as_value(Decimal("Infinity")), InvalidValue),
+    # a message names a value of more digits than the interpreter prints by its digit count
+    (lambda: as_value(10**5000), InvalidValue),
+    (lambda: InterferenceInputs(10**5000, 0, 0), OutOfRange),
+    (lambda: amplitude_interference((10**5000, 0), (0, 0)), OutOfRange),
+    (lambda: ValueSystem.finite(10**5000), InvalidValue),
+    (lambda: ValueSystem.infinite(10**5000), InvalidValue),
 ])
 def test_unreadable_values_raise_typed_errors(coerce, error):
     with pytest.raises(error) as info:
@@ -196,16 +205,16 @@ def test_lattice_route_atom_is_lookup():
 def test_lattice_route_on_complementary_atoms():
     # oracle: fold the element by hand from the order matrix
     lat = builtin("boolean", 2)
+
+    def is_leq(y, z):
+        return bool(lat.up[lat.index(y)] >> lat.index(z) & 1)
+
     join_ab = next(
         w
         for w in lat.elements
-        if lat.is_leq("a", w)
-        and lat.is_leq("b", w)
-        and all(
-            lat.is_leq(w, u)
-            for u in lat.elements
-            if lat.is_leq("a", u) and lat.is_leq("b", u)
-        )
+        if is_leq("a", w)
+        and is_leq("b", w)
+        and all(is_leq(w, u) for u in lat.elements if is_leq("a", u) and is_leq("b", u))
     )
     assert join_ab == "1"
     tf = classical_tf(lat, {"a": HALF, "b": HALF})
