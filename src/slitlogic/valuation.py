@@ -137,9 +137,10 @@ def _exact(value, what: str = "value") -> Fraction:
 def as_value(value) -> TruthValue:
     """Coerce to an exact truth value in [0, 1] or ``UNDEFINED``.
 
-    Accepts Fraction, int, and numeric strings (including decimals, parsed
-    exactly in base 10). Floats are rejected: binary rounding would leak
-    into the exact-equality checks downstream.
+    Accepts Fraction, int, and strings in the command line's rational
+    literal grammar (decimals are read exactly in base 10; no exponents).
+    Floats are rejected: binary rounding would leak into the
+    exact-equality checks downstream.
     """
     if type(value) is not Fraction:
         if value is UNDEFINED:
