@@ -58,10 +58,22 @@ class UsageError(SlitlogicError):
 
 class _ArgumentParser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
+        # every Action that add_argument or add_subparsers returned, -h first
+        self.arguments = []
         super().__init__(*args, **kwargs)
         # No option of this CLI looks like a number, so an argument such as
         # "-1/2,0" or "-.5" is a value, as in "--amp1 -1/2,0".
         self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.arguments.append(action)
+        return action
+
+    def add_subparsers(self, **kwargs):
+        action = super().add_subparsers(**kwargs)
+        self.arguments.append(action)
+        return action
 
     def error(self, message):
         raise UsageError(message)
@@ -888,18 +900,106 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _plain_commands() -> dict[str, tuple]:
+    """subcommand -> what :func:`_read_plain` reads its command lines with,
+    taken from the Actions of :func:`build_parser`'s subparsers: the flags
+    that take a value, each with its Action; the flags that take none, each
+    with the dest and the value it stores; the defaults; the dests of the
+    required flags; and the dests of the positionals, in order."""
+    commands = {}
+    top = next(a for a in build_parser().arguments if a.dest == "command")
+    for name, sub in top.choices.items():
+        flags, switches, defaults, required, positionals = {}, {}, {"command": name}, set(), []
+        for action in sub.arguments:
+            if action.default is argparse.SUPPRESS:  # -h, whose help argparse prints
+                continue
+            defaults[action.dest] = action.default
+            if not action.option_strings:
+                positionals.append(action.dest)
+            elif action.nargs == 0:  # store_true, or BooleanOptionalAction's --x and --no-x
+                for flag in action.option_strings:
+                    switches[flag] = action.dest, (action.const if action.const is not None
+                                                   else not flag.startswith("--no-"))
+            else:
+                flags.update(dict.fromkeys(action.option_strings, action))
+                if action.required:
+                    required.add(action.dest)
+        commands[name] = flags, switches, defaults, frozenset(required), tuple(positionals)
+    return commands
+
+
+def _read_plain(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace that argparse gives a plain command line, read without
+    it; None leaves argv to argparse.
+
+    A command line is plain when its first word names a subcommand and each
+    later word is one of: an exact flag of that subcommand that takes a
+    value, written ``--flag=value`` or ``--flag value``; an exact flag that
+    takes none; or a positional that does not start with "-". A value given
+    as the next word does not start with "-", and a value is not exactly
+    "--", which argparse before 3.13 stores as []. Each value passes its
+    flag's type and choices, every required flag is given, and the
+    positionals are as many as the subcommand takes. Help, abbreviations
+    such as ``--form``, ``--``, and every command line that argparse refuses
+    go to argparse."""
+    command = _plain_commands().get(argv[0]) if argv else None
+    if command is None:
+        return None
+    flags, switches, defaults, required, positionals = command
+    values, seen, given = dict(defaults), set(), []
+    words = iter(argv[1:])
+    for word in words:
+        if word[:1] != "-":
+            given.append(word)
+            continue
+        flag, eq, value = word.partition("=")
+        if flag in switches:
+            if eq:
+                return None
+            dest, const = switches[flag]
+            values[dest] = const
+            continue
+        action = flags.get(flag)
+        if action is None:
+            return None
+        if not eq:
+            value = next(words, None)
+            if value is None or value[:1] == "-":
+                return None
+        elif value == "--":
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        seen.add(action.dest)
+    if len(given) != len(positionals) or not required <= seen:
+        return None
+    values.update(zip(positionals, given))
+    return argparse.Namespace(**values)
+
+
 _INPUT_ERRORS = (SlitlogicError, OSError)
 
 
 def dispatch(argv: Sequence[str]) -> Report:
-    """Parse argv and run its subcommand; rejected input becomes an exit-2
+    """Read argv and run its subcommand; rejected input becomes an exit-2
     report, in the format of the parsed command line, or of
-    :func:`_requested_format` when argv does not parse."""
+    :func:`_requested_format` when argv does not parse. A plain command line
+    (see :func:`_read_plain`) is read directly, and any other is parsed by
+    argparse."""
     ns = None
     try:
-        ns = build_parser().parse_args(list(argv))
-        if ns.command is None:
-            raise UsageError("a subcommand is required (see --help)")
+        ns = _read_plain(argv)
+        if ns is None:
+            ns = build_parser().parse_args(list(argv))
+            if ns.command is None:
+                raise UsageError("a subcommand is required (see --help)")
         return globals()["_cmd_" + ns.command.replace("-", "_")](ns)
     except _INPUT_ERRORS as exc:
         message = str(exc) or type(exc).__name__

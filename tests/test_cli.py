@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -13,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slitlogic
@@ -306,6 +307,88 @@ def test_the_full_parser_lists_every_subcommand():
     code, text = _parse_outcome(cli.build_parser(), ["-h"])
     assert code == 0
     assert all(f"    {command}" in text for command in cli._COMMANDS)
+
+
+# a flag, in either spelling, with a value that argparse before 3.13 stores as
+# [] ("--"), that it reads as a value only after the flag ("-1/2,0"), that is
+# empty, or that no flag of these takes
+_FLAG_WITH_VALUE = st.tuples(
+    st.sampled_from(("--bind", "--format", "--values", "--mode", "--amp1",
+                     "--allow-degenerate", "--no-equal-priors")),
+    st.sampled_from(("--", "-1/2,0", "", "x")),
+)
+_READER_STRAY = st.one_of(
+    _STRAY.map(lambda token: [token]),
+    _FLAG_WITH_VALUE.map(lambda pair: ["=".join(pair)]),
+    _FLAG_WITH_VALUE.map(list),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argv(), stray=st.lists(st.tuples(st.integers(0, 12), _READER_STRAY), max_size=2),
+       drop=st.lists(st.integers(0, 12), max_size=1))
+def test_the_reader_reads_as_argparse_or_defers(argv, stray, drop):
+    """The reader of plain command lines either leaves argv to argparse or
+    gives exactly the namespace that argparse gives, with words dropped and
+    stray words and flags put in."""
+    for at in drop:
+        del argv[at:at + 1]
+    for at, words in stray:
+        argv[at:at] = words
+    read = cli._read_plain(argv)
+    if read is not None:
+        assert vars(read) == _parse_outcome(cli.build_parser(), list(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["nogo", "--allow-degenerate=yes"],  # a value on a flag that takes none
+    ["nogo", "--no-equal-priors="],
+    ["nogo", "--format=xml"],  # not a choice
+    ["scan", "--values=x"],  # not of the flag's type
+    ["eval", "--mode=super", "--assign=X1=a"],  # a required flag left out
+    ["nogo", "--lattice", "-x"],  # a value after its flag that starts with "-"
+    ["nogo", "--bind", "--format=json"],
+    ["interference", "--amp1", "-1/2,0"],
+    ["nogo", "--bind=--"],  # argparse before 3.13 stores "--" as []
+    ["nogo", "--form", "json"],  # an abbreviation
+    ["nogo", "-h"],
+    ["nogo", "--help"],
+    ["nogo", "--", "x"],
+    ["nogo", "extra"],
+    ["parse"],
+    ["parse", "A", "B"],
+    ["parse", "-A"],
+    [],
+    ["bogus"],
+    ["--format=json", "nogo"],
+])
+def test_the_reader_leaves_these_command_lines_to_argparse(argv):
+    assert cli._read_plain(argv) is None
+
+
+def _identity_gate(monkeypatch):
+    """``tools/identity.py`` as a module; the entry it puts on sys.path is
+    taken off again after the test."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = Path(__file__).resolve().parent.parent / "tools" / "identity.py"
+    spec = importlib.util.spec_from_file_location("identity", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_reader_reads_every_plain_line_of_the_identity_corpus(monkeypatch, tmp_path):
+    """The corpus asks for no help and gives no abbreviation and no "--": the
+    reader reads each of its command lines, as argparse does, except those
+    that give a value such as "-1/2,0" after its flag."""
+    corpus = _identity_gate(monkeypatch).corpus(tmp_path)
+    for argv in (run for argvs in corpus.values() for a in argvs for run in (a, [*a, "--format", "json"])):
+        namespace = cli._read_plain(argv)
+        if any(word[:1] == "-" and word[1:2] != "-" for word in argv):
+            assert namespace is None, argv
+        else:
+            assert namespace is not None, argv
+            assert vars(namespace) == vars(cli.build_parser().parse_args(argv))
 
 
 def test_reports_are_byte_identical_across_runs():
