@@ -1000,6 +1000,11 @@ def dispatch(argv: Sequence[str]) -> Report:
             ns = build_parser().parse_args(list(argv))
             if ns.command is None:
                 raise UsageError("a subcommand is required (see --help)")
+            # argparse before 3.13 stores an option value of exactly "--",
+            # as in --bind=--, as []
+            for flag, action in _plain_commands()[ns.command][0].items():
+                if type(getattr(ns, action.dest)) is list:
+                    raise UsageError(f"argument {flag}: expected one argument")
         return globals()["_cmd_" + ns.command.replace("-", "_")](ns)
     except _INPUT_ERRORS as exc:
         message = str(exc) or type(exc).__name__

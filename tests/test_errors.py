@@ -104,8 +104,9 @@ _text = st.text(_ALPHABET, max_size=8).filter(lambda t: not t.startswith(("-h", 
 
 
 def _or_junk(*valid):
-    """One of ``valid`` three draws in four, short junk text the fourth."""
-    return st.one_of(*valid * 3, _text)
+    """One of ``valid`` three draws in four, short junk text or "--" the
+    fourth. argparse before 3.13 stores an option value of exactly "--" as []."""
+    return st.one_of(*valid * 3, _text | st.just("--"))
 
 
 _name = st.one_of(st.sampled_from(_NAMES), st.sampled_from(_NAMES), st.integers(-1, 3),
@@ -192,6 +193,21 @@ def test_every_argv_ends_in_a_report(tmp_path_factory, content, argv):
     assert isinstance(text, str) and text
     if report.exit_code == 2:
         assert "\n" not in report.verdict
+
+
+# argparse before 3.13 stores an option value of exactly "--" as []; on every
+# release each of these ends in exit 2 with one line
+@pytest.mark.parametrize("argv", [
+    ["nogo", "--bind=--"],
+    ["interference", "--amp1=--"],
+    ["eval", "--formula=X", "--mode=lukasiewicz", "--assign=--"],
+    ["nogo", "--lattice=--"],
+    ["nogo", "--format=--"],
+])
+def test_an_option_value_of_two_dashes_exits_2_with_one_line(argv):
+    report = dispatch(argv)
+    assert report.exit_code == 2
+    assert report.render() == report.verdict and "\n" not in report.verdict
 
 
 # ---------------------------------------- every well-formed argv reaches an engine
