@@ -427,6 +427,9 @@ def builtin(family: str, n: int) -> Lattice:
     ``lantern`` (bottom, top, and n incomparable complement pairs). A size
     that would give more than :data:`MAX_ELEMENTS` elements is refused
     before any work."""
+    # bool is an int, but True is no size
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise LatticeError(f"size parameter must be an int, not {type(n).__name__}")
     if n < 1:
         raise LatticeError("size parameter must be >= 1")
     if family not in _FAMILIES:

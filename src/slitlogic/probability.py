@@ -76,8 +76,8 @@ def amplitude_interference(a1, a2) -> InterferenceInputs:
     |a1 + a2|^2 / 2, so the induced interference term equals
     re1*re2 + im1*im2 (the real part of a1 * conj(a2)).
     """
-    re1, im1 = (_exact(x) for x in a1)
-    re2, im2 = (_exact(x) for x in a2)
+    re1, im1 = (_exact(x, f"a1[{k}]") for k, x in enumerate(a1))
+    re2, im2 = (_exact(x, f"a2[{k}]") for k, x in enumerate(a2))
     p1 = re1 * re1 + im1 * im1
     p2 = re2 * re2 + im2 * im2
     p_or = ((re1 + re2) ** 2 + (im1 + im2) ** 2) / 2

@@ -134,18 +134,19 @@ def _exact(value, what: str = "value") -> Fraction:
                            "pass a Fraction, int, or decimal string") from exc
 
 
-def as_value(value) -> TruthValue:
+def as_value(value, what: str = "value") -> TruthValue:
     """Coerce to an exact truth value in [0, 1] or ``UNDEFINED``.
 
     Accepts Fraction, int, and strings in the command line's rational
     literal grammar (decimals are read exactly in base 10; no exponents).
     Floats are rejected: binary rounding would leak into the
-    exact-equality checks downstream.
+    exact-equality checks downstream. A string that is no literal is
+    refused as ``what``.
     """
     if type(value) is not Fraction:
         if value is UNDEFINED:
             return UNDEFINED
-        value = _exact(value)
+        value = _exact(value, what)
     # a Fraction's denominator is positive
     if not 0 <= value.numerator <= value.denominator:
         raise InvalidValue(f"truth value {_shown(value)} outside [0, 1]")
@@ -191,7 +192,7 @@ class ValueSystem:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        values = tuple(as_value(v) for v in self.values)
+        values = tuple(as_value(v, f"values[{k}]") for k, v in enumerate(self.values))
         if not values:
             raise InvalidValue("a value system needs at least one value")
         if UNDEFINED in values:
@@ -248,7 +249,7 @@ class TruthFunction:
         for element in self.lattice.elements:
             if element not in self.values:
                 raise InvalidValue(f"truth function is missing element {element!r}")
-            normalized[element] = as_value(self.values[element])
+            normalized[element] = as_value(self.values[element], f"value for {element}")
         extras = set(self.values) - set(self.lattice.elements)
         if extras:
             raise InvalidValue(f"truth function mentions unknown elements {sorted(extras)}")
@@ -304,7 +305,7 @@ def evaluate_degrees(formula: Formula, atom_values: Mapping[str, object]) -> Tru
     for name in atoms(formula):
         if name not in atom_values:
             raise UnboundAtom(f"atom {name!r} has no truth value")
-        values[name] = as_value(atom_values[name])
+        values[name] = as_value(atom_values[name], f"value for {name}")
     if any(v is UNDEFINED for v in values.values()):
         return UNDEFINED
     d = lcm(*(v.denominator for v in values.values()))

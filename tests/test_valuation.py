@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from slitlogic.errors import SlitlogicError
 from slitlogic.formula import And, Atom, Not, Or, Xor, atoms, fold, parse
-from slitlogic.lattice import build_from_order, builtin
+from slitlogic.lattice import LatticeError, build_from_order, builtin
 from slitlogic.probability import InterferenceInputs, OutOfRange, amplitude_interference
 from slitlogic.valuation import (
     MAX_GRID_VALUES,
@@ -117,6 +117,11 @@ def test_floats_rejected():
     (lambda: amplitude_interference((10**5000, 0), (0, 0)), OutOfRange),
     (lambda: ValueSystem.finite(10**5000), InvalidValue),
     (lambda: ValueSystem.infinite(10**5000), InvalidValue),
+    # a builtin's size is an int; True is none
+    (lambda: builtin("chain", "3"), LatticeError),
+    (lambda: builtin("chain", None), LatticeError),
+    (lambda: builtin("chain", 2.5), LatticeError),
+    (lambda: builtin("chain", True), LatticeError),
 ])
 def test_unreadable_values_raise_typed_errors(coerce, error):
     with pytest.raises(error) as info:
@@ -129,7 +134,11 @@ def test_unreadable_values_raise_typed_errors(coerce, error):
 _LITERAL_READERS = [
     (as_value, "value"),
     (lambda v: InterferenceInputs(v, 0, 0), "p_or"),
-    (lambda v: amplitude_interference((v, 0), (0, 0)), "value"),
+    (lambda v: amplitude_interference((0, 0), (0, v)), "a2[1]"),
+    (lambda v: ValueSystem("h", (0, v)), "values[1]"),
+    (lambda v: TruthFunction(builtin("boolean", 2), {"0": 0, "a": v, "b": 0, "1": 1}),
+     "value for a"),
+    (lambda v: evaluate_degrees(Atom("A"), {"A": v}), "value for A"),
 ]
 
 
@@ -245,12 +254,12 @@ def test_degrees_xor_matches_classical_xor():
 
 def reference_degrees(formula, atom_values):
     """The degrees route as a Fraction fold of the public degree functions,
-    each atom validated where the fold reaches it."""
+    each atom validated where the fold reaches it and named in a refusal."""
 
     def value(atom):
         if atom.name not in atom_values:
             raise UnboundAtom(f"atom {atom.name!r} has no truth value")
-        return as_value(atom_values[atom.name])
+        return as_value(atom_values[atom.name], f"value for {atom.name}")
 
     return fold(formula, value, lukasiewicz_neg, lukasiewicz_and, lukasiewicz_or)
 
