@@ -158,6 +158,35 @@ MUTANTS = [
     ("dispatch: an error report ignores the parsed format", CLI,
      'getattr(ns, "format", None) or _requested_format(argv)', "_requested_format(argv)",
      node_ids(CLI_TESTS, "test_error_report_takes_the_last_format_flag")),
+    ("dispatch: an option value that argparse stores as [] let through", CLI,
+     "if type(getattr(ns, action.dest)) is list:", "if False:",
+     node_ids(CLI_TESTS, "test_an_option_value_that_argparse_drops_is_refused_naming_its_flag")),
+    ("the reader: a =value read on a flag that takes none", CLI,
+     "            if eq:\n                return None\n            dest, const", "            dest, const",
+     node_ids(CLI_TESTS, "test_the_reader_leaves_these_command_lines_to_argparse")),
+    ("the reader: choices not checked", CLI,
+     "if action.choices is not None and value not in action.choices:", "if False:",
+     node_ids(CLI_TESTS, "test_the_reader_leaves_these_command_lines_to_argparse",
+              "test_the_reader_reads_as_argparse_or_defers")),
+    ("the reader: type not applied", CLI,
+     "                value = action.type(value)\n", "                action.type(value)\n",
+     node_ids(CLI_TESTS, "test_the_reader_reads_every_plain_line_of_the_identity_corpus",
+              "test_the_reader_reads_as_argparse_or_defers")),
+    ("the reader: a missing required flag not detected", CLI,
+     "if len(given) != len(positionals) or not required <= seen:",
+     "if len(given) != len(positionals):",
+     node_ids(CLI_TESTS, "test_the_reader_leaves_these_command_lines_to_argparse")),
+    ("the reader: a separate value that starts with - taken", CLI,
+     'if value is None or value[:1] == "-":', "if value is None:",
+     node_ids(CLI_TESTS, "test_the_reader_leaves_these_command_lines_to_argparse",
+              "test_the_reader_reads_as_argparse_or_defers")),
+    ("the reader: --no-equal-priors read as true", CLI,
+     'else not flag.startswith("--no-")', "else True",
+     node_ids(CLI_TESTS, "test_the_reader_reads_every_plain_line_of_the_identity_corpus",
+              "test_the_parser_is_built_once")),
+    ("the reader: a value of exactly -- not left to argparse", CLI,
+     '        elif value == "--":\n            return None\n', "",
+     node_ids(CLI_TESTS, "test_the_reader_leaves_these_command_lines_to_argparse")),
     ("cover_pairs not strict: each element covers itself", LATTICE,
      ".bit_count() == 2", ".bit_count() <= 2",
      node_ids(LATTICE_TESTS, "test_cover_pairs_are_the_hasse_edges")),
