@@ -25,7 +25,7 @@ from typing import Sequence
 
 from . import lattice as lattice_mod
 from .errors import SlitlogicError
-from .formula import fold, parse, render, render_desugared
+from .formula import _DESUGARED_TEXT, _TEXT, Atom, Not, Xor, _negated, parse, render
 from .nogo import (
     Certificate,
     Scenario,
@@ -428,16 +428,6 @@ def _cmd_lattice_check(ns) -> Report:
     return Report(payload, 0, ns.format)
 
 
-def _branch(node: str):
-    return lambda left, right: {"node": node, "left": left, "right": right}
-
-
-def _tree_payload(f):
-    return fold(f, lambda a: {"node": "Atom", "name": a.name},
-                lambda child: {"node": "Not", "child": child},
-                _branch("And"), _branch("Or"), _branch("Xor"))
-
-
 # A chain of k xors desugars to about 2^k nodes; parse prints no more than this.
 _DESUGARED_NODE_LIMIT = 10**6
 # The JSON writer recurses once per level of the tree; parse prints no deeper JSON.
@@ -447,32 +437,57 @@ _JSON_DEPTH_LIMIT = 500
 _LISTED_FUNCTION_LIMIT = 2**16
 
 
-def _add_one(left: int, right: int) -> int:
-    # saturates: the count of a long xor chain has too many digits to print
-    return min(left + right + 1, _DESUGARED_NODE_LIMIT + 1)
-
-
-def _deeper(left: int, right: int) -> int:
-    return max(left, right) + 1
-
-
 def _cmd_parse(ns) -> Report:
+    """Echo a formula: its text, its tree and the text of its desugared form.
+
+    One walk over the tree's postfix program gives each subtree's desugared
+    size, depth, text, desugared text and payload tree. A subtree without an
+    xor desugars to itself, so it keeps one text for both. The size is checked
+    before the desugared text is made, since an xor doubles it: a long xor
+    chain stops at the cap, and a size error comes before a depth error.
+    """
     f = parse(ns.text)
-    size = fold(f, lambda a: 1, lambda child: child + 1, _add_one, _add_one)
-    if size > _DESUGARED_NODE_LIMIT:
-        raise UsageError(f"the desugared form has more than {_DESUGARED_NODE_LIMIT} nodes")
-    if ns.format == "json":
-        depth = fold(f, lambda a: 1, lambda child: child + 1, _deeper, _deeper, _deeper)
-        if depth > _JSON_DEPTH_LIMIT:
-            raise UsageError(f"the formula nests {depth} levels deep; --format json "
-                             f"prints at most {_JSON_DEPTH_LIMIT}")
-    text = render(f)
+    limit = _DESUGARED_NODE_LIMIT
+    too_large = f"the desugared form has more than {limit} nodes"
+    # per subtree: (desugared size, depth, (text, binds), (desugared text, binds), tree)
+    stack: list = []
+    for item in f._program:
+        if type(item) is Atom:
+            text = item.name, 4  # an atom binds like "!"
+            stack.append((1, 1, text, text, {"node": "Atom", "name": item.name}))
+            continue
+        if item is Not:
+            size, depth, text, sugar, tree = stack[-1]
+            if size + 1 > limit:
+                raise UsageError(too_large)
+            negated = _negated(text)
+            stack[-1] = (size + 1, depth + 1, negated,
+                         negated if sugar is text else _negated(sugar),
+                         {"node": "Not", "child": tree})
+            continue
+        rsize, rdepth, rtext, rsugar, rtree = stack.pop()
+        size, depth, text, sugar, tree = stack[-1]
+        # (y | z) & !(y & z) holds each operand twice, under four more nodes
+        size = 2 * (size + rsize) + 4 if item is Xor else size + rsize + 1
+        if size > limit:
+            raise UsageError(too_large)
+        joined = _TEXT[item](text, rtext)
+        if sugar is text and rsugar is rtext and item is not Xor:
+            sugar = joined
+        else:
+            sugar = _DESUGARED_TEXT[item](sugar, rsugar)
+        stack[-1] = (size, max(depth, rdepth) + 1, joined, sugar,
+                     {"node": item.__name__, "left": tree, "right": rtree})
+    _, depth, (text, _), (desugared, _), tree = stack[0]
+    if ns.format == "json" and depth > _JSON_DEPTH_LIMIT:
+        raise UsageError(f"the formula nests {depth} levels deep; --format json "
+                         f"prints at most {_JSON_DEPTH_LIMIT}")
     payload = {
         "command": "parse",
         "verdict": f"ok: {text}",
         "formula": text,
-        "tree": _tree_payload(f),
-        "desugared": render_desugared(f),
+        "tree": tree,
+        "desugared": desugared,
     }
     return Report(payload, 0, ns.format)
 

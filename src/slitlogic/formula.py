@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from operator import itemgetter
+from operator import itemgetter, length_hint
 from typing import Union
 
 from .errors import SlitlogicError
@@ -155,62 +155,90 @@ def _offset(text: str, k: int) -> int:
     return starts[k] if k < len(starts) else len(text)
 
 
-_BINARY = {"&": And, "^": Xor, "|": Or}
-_BINDS = {"!": 4, "&": 3, "^": 2, "|": 1}
+def _stray(text: str, tokens: list[str]) -> ParseError | None:
+    """The error for the first token that starts with no token's character."""
+    for k, tok in enumerate(tokens):
+        if tok and tok[0] not in _TOKEN_STARTS:
+            return ParseError(f"unexpected character {tok!r}", _offset(text, k))
+    return None
+
+
+def _refusal(text: str, tokens: list[str], unread, message: str) -> ParseError:
+    """The error for the token last taken from ``unread``, an iterator over
+    ``tokens``; a character that starts no token, anywhere, comes first."""
+    return _stray(text, tokens) or ParseError(
+        message, _offset(text, len(tokens) - 1 - length_hint(unread)))
+
+
+# Each token's code, read with one dict lookup; an atom name is any other
+# token, code 7, and "" stands for the end of the input. The code of "(" and
+# of each operator is also how tightly it binds, and indexes its node class.
+_CODES = {"(": 0, "|": 1, "^": 2, "&": 3, "!": 4, ")": 5, "": 6}
+_KINDS = (None, Or, Xor, And)  # "(" never reduces, and "!" makes a Not
 
 
 def parse(text: str) -> Formula:
     """Parse formula text into a tree, or raise :class:`ParseError`.
 
     One operator-precedence loop over a stack of subtrees and a stack of
-    pending operators and parentheses, so nesting depth is bounded by memory.
-    A character that starts no token is reported before any syntax error.
+    pending operator codes, so nesting depth is bounded by memory. The codes
+    sit above a -1 that nothing reduces, so whether the top one reduces is one
+    comparison. A binary operator reduces those that bind at least as tightly;
+    ")", the end and a stray token reduce them all, down to the innermost "(".
+    Each distinct name gets one Atom node per parse. A character that starts
+    no token is reported before any syntax error: it is looked for when the
+    loop refuses a token, or when one was read as a name.
     """
     tokens = _TOKEN.findall(text)
-    if not _TOKEN_STARTS.issuperset(tok[0] for tok in set(tokens)):
-        k = next(k for k, tok in enumerate(tokens) if tok[0] not in _TOKEN_STARTS)
-        raise ParseError(f"unexpected character {tokens[k]!r}", _offset(text, k))
-    tokens.append("")  # the end of the input
+    tokens.append("")
+    code_of = _CODES.get
     operands: list[Formula] = []
-    pending: list[str] = []
+    pending = [-1]
     program: list = []  # the tree in postfix order, as the loop reduces it
+    named: dict[str, Atom] = {}
     expect_operand = True
-    for k, tok in enumerate(tokens):
+    steps = iter(tokens)  # not enumerated: _refusal counts what is left of it
+    for tok in steps:
+        code = code_of(tok, 7)
         if expect_operand:
-            if tok == "!" or tok == "(":
-                pending.append(tok)
-            elif tok in _BINDS or tok == ")" or not tok:
-                found = repr(tok) if tok else "end of input"
-                raise ParseError(f"expected an atom, '!', or '(', found {found}",
-                                 _offset(text, k))
-            else:
-                # the token pattern admits no empty name
-                atom = _new(Atom, (tok,))
+            if code == 7:
+                atom = named.get(tok)
+                if atom is None:
+                    # the token pattern admits no empty name
+                    atom = named[tok] = _new(Atom, (tok,))
                 operands.append(atom)
                 program.append(atom)
                 expect_operand = False
+            elif code == 0 or code == 4:
+                pending.append(code)
+            else:
+                found = repr(tok) if tok else "end of input"
+                raise _refusal(text, tokens, steps,
+                               f"expected an atom, '!', or '(', found {found}")
             continue
-        # an operand has ended: apply the pending operators that bind at least as tightly
-        binds = _BINDS[tok] if tok in _BINARY else 0
-        while pending and pending[-1] != "(" and _BINDS[pending[-1]] >= binds:
+        binary = 0 < code < 4
+        binds = code if binary else 1
+        while pending[-1] >= binds:
             op = pending.pop()
-            if op == "!":
+            if op == 4:
                 operands[-1] = _new(Not, (operands[-1],))
                 program.append(Not)
             else:
-                kind = _BINARY[op]
+                kind = _KINDS[op]
                 right = operands.pop()
                 operands[-1] = _new(kind, (operands[-1], right))
                 program.append(kind)
-        if tok in _BINARY:
-            pending.append(tok)
+        if binary:
+            pending.append(code)
             expect_operand = True
-        elif pending and tok == ")":
+        elif pending[-1] == 0:  # an open "("
+            if code != 5:
+                raise _refusal(text, tokens, steps, "expected ')'")
             pending.pop()
-        elif pending:
-            raise ParseError("expected ')'", _offset(text, k))
-        elif tok:
-            raise ParseError(f"unexpected trailing {tok!r}", _offset(text, k))
+        elif code != 6:
+            raise _refusal(text, tokens, steps, f"unexpected trailing {tok!r}")
+    if not _TOKEN_STARTS.issuperset(name[0] for name in named):
+        raise _stray(text, tokens)
     root = operands[0]
     vars(root)["_program"] = program
     return root
@@ -264,7 +292,7 @@ def _negated(child: tuple[str, int]) -> tuple[str, int]:
 
 
 def _infix(symbol: str):
-    binds = _BINDS[symbol]
+    binds = _CODES[symbol]
 
     def text(left: tuple[str, int], right: tuple[str, int]) -> tuple[str, int]:
         (ltext, lbinds), (rtext, rbinds) = left, right
@@ -275,7 +303,18 @@ def _infix(symbol: str):
     return text
 
 
-_RENDER = (lambda a: (a.name, 4), _negated, _infix("&"), _infix("|"), _infix("^"))
+# node class -> how the node renders from its children's (text, binds)
+_TEXT = {Not: _negated, And: _infix("&"), Or: _infix("|"), Xor: _infix("^")}
+
+
+def _desugared_xor(y: tuple[str, int], z: tuple[str, int]) -> tuple[str, int]:
+    conj = _TEXT[And]
+    return conj(_TEXT[Or](y, z), _negated(conj(y, z)))
+
+
+# as _TEXT, for the tree with every xor rewritten as (y | z) & !(y & z)
+_DESUGARED_TEXT = {**_TEXT, Xor: _desugared_xor}
+_RENDER = (lambda a: (a.name, 4), _negated, _TEXT[And], _TEXT[Or])
 
 
 def render(formula: Formula) -> str:
@@ -284,7 +323,7 @@ def render(formula: Formula) -> str:
     Parentheses are emitted only where precedence or left-associativity
     would otherwise regroup the tree.
     """
-    return fold(formula, *_RENDER)[0]
+    return fold(formula, *_RENDER, _TEXT[Xor])[0]
 
 
 def atoms(formula: Formula) -> tuple[str, ...]:
@@ -299,6 +338,5 @@ def desugar_xor(formula: Formula) -> Formula:
 
 def render_desugared(formula: Formula) -> str:
     """``render(desugar_xor(formula))``, in one fold that builds no tree:
-    :func:`fold`'s default ``xor`` combines the rendered operands as the
-    desugared node would."""
-    return fold(formula, *_RENDER[:4])[0]
+    an xor's rendered operands are combined as the desugared node would be."""
+    return fold(formula, *_RENDER, _desugared_xor)[0]

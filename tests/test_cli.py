@@ -12,16 +12,20 @@ import tempfile
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import slitlogic
 from slitlogic import cli
 from slitlogic.cli import Report, dispatch
+from slitlogic.formula import Atom, Not, desugar_xor, render
 from slitlogic.lattice import builtin
+from test_errors import _COMMANDS as _ARGV_COMMANDS
 from test_errors import _argv
+from test_formula import _formulas as formula_trees
 
 NOGO_ARGS = [
     "nogo",
@@ -309,32 +313,48 @@ def test_the_full_parser_lists_every_subcommand():
     assert all(f"    {command}" in text for command in cli._COMMANDS)
 
 
-# a flag, in either spelling, with a value that argparse before 3.13 stores as
-# [] ("--"), that it reads as a value only after the flag ("-1/2,0"), that is
-# empty, or that no flag of these takes
-_FLAG_WITH_VALUE = st.tuples(
-    st.sampled_from(("--bind", "--format", "--values", "--mode", "--amp1",
-                     "--allow-degenerate", "--no-equal-priors")),
-    st.sampled_from(("--", "-1/2,0", "", "x")),
-)
-_READER_STRAY = st.one_of(
-    _STRAY.map(lambda token: [token]),
-    _FLAG_WITH_VALUE.map(lambda pair: ["=".join(pair)]),
-    _FLAG_WITH_VALUE.map(list),
-)
+def _own_flags(command):
+    """The flags that ``_argv`` draws for the subcommand."""
+    _, required, optional = _ARGV_COMMANDS[command]
+    return sorted({**required, **optional, "--format": None})
 
 
-@settings(max_examples=300, deadline=None)
-@given(argv=_argv(), stray=st.lists(st.tuples(st.integers(0, 12), _READER_STRAY), max_size=2),
-       drop=st.lists(st.integers(0, 12), max_size=1))
-def test_the_reader_reads_as_argparse_or_defers(argv, stray, drop):
+def _without_flag(argv, flag):
+    """argv with every word of one flag dropped: ``--flag=value``, and
+    ``--flag`` with the value after it when the flag takes one."""
+    _, required, optional = _ARGV_COMMANDS[argv[0]]
+    takes_value = {**required, **optional}.get(flag, True) is not None
+    kept, words = [], iter(argv)
+    for word in words:
+        if word == flag and takes_value:
+            next(words, None)
+        elif word.partition("=")[0] != flag:
+            kept.append(word)
+    return kept
+
+
+def _own_flag_words(command):
+    """One of the subcommand's own flags, in either spelling, with a value
+    that argparse before 3.13 stores as [] ("--"), that it reads as a value
+    only after the flag ("-1/2,0"), that is empty, or that a flag that takes
+    none refuses."""
+    flag = st.tuples(st.sampled_from(_own_flags(command)), st.sampled_from(("--", "-1/2,0", "", "x")))
+    return flag.map(lambda pair: ["=".join(pair)]) | flag.map(list)
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_argv(), data=st.data())
+def test_the_reader_reads_as_argparse_or_defers(argv, data):
     """The reader of plain command lines either leaves argv to argparse or
-    gives exactly the namespace that argparse gives, with words dropped and
-    stray words and flags put in."""
-    for at in drop:
-        del argv[at:at + 1]
-    for at, words in stray:
-        argv[at:at] = words
+    gives exactly the namespace that argparse gives, with one of its flags
+    dropped, and a stray word and the subcommand's own flags put in."""
+    command = argv[0]
+    given_flags = sorted({word.partition("=")[0] for word in argv} & set(_own_flags(command)))
+    for flag in data.draw(st.lists(st.sampled_from(given_flags), max_size=1) if given_flags else st.just([])):
+        argv = _without_flag(argv, flag)
+    for words, most in ((_STRAY.map(lambda token: [token]), 1), (_own_flag_words(command), 2)):
+        for at, put in data.draw(st.lists(st.tuples(st.integers(0, len(argv)), words), max_size=most)):
+            argv[at:at] = put
     read = cli._read_plain(argv)
     if read is not None:
         assert vars(read) == _parse_outcome(cli.build_parser(), list(argv))
@@ -554,18 +574,36 @@ def test_deeply_nested_formulas_exit_zero(argv):
     report.render()
 
 
+def _dispatch_in_a_capped_child(argv, mib=256):
+    """The exit code and rendering of ``dispatch(argv)`` in a child process
+    whose address space is capped at ``mib`` MiB. A cap that parse misses or
+    checks too late then fails the test with a MemoryError, where in-process
+    the desugared text would double until the machine ran out of memory."""
+    program = (
+        "import json, resource, sys\n"
+        "cap = int(sys.argv[1]) << 20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+        "from slitlogic.cli import dispatch\n"
+        "report = dispatch(json.loads(sys.argv[2]))\n"
+        "print(json.dumps([report.exit_code, report.render()]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(slitlogic.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", program, str(mib), json.dumps(argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return tuple(json.loads(proc.stdout))
+
+
 def test_parse_refuses_a_desugared_form_above_the_limit():
     chain = " ^ ".join(f"X{i}" for i in range(61))
-    report = dispatch(["parse", chain])
-    assert report.exit_code == 2
-    assert report.verdict == "error: the desugared form has more than 1000000 nodes"
+    assert _dispatch_in_a_capped_child(["parse", chain]) == (
+        2, "error: the desugared form has more than 1000000 nodes")
 
 
 def test_parse_refuses_a_long_xor_chain_in_one_line():
     # the count, 7 * 2^k - 6 nodes, would have more digits than str prints
-    report = dispatch(["parse", " ^ ".join(["a"] * 14400)])
-    assert report.exit_code == 2
-    assert report.render() == "error: the desugared form has more than 1000000 nodes"
+    assert _dispatch_in_a_capped_child(["parse", " ^ ".join(["a"] * 14400)]) == (
+        2, "error: the desugared form has more than 1000000 nodes")
 
 
 def test_parse_json_depth_limit_both_sides():
@@ -589,6 +627,56 @@ def test_parse_limit_counts_the_desugared_nodes(monkeypatch, limit, code):
     # "(a | b) & !(a & b)" has 8 nodes
     monkeypatch.setattr(cli, "_DESUGARED_NODE_LIMIT", limit)
     assert dispatch(["parse", "a ^ b"]).exit_code == code
+
+
+def _tree_payload(f):
+    """The payload tree of ``f``, built by recursion on the node fields."""
+    if isinstance(f, Atom):
+        return {"node": "Atom", "name": f.name}
+    if isinstance(f, Not):
+        return {"node": "Not", "child": _tree_payload(f.child)}
+    return {"node": type(f).__name__, "left": _tree_payload(f.left), "right": _tree_payload(f.right)}
+
+
+def _depth(f):
+    if isinstance(f, Atom):
+        return 1
+    if isinstance(f, Not):
+        return _depth(f.child) + 1
+    return max(_depth(f.left), _depth(f.right)) + 1
+
+
+@settings(deadline=None)
+@given(f=formula_trees, fmt=st.sampled_from(("text", "json")))
+def test_parse_reports_what_the_separate_passes_give(f, fmt):
+    """The one walk of parse gives the text, tree and desugared text that
+    render, a recursive tree builder and render of the desugared tree give,
+    and meets its size and depth caps exactly at the counted size and depth,
+    the size cap first."""
+    desugared = desugar_xor(f)
+    size = len(desugared._program)  # the nodes of the desugared tree
+    assume(size <= 5000)
+    depth, text = _depth(f), render(f)
+    argv = ["parse", text, f"--format={fmt}"]
+    too_large = "error: the desugared form has more than {} nodes"
+    too_deep = f"error: the formula nests {depth} levels deep; --format json prints at most {{}}"
+    for size_cap, depth_cap, verdict in [
+        (size, depth, None),
+        (size - 1, depth, too_large.format(size - 1)),
+        (size, depth - 1, too_deep.format(depth - 1) if fmt == "json" else None),
+        (size - 1, depth - 1, too_large.format(size - 1)),
+    ]:
+        if size_cap < 1:
+            continue  # no cap lies below one node
+        with mock.patch.object(cli, "_DESUGARED_NODE_LIMIT", size_cap), \
+                mock.patch.object(cli, "_JSON_DEPTH_LIMIT", depth_cap):
+            report = dispatch(argv)
+        if verdict is not None:
+            assert (report.exit_code, report.verdict) == (2, verdict)
+            continue
+        assert report.exit_code == 0
+        assert report.payload == {"command": "parse", "verdict": f"ok: {text}", "formula": text,
+                                  "tree": _tree_payload(f), "desugared": render(desugared)}
 
 
 def test_closed_stdout_keeps_the_exit_code_and_prints_no_traceback():

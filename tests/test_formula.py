@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from slitlogic.formula import (
@@ -91,6 +91,17 @@ _PARSE_ERRORS = [
     ("X1 )", 3, "unexpected trailing ')'"),
     ("!", 1, f"{_EXPECTED_OPERAND} end of input"),
     ("X1 && X2", 4, f"{_EXPECTED_OPERAND} '&'"),
+    # "!" and "(" after an operand are no binary operators
+    ("X1 !X2", 3, "unexpected trailing '!'"),
+    ("X1 (X2)", 3, "unexpected trailing '('"),
+    ("(X1 !X2)", 4, "expected ')'"),
+    # ")" closes one "(" only
+    ("(X1))", 4, "unexpected trailing ')'"),
+    # a character that starts no token comes first: after a syntax error, or
+    # where the loop would read it as a name
+    ("X1 ) @", 5, "unexpected character '@'"),
+    ("X1 & 1", 5, "unexpected character '1'"),
+    ("X1 & _y", 5, "unexpected character '_'"),
 ]
 
 
@@ -163,6 +174,8 @@ def test_desugar_preserves_classical_semantics_exhaustively():
 def test_atoms_first_appearance_order():
     assert atoms(EXACTLY_ONE) == ("X1", "X2")
     assert atoms(parse("b & a | b ^ c")) == ("b", "a", "c")
+    # names that share a first letter, or where one starts the other, stay apart
+    assert atoms(parse("a & ab | a_1 ^ a")) == ("a", "ab", "a_1")
 
 
 def test_render_exactly_one_compound():
@@ -294,14 +307,34 @@ def _formula_texts_with_one_piece(draw):
     return text[:at] + draw(_PIECES) + text[at:]
 
 
+@st.composite
+def _long_texts_with_one_piece(draw):
+    """A flat chain, or a run of negations or parentheses, of 41 to 400
+    tokens or pairs, with one piece put in anywhere."""
+    n = draw(st.integers(41, 400))
+    run = draw(st.sampled_from(["chain", "!", "(", "!("]))
+    if run == "chain":
+        links = st.lists(st.sampled_from([" & b", " | c", "^a", " ^ (b)"]), min_size=n, max_size=n)
+        text = "a" + "".join(draw(links))
+    else:
+        text = run * n + "a" + ")" * (n if "(" in run else 0)
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(_PIECES) + text[at:]
+
+
 _TEXTS = st.one_of(
     st.lists(_PIECES, max_size=40).map("".join),
     st.text(max_size=30),
     _formula_texts_with_one_piece(),
+    _long_texts_with_one_piece(),
 )
 
 
 @given(_TEXTS)
+# a character that starts no token, where the loop reads a name, in a text
+# that would otherwise parse
+@example("(1)")
+@example("!a & _")
 def test_parse_agrees_with_the_character_loop(text):
     assert _parse_outcome(parse, text) == _parse_outcome(reference_parse, text)
 

@@ -657,6 +657,53 @@ def assert_builds_as_the_reference(arguments):
     return None
 
 
+def _up_sets(n, pairs):
+    """The up-sets, as ints, of the reflexive and transitive closure of
+    index pairs on n elements."""
+    up = [1 << i for i in range(n)]
+    for i, j in pairs:
+        up[i] |= 1 << j
+    for k in range(n):
+        for i in range(n):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    return tuple(up)
+
+
+@st.composite
+def _orders_with_implied_pairs(draw):
+    """An order given as its cover pairs plus a drawn part of its implied
+    pairs, shuffled: the order of a random relation of 2 to 8 elements that
+    runs up the index order, or a lattice of meet-closed subsets. The random
+    order's elements are listed in a drawn order."""
+    if draw(st.booleans()):
+        names, covers, involution, _ = draw(_meet_closed_subsets())
+        index = {name: i for i, name in enumerate(names)}
+        pairs = [(index[y], index[z]) for y, z in covers]
+        elements = names
+    else:
+        n = draw(st.integers(2, 8))
+        names = [f"e{i}" for i in range(n)]
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                              .filter(lambda pair: pair[0] < pair[1]), max_size=16))
+        involution = _matching(draw, names)
+        elements = draw(st.permutations(names))
+    up = _up_sets(len(names), pairs)
+    covers = catalogue.cover_pairs(up)
+    implied = [(i, j) for i in range(len(up)) for j in range(len(up))
+               if i != j and up[i] >> j & 1 and (i, j) not in covers]
+    listed = covers + [pair for pair in implied if draw(st.booleans())]
+    event(f"implied pairs listed: {len(listed) - len(covers)} of {len(implied)}")
+    return elements, [(names[i], names[j]) for i, j in draw(st.permutations(listed))], involution
+
+
+@settings(max_examples=300)
+@given(_orders_with_implied_pairs())
+def test_the_build_reads_implied_pairs_as_the_reference_does(spec):
+    error = assert_builds_as_the_reference(spec)
+    event(f"outcome: {error[0].__name__ if error else 'lattice'}")
+
+
 @settings(max_examples=300)
 @given(_random_orders() | _relabelled_builtins())
 def test_bitset_build_matches_the_reference(spec):
@@ -679,13 +726,20 @@ def test_the_catalogue_counts_the_lattices_of_oeis_a006966():
 
 def _perturbed(up):
     """A catalogue lattice's elements and covering pairs, as indices: as
-    they are; then with each cover in turn reversed, listed both ways (a
-    cycle of two) or dropped; with the top also listed below the bottom (a
-    cycle through every element); and with the bottom removed."""
+    they are; with each implied pair in turn listed as well, and with every
+    pair of the order listed, each of which gives the same lattice; then
+    with each cover in turn reversed, listed both ways (a cycle of two) or
+    dropped; with the top also listed below the bottom (a cycle through
+    every element); and with the bottom removed."""
     covers = catalogue.cover_pairs(up)
     n = len(up)
     elements = list(range(n))
     yield "lattice", elements, covers
+    order = [(i, j) for i in elements for j in elements if up[i] >> j & 1]
+    for pair in order:
+        if pair[0] != pair[1] and pair not in covers:
+            yield "an implied pair listed", elements, [*covers, pair]
+    yield "every pair of the order listed", elements, order
     for k, (i, j) in enumerate(covers):
         yield "cover reversed", elements, [*covers[:k], (j, i), *covers[k + 1:]]
         yield "cycle", elements, [*covers, (j, i)]
@@ -730,11 +784,13 @@ def test_the_build_matches_the_reference_on_every_small_lattice(n):
             for _ in range(2):
                 error = assert_builds_as_the_reference(_named(rng, n, elements, covers))
                 outcomes.add((perturbation, _kind(error)))
-    assert {kind for perturbation, kind in outcomes if perturbation == "lattice"} == {"lattice"}
+    same_order = ("lattice", "an implied pair listed", "every pair of the order listed")
+    assert {kind for perturbation, kind in outcomes if perturbation in same_order} == {"lattice"}
     assert {kind for perturbation, kind in outcomes if perturbation == "cycle"} <= {"NotAPartialOrder"}
     if n == 7:
         # each perturbation reaches the outcomes it can have
         assert {
+            ("an implied pair listed", "lattice"),
             ("cycle", "NotAPartialOrder"),
             ("cover reversed", "lattice"),
             ("cover reversed", "no least upper bound"),

@@ -163,7 +163,8 @@ MUTANTS = [
      node_ids(CLI_TESTS, "test_an_option_value_that_argparse_drops_is_refused_naming_its_flag")),
     ("the reader: a =value read on a flag that takes none", CLI,
      "            if eq:\n                return None\n            dest, const", "            dest, const",
-     node_ids(CLI_TESTS, "test_the_reader_leaves_these_command_lines_to_argparse")),
+     node_ids(CLI_TESTS, "test_the_reader_leaves_these_command_lines_to_argparse",
+              "test_the_reader_reads_as_argparse_or_defers")),
     ("the reader: choices not checked", CLI,
      "if action.choices is not None and value not in action.choices:", "if False:",
      node_ids(CLI_TESTS, "test_the_reader_leaves_these_command_lines_to_argparse",
@@ -175,7 +176,8 @@ MUTANTS = [
     ("the reader: a missing required flag not detected", CLI,
      "if len(given) != len(positionals) or not required <= seen:",
      "if len(given) != len(positionals):",
-     node_ids(CLI_TESTS, "test_the_reader_leaves_these_command_lines_to_argparse")),
+     node_ids(CLI_TESTS, "test_the_reader_leaves_these_command_lines_to_argparse",
+              "test_the_reader_reads_as_argparse_or_defers")),
     ("the reader: a separate value that starts with - taken", CLI,
      'if value is None or value[:1] == "-":', "if value is None:",
      node_ids(CLI_TESTS, "test_the_reader_leaves_these_command_lines_to_argparse",
@@ -187,6 +189,27 @@ MUTANTS = [
     ("the reader: a value of exactly -- not left to argparse", CLI,
      '        elif value == "--":\n            return None\n', "",
      node_ids(CLI_TESTS, "test_the_reader_leaves_these_command_lines_to_argparse")),
+    ("parse: an xor's desugared size counted as one node", CLI,
+     "2 * (size + rsize) + 4 if item is Xor else size + rsize + 1", "size + rsize + 1",
+     node_ids(CLI_TESTS, "test_parse_refuses_a_desugared_form_above_the_limit",
+              "test_parse_refuses_a_long_xor_chain_in_one_line")),
+    ("parse: the size of a Not not checked", CLI,
+     "if size + 1 > limit:", "if False:",
+     node_ids(CLI_TESTS, "test_parse_reports_what_the_separate_passes_give")),
+    ("parse: an xor desugared as its own text", CLI,
+     "if sugar is text and rsugar is rtext and item is not Xor:",
+     "if sugar is text and rsugar is rtext:",
+     node_ids(CLI_TESTS, "test_parse_reports_what_the_separate_passes_give")),
+    ("parse: a Not's desugared text taken from its text", CLI,
+     "negated if sugar is text else _negated(sugar)", "negated",
+     node_ids(CLI_TESTS, "test_parse_reports_what_the_separate_passes_give")),
+    ("parse: a binary node's depth read off its left child", CLI,
+     "max(depth, rdepth) + 1", "depth + 1",
+     node_ids(CLI_TESTS, "test_parse_reports_what_the_separate_passes_give")),
+    ("parse: the depth cap applied to text output", CLI,
+     'if ns.format == "json" and depth > _JSON_DEPTH_LIMIT:', "if depth > _JSON_DEPTH_LIMIT:",
+     node_ids(CLI_TESTS, "test_parse_json_depth_limit_both_sides",
+              "test_parse_reports_what_the_separate_passes_give")),
     ("cover_pairs not strict: each element covers itself", LATTICE,
      ".bit_count() == 2", ".bit_count() <= 2",
      node_ids(LATTICE_TESTS, "test_cover_pairs_are_the_hasse_edges")),
@@ -293,8 +316,31 @@ MUTANTS = [
      "return starts[k] if k < len(starts)", "return starts[k] + 1 if k < len(starts)",
      node_ids(FORMULA_TESTS, "test_parse_errors_carry_position")),
     ("lexer: a character that starts no token reported after a syntax error", FORMULA,
+     "    return _stray(text, tokens) or ParseError(", "    return ParseError(",
+     node_ids(FORMULA_TESTS, "test_parse_agrees_with_the_character_loop",
+              "test_parse_errors_carry_position")),
+    ("lexer: a token that starts no name read as one", FORMULA,
      "    if not _TOKEN_STARTS.issuperset(", "    if False and not _TOKEN_STARTS.issuperset(",
-     node_ids(FORMULA_TESTS, "test_parse_agrees_with_the_character_loop")),
+     node_ids(FORMULA_TESTS, "test_parse_agrees_with_the_character_loop",
+              "test_parse_errors_carry_position")),
+    ("parse: a ')' with no '(' open pops the sentinel", FORMULA,
+     "elif pending[-1] == 0:", "elif pending[-1] == 0 or code == 5:",
+     node_ids(FORMULA_TESTS, "test_parse_agrees_with_the_character_loop",
+              "test_parse_errors_carry_position")),
+    ("parse: '(' closed by a token other than ')'", FORMULA,
+     "            if code != 5:\n                raise _refusal(", "            if False:\n                raise _refusal(",
+     node_ids(FORMULA_TESTS, "test_parse_agrees_with_the_character_loop",
+              "test_parse_errors_carry_position")),
+    ("parse: '!' or '(' after an operand taken as a binary operator", FORMULA,
+     "binary = 0 < code < 4", "binary = code < 5",
+     node_ids(FORMULA_TESTS, "test_parse_agrees_with_the_character_loop",
+              "test_parse_errors_carry_position")),
+    ("parse: the '&' and '^' codes swapped", FORMULA,
+     '"^": 2, "&": 3', '"^": 3, "&": 2',
+     node_ids(FORMULA_TESTS, "test_precedence", "test_xor_is_left_associative")),
+    ("parse: one Atom node for the names that share a first letter", FORMULA,
+     "atom = named.get(tok)", "atom = named.get(tok[:1])",
+     node_ids(FORMULA_TESTS, "test_atoms_first_appearance_order")),
     ("parse: a binary class recorded before its operands", FORMULA,
      "program.append(kind)", "program.insert(-2, kind)",
      node_ids(FORMULA_TESTS, "test_parse_records_the_program_of_the_tree_it_builds",
