@@ -19,8 +19,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, product, repeat
+from itertools import chain, compress, count, product, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Sequence
 
 from . import lattice as lattice_mod
@@ -142,9 +143,10 @@ def _json_write(value, pad: str, out: list, heads: dict, leaves: dict) -> None:
     and ``leaves`` maps a str to its encoding. Each chunk a container writes
     starts with its separator, a comma, a newline and the indent, and the
     first one becomes the opening bracket. A dict writes its values one at a
-    time, as does a list shorter than ``_JSON_COLUMN_MIN``; a longer list
-    hands its items to :func:`_json_column` as one column and appends each
-    item's text as one chunk, or each piece of a split text. This recurses
+    time, as does a list shorter than ``_JSON_COLUMN_MIN``; a longer list of
+    str only is encoded with one ``map``, and any other longer list hands its
+    items to :func:`_json_column` as one column and appends each item's text
+    as one chunk, or each piece of a split text. This recurses
     once per level of nesting, as ``json`` does."""
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
@@ -185,6 +187,10 @@ def _json_write(value, pad: str, out: list, heads: dict, leaves: dict) -> None:
         for v in value:
             append(sep)
             _json_write(v, inner, out, heads, leaves)
+    elif set(map(type, value)) == {str}:
+        # labels, such as a lattice's elements or a scan's values, do not
+        # repeat: a column's type split and leaf cache would cost more
+        out += chain.from_iterable(zip(repeat(sep), map(encode_basestring_ascii, value)))
     else:
         texts, _ = _json_column(value, inner, heads, leaves)
         if type(texts[0]) is tuple:
@@ -647,18 +653,15 @@ def _cmd_scan(ns) -> Report:
     a1, a2 = scenario.atom_names
     corner_results = report.corner_results()
     corners_violated = sum(1 for _, v in corner_results if v)
-    # each grid value is formatted once; a pair is consistent unless listed
-    # among the report's violations
+    # each grid value is formatted once; every cell is consistent but the
+    # few violating ones, which are set afterwards, highest index first
     labels = [str(v) for v in system.values]
-    violations = dict(report.violations)
-    results, consistent = [], []
-    for k, (l1, l2) in enumerate(product(labels, repeat=2)):
-        violation = violations.get(k)
-        if violation is None:
-            consistent.append([l1, l2])
-        else:
-            violation = _violation_payload(violation)
-        results.append({"assignment": {a1: l1, a2: l2}, "violation": violation})
+    results = [{"assignment": {a1: l1, a2: l2}, "violation": None}
+               for l1, l2 in product(labels, repeat=2)]
+    consistent = list(map(list, product(labels, repeat=2)))
+    for k, violation in reversed(report.violations):
+        results[k]["violation"] = _violation_payload(violation)
+        del consistent[k]
     payload = {
         "command": "scan",
         "verdict": (
@@ -733,7 +736,7 @@ def _scenario_text(scenario: dict) -> list[str]:
 
 
 def _result_text(result: dict) -> str:
-    line = "(" + ", ".join(f"{a}={v}" for a, v in result["assignment"].items()) + ") -> "
+    line = "(" + ", ".join(map("=".join, result["assignment"].items())) + ") -> "
     v = result["violation"]
     if v is None:
         return line + "consistent"
@@ -767,7 +770,7 @@ def _nogo_text(p: dict) -> list[str]:
     # after json.loads, are formatted one by one
     results = {}
     for f in functions:
-        values = ", ".join(f"{e}={v}" for e, v in f["values"].items())
+        values = ", ".join(map("=".join, f["values"].items()))
         key = (id(f["assignment"]), id(f["violation"]))
         result = results.get(key)
         if result is None:
@@ -787,7 +790,7 @@ def _nogo_text(p: dict) -> list[str]:
 def _scan_text(p: dict) -> list[str]:
     results = p["results"]
     violated = len(results) - len(p["consistent"])
-    consistent = ", ".join(f"({a}, {b})" for a, b in p["consistent"])
+    consistent = "), (".join(map(", ".join, p["consistent"]))
     lines = _scenario_text(p["scenario"])
     lines += [
         f"value system: {p['value_system']} over {{{', '.join(p['values'])}}}",
@@ -796,10 +799,15 @@ def _scan_text(p: dict) -> list[str]:
             f"violated: {violated}; consistent: {len(p['consistent'])}"
         ),
         "corners: " + "; ".join(f"{pair} -> {c}" for pair, c in p["corners"].items()),
-        f"consistent: {consistent or 'none'}",
+        f"consistent: ({consistent})" if consistent else "consistent: none",
         "table:",
     ]
-    lines += [f"  {_result_text(r)}" for r in results]
+    # every row as a consistent one, then the few violating rows again
+    start = len(lines)
+    lines += [f"  ({', '.join(map('='.join, r['assignment'].items()))}) -> consistent"
+              for r in results]
+    for k in compress(count(), map(itemgetter("violation"), results)):
+        lines[start + k] = f"  {_result_text(results[k])}"
     return lines
 
 

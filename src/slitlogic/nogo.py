@@ -31,13 +31,27 @@ C-INT needs every bridge forced, so each value 0 or 1. A pair with a value
 strictly between 0 and 1, or with no value, escapes all three:
 ``check_assignment`` returns None for it and decides any other pair by its
 corner. So ``scan_grid`` checks only the bivalent cells of a grid and keeps
-their violations; every other pair is consistent without a check. Fractions
-are built only for the trace of a pair that breaks a constraint.
+their violations; every other pair is consistent without a check.
+
+The degree steps and bridges of a corner depend on the corner alone. They are
+computed once, at import, through ``lukasiewicz_*`` and ``bridge``, into
+``_CORNERS``; a trace reads them from there (P is the bridge, 1 for true and
+0 for false; the total is P[X1] + P[X2], and the prior half of it):
+
+  corner  or  and  !and  xor  P[or]  P[and]  P[X1]  P[X2]  total  prior
+  (0, 0)   0   0    1     0    0      0       0      0      0      0
+  (0, 1)   1   0    1     1    1      0       0      1      1      1/2
+  (1, 0)   1   0    1     1    1      0       1      0      1      1/2
+  (1, 1)   1   1    0     0    1      1       1      1      2      1
+
+(0, 0) breaks C-TRUE; (1, 1) breaks C-COLLAPSE and C-TRUE; (0, 1) and (1, 0)
+break C-INT when equal priors hold and the observed interference term, which
+a ``Scenario`` computes once, is nonzero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Mapping
@@ -86,6 +100,23 @@ _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 
 
+def _corner(v1: Fraction, v2: Fraction) -> tuple:
+    """A corner's steps: or, and, the negated and, xor, the bridges of or,
+    and, v1 and v2, their total and the prior half of it."""
+    or12 = lukasiewicz_or(v1, v2)
+    and12 = lukasiewicz_and(v1, v2)
+    neg_and = lukasiewicz_neg(and12)
+    x12 = lukasiewicz_and(or12, neg_and)
+    bridges = (bridge(or12), bridge(and12), bridge(v1), bridge(v2))
+    total = bridges[2] + bridges[3]
+    return or12, and12, neg_and, x12, bridges, total, total / 2
+
+
+# The steps of each corner (v1, v2), keyed by the numerators of its values.
+_CORNERS = {(n1, n2): _corner(Fraction(n1), Fraction(n2))
+            for n1, n2 in product((0, 1), repeat=2)}
+
+
 class ScenarioError(SlitlogicError):
     """Scenario construction rejected (zero interference, bad binding)."""
 
@@ -103,6 +134,11 @@ class Scenario:
     binding: tuple[tuple[str, str], tuple[str, str]]
     interference: InterferenceInputs
     equal_priors: bool = True
+    # the observed interference term, computed once from ``interference``
+    _i12: Fraction = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_i12", interference_term(self.interference))
 
     @classmethod
     def build(
@@ -136,12 +172,13 @@ class Scenario:
         lattice.index(e2)
         if e1 == e2:
             raise ScenarioError("the two atoms must be bound to distinct elements")
-        if not allow_degenerate and interference_term(interference) == 0:
+        scenario = cls(lattice, items, interference, equal_priors)
+        if not allow_degenerate and scenario._i12 == 0:
             raise ScenarioError(
                 "interference term is zero; the scenario models observed "
                 "two-path interference (pass allow_degenerate to override)"
             )
-        return cls(lattice, items, interference, equal_priors)
+        return scenario
 
     @property
     def atom_names(self) -> tuple[str, str]:
@@ -152,7 +189,7 @@ class Scenario:
         return (self.binding[0][1], self.binding[1][1])
 
     def observed_interference(self) -> Fraction:
-        return interference_term(self.interference)
+        return self._i12
 
 
 @dataclass(frozen=True)
@@ -267,9 +304,10 @@ def check_assignment(scenario: Scenario, v1, v2) -> Violation | None:
     and the observed interference term is nonzero.
 
     Returns the violation, with any further constraint the pair breaks in
-    ``also_violates``, or None when the pair is consistent. Only a violation
-    builds Fractions: its derivation trace evaluates the compounds through
-    the degree functions and the bridge.
+    ``also_violates``, or None when the pair is consistent. A violation's
+    derivation trace reads its corner's degree steps and bridges from the
+    table in the module docstring, ``_CORNERS``, and computes only the
+    scenario's predicted pattern from p1 and p2.
     """
     v1, v2 = as_value(v1), as_value(v2)
     if not (_extreme(v1) and _extreme(v2)):
@@ -283,11 +321,7 @@ def check_assignment(scenario: Scenario, v1, v2) -> Violation | None:
     else:
         return None
 
-    or12 = lukasiewicz_or(v1, v2)
-    and12 = lukasiewicz_and(v1, v2)
-    neg_and = lukasiewicz_neg(and12)
-    x12 = lukasiewicz_and(or12, neg_and)
-
+    or12, and12, neg_and, x12, bridges, total, prior = _CORNERS[v1.numerator, v2.numerator]
     a1, a2 = scenario.atom_names
     steps = [
         TraceStep("degree-or", (v1, v2), or12, f"value of {a1} | {a2}"),
@@ -305,22 +339,17 @@ def check_assignment(scenario: Scenario, v1, v2) -> Violation | None:
             "contradiction", (x12,), C_TRUE,
             "pre-assigned reading: the verified exactly-one proposition is already false"))
     else:
-        p_or_b = bridge(or12)
-        p_and_b = bridge(and12)
-        pb1 = bridge(v1)
-        pb2 = bridge(v2)
+        p_or_b, p_and_b, pb1, pb2 = bridges
         steps.append(TraceStep("bridge", (or12,), p_or_b, f"P[{a1} | {a2}] forced"))
         steps.append(TraceStep("bridge", (and12,), p_and_b, f"P[{a1} & {a2}] forced"))
         steps.append(TraceStep("bridge", (v1,), pb1, f"P[{a1}] forced"))
         steps.append(TraceStep("bridge", (v2,), pb2, f"P[{a2}] forced"))
-        total = pb1 + pb2
         steps.append(TraceStep(
-            "additivity", (p_or_b, p_and_b, pb1, pb2), total,
-            f"P[{a1}] + P[{a2}] = P[or] + P[and]"))
-        prior = total / 2
+            "additivity", bridges, total, f"P[{a1}] + P[{a2}] = P[or] + P[and]"))
         steps.append(TraceStep(
             "equal-priors", (total,), prior, "equal priors split the total evenly"))
-        p1, p2 = scenario.interference.p1, scenario.interference.p2
+        inputs = scenario.interference
+        p1, p2 = inputs.p1, inputs.p2
         predicted = _HALF * p1 + _HALF * p2
         steps.append(TraceStep(
             "total-probability", (p1, p2), predicted,
@@ -329,11 +358,10 @@ def check_assignment(scenario: Scenario, v1, v2) -> Violation | None:
             "interference-zero", (predicted, p1, p2), _ZERO,
             "the predicted pattern has no interference term"))
         steps.append(TraceStep(
-            "contradiction", (scenario.interference.p_or, p1, p2), C_INT,
+            "contradiction", (inputs.p_or, p1, p2), C_INT,
             f"observed interference term {scenario.observed_interference()} is nonzero"))
 
-    assignment = ((a1, v1), (a2, v2))
-    return Violation(primary, assignment, tuple(steps), also)
+    return Violation(primary, ((a1, v1), (a2, v2)), tuple(steps), also)
 
 
 def run_nogo(scenario: Scenario) -> Certificate:

@@ -182,10 +182,11 @@ class ValueSystem:
     """The admissible truth values for an analysis run.
 
     ``values`` holds at least one defined value, kept in the order given;
-    they need not be sorted and may repeat. Each value is validated by
+    they need not be sorted and may repeat. Each value given is validated by
     :func:`as_value` when the system is built, and ``UNDEFINED`` or an empty
     system raises :class:`InvalidValue`, so consumers take them as exact
-    Fractions in [0, 1] without checking again.
+    Fractions in [0, 1] without checking again. The grid constructors build
+    their values from ints as such Fractions and skip that pass.
     """
 
     kind: str
@@ -200,8 +201,17 @@ class ValueSystem:
         object.__setattr__(self, "values", values)
 
     @classmethod
+    def _built(cls, kind: str, values: tuple[Fraction, ...]) -> "ValueSystem":
+        """A system whose values were built here as Fractions in [0, 1], so
+        they are not validated again."""
+        system = object.__new__(cls)
+        object.__setattr__(system, "kind", kind)
+        object.__setattr__(system, "values", values)
+        return system
+
+    @classmethod
     def bivalent(cls) -> "ValueSystem":
-        return cls("bivalent", (_ZERO, _ONE))
+        return cls._built("bivalent", (_ZERO, _ONE))
 
     @classmethod
     def finite(cls, n: int) -> "ValueSystem":
@@ -212,7 +222,7 @@ class ValueSystem:
         if n > MAX_GRID_VALUES:
             raise InvalidValue(
                 f"finite({_shown(n)}) has more than the {MAX_GRID_VALUES} values allowed")
-        return cls(f"finite({n})", tuple(Fraction(k, n - 1) for k in range(n)))
+        return cls._built(f"finite({n})", tuple(Fraction(k, n - 1) for k in range(n)))
 
     @classmethod
     def infinite(cls, denominator: int = 10) -> "ValueSystem":
@@ -223,7 +233,7 @@ class ValueSystem:
         if denominator >= MAX_GRID_VALUES:
             raise InvalidValue(f"infinite({_shown(denominator)}) has more than "
                                f"the {MAX_GRID_VALUES} values allowed")
-        return cls(
+        return cls._built(
             f"infinite({denominator})",
             tuple(Fraction(k, denominator) for k in range(denominator + 1)),
         )

@@ -11,6 +11,7 @@ import sys
 import tempfile
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 from unittest import mock
 
@@ -23,6 +24,9 @@ from slitlogic import cli
 from slitlogic.cli import Report, dispatch
 from slitlogic.formula import Atom, Not, desugar_xor, render
 from slitlogic.lattice import builtin
+from slitlogic.nogo import Scenario, check_assignment
+from slitlogic.probability import amplitude_interference
+from slitlogic.valuation import ValueSystem
 from test_errors import _COMMANDS as _ARGV_COMMANDS
 from test_errors import _argv
 from test_formula import _formulas as formula_trees
@@ -110,6 +114,70 @@ def test_scan_default_denominator_is_10():
 def test_scan_rejects_conflicting_grid_flags():
     report = dispatch(["scan", "--values", "3", "--denominator", "4"])
     assert report.exit_code == 2
+
+
+# (lattice, --bind) pairs, some with atom names other than X1 and X2
+_SCAN_BINDINGS = (
+    ("boolean:2", "X1=a,X2=b"),
+    ("boolean:2", "X1=b,X2=a"),
+    ("boolean:3", "P=ab,Q=c"),
+    ("lantern:2", "X1=a1,X2=b2"),
+    ("chain:3", "left=m2,right=m1"),
+    ("boolean:3", "X1=0,X2=1"),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("values", "denominator")), st.data(), st.sampled_from(_SCAN_BINDINGS),
+       st.booleans(), st.booleans(), st.sampled_from(("text", "json")))
+def test_scan_report_matches_a_cell_by_cell_reference(grid, data, binding, equal, degenerate, fmt):
+    # the reference checks every cell of the grid with check_assignment and
+    # writes its row, its text line and its consistent pair one at a time
+    size = data.draw(st.integers(2, 12) if grid == "values" else st.integers(1, 12))
+    family, n = binding[0].split(":")
+    argv = ["scan", f"--{grid}", str(size), "--lattice", f"builtin:{binding[0]}",
+            "--bind", binding[1], "--format", fmt]
+    if not equal:
+        argv.append("--no-equal-priors")
+    if degenerate:  # no path-2 amplitude: the interference term is zero
+        argv += ["--amp2", "0,0", "--allow-degenerate"]
+    report = dispatch(argv)
+    bind = dict(pair.split("=") for pair in binding[1].split(","))
+    half = Fraction(1, 2)
+    scenario = Scenario.build(
+        builtin(family, int(n)), bind,
+        amplitude_interference((half, half), (0, 0) if degenerate else (half, half)),
+        equal_priors=equal, allow_degenerate=degenerate)
+    system = (ValueSystem.finite(size) if grid == "values" else ValueSystem.infinite(size))
+    a1, a2 = bind
+    results, consistent, table = [], [], []
+    for v1, v2 in product(system.values, repeat=2):
+        violation = check_assignment(scenario, v1, v2)
+        results.append({"assignment": {a1: str(v1), a2: str(v2)},
+                        "violation": cli._violation_payload(violation)})
+        line = f"  ({a1}={v1}, {a2}={v2}) -> "
+        if violation is None:
+            consistent.append([str(v1), str(v2)])
+            table.append(line + "consistent")
+        else:
+            also = violation.also_violates
+            table.append(line + f"violates {violation.constraint}"
+                         + (f" (also: {', '.join(also)})" if also else ""))
+    payload = report.payload
+    assert payload["values"] == [str(v) for v in system.values]
+    assert payload["results"] == results
+    assert payload["consistent"] == consistent
+    assert payload["verdict"].endswith(f"; consistent: {len(consistent)}/{len(results)}")
+    text = Report(payload, report.exit_code, "text").render()
+    lines = text.split("\n")
+    assert lines[-len(table):] == table
+    assert lines[-len(table) - 1] == "table:"
+    pairs = ", ".join(f"({x}, {y})" for x, y in consistent)
+    assert lines[-len(table) - 2] == f"consistent: {pairs or 'none'}"
+    # the formatters read only the payload
+    loaded = json.loads(json.dumps(payload))
+    assert Report(loaded, report.exit_code, "text").render() == text
+    assert report.render() == (text if fmt == "text" else json.dumps(payload, indent=2))
 
 
 def test_parse_command():

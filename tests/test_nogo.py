@@ -271,6 +271,22 @@ def test_corner_decision_matches_the_fraction_reference(pair, equal_priors, dege
         assert replay_trace(got, scenario)
 
 
+@pytest.mark.parametrize("corner", list(product((F(0), F(1)), repeat=2)),
+                         ids=lambda corner: "({}, {})".format(*corner))
+@pytest.mark.parametrize("equal_priors, degenerate", list(product((True, False), repeat=2)))
+def test_each_corner_matches_the_steps_recomputed_on_each_call(corner, equal_priors, degenerate):
+    # check_assignment reads a corner's degree steps and bridges from a table
+    # built at import; the reference recomputes them through lukasiewicz_*
+    # and bridge on every call
+    scenario = _PROPERTY_SCENARIOS[equal_priors, degenerate]
+    got = check_assignment(scenario, *corner)
+    assert got == reference_check_assignment(scenario, *corner)
+    # a mixed corner is consistent unless C-INT applies
+    assert (got is None) == (corner[0] != corner[1] and (degenerate or not equal_priors))
+    if got is not None:
+        assert replay_trace(got, scenario)
+
+
 # ------------------------------------------------------------------ nogo
 
 
@@ -728,9 +744,9 @@ def test_interference_violations_need_all_bridges_forced():
             assert bridge(and12) == F(0)
 
 
-def test_observed_interference_computed_only_where_c_int_fires(monkeypatch):
-    # the observed term depends only on the scenario: a check reads it for
-    # the last term of the C-INT condition and for the C-INT trace note
+def test_observed_interference_computed_once_per_scenario(monkeypatch):
+    # the observed term depends only on the scenario: building it computes
+    # the term once, and no check, scan or certificate computes it again
     calls = []
     real = nogo.interference_term
 
@@ -738,12 +754,20 @@ def test_observed_interference_computed_only_where_c_int_fires(monkeypatch):
         calls.append(inputs)
         return real(inputs)
 
-    scenario = default_scenario()
     monkeypatch.setattr(nogo, "interference_term", counting)
+    scenario = default_scenario()
+    assert len(calls) == 1
     report = scan_grid(scenario, ValueSystem.infinite(10))
     c_int = [v for _, v in report.items() if v and C_INT in (v.constraint, *v.also_violates)]
-    assert c_int
-    assert len(calls) <= 2 * len(c_int) < len(tuple(report.items()))
+    assert len(c_int) == 2
+    assert run_nogo(scenario).holds
+    assert scenario.observed_interference() == HALF
+    assert len(calls) == 1
+    # a degenerate scenario is refused on the one computation too
+    with pytest.raises(ScenarioError, match="interference term is zero"):
+        Scenario.build(builtin("boolean", 2), {"X1": "a", "X2": "b"},
+                       InterferenceInputs(HALF, HALF, HALF))
+    assert len(calls) == 2
 
 
 # --------------------------------------------------------- supervaluation

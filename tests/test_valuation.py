@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from slitlogic import valuation
 from slitlogic.errors import SlitlogicError
 from slitlogic.formula import And, Atom, Not, Or, Xor, atoms, fold, parse
 from slitlogic.lattice import LatticeError, build_from_order, builtin
@@ -618,6 +619,24 @@ def test_value_systems_stop_at_the_grid_cap():
         ValueSystem.finite(502)
     with pytest.raises(InvalidValue, match=r"^infinite\(501\) has more than the 501 values allowed$"):
         ValueSystem.infinite(501)
+
+
+@pytest.mark.parametrize("make", [
+    ValueSystem.bivalent, lambda: ValueSystem.finite(2), lambda: ValueSystem.finite(7),
+    lambda: ValueSystem.infinite(1), lambda: ValueSystem.infinite(12),
+], ids=["bivalent", "finite-2", "finite-7", "infinite-1", "infinite-12"])
+def test_the_grid_constructors_build_exact_values_once(monkeypatch, make):
+    # a grid is built from ints as exact Fractions in [0, 1], so its values
+    # are not validated a second time; a system given the same values
+    # validates them and holds the same ones
+    calls = []
+    real = valuation.as_value
+    monkeypatch.setattr(valuation, "as_value", lambda *args: calls.append(args) or real(*args))
+    system = make()
+    assert calls == []
+    assert all(type(v) is Fraction and 0 <= v <= 1 for v in system.values)
+    assert system == ValueSystem(system.kind, system.values)
+    assert len(calls) == len(system.values)
 
 
 def test_value_system_admits():

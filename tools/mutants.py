@@ -140,6 +140,9 @@ MUTANTS = [
      "            part = list(distinct.values())\n            repeated = True\n",
      "            part = list(distinct.values())\n",
      node_ids(CLI_TESTS, "test_json_writer_holds_a_dict_shared_by_the_rows_of_a_listing_once")),
+    ("JSON: a long list that holds a str written as a list of str", CLI,
+     "elif set(map(type, value)) == {str}:", "elif str in set(map(type, value)):",
+     node_ids(CLI_TESTS, "test_json_writer_writes_a_long_mixed_column_as_json_dumps")),
     ("main: a failed write not handled", CLI,
      "    except OSError as exc:\n", "    except BrokenPipeError as exc:\n",
      node_ids(CLI_TESTS, "test_a_failed_write_exits_2_with_one_line")),
@@ -254,6 +257,16 @@ MUTANTS = [
     ("a denominator grid's cap one value too high", VALUATION,
      "if denominator >= MAX_GRID_VALUES:", "if denominator > MAX_GRID_VALUES:",
      node_ids(VALUATION_TESTS, "test_value_systems_stop_at_the_grid_cap")),
+    ("corners: an entry with or and and swapped", NOGO,
+     "    return or12, and12, neg_and, x12, bridges, total, total / 2",
+     "    return and12, or12, neg_and, x12, bridges, total, total / 2",
+     node_ids(NOGO_TESTS, "test_each_corner_matches_the_steps_recomputed_on_each_call")),
+    ("corners: a pair's entry read with its values swapped", NOGO,
+     "_CORNERS[v1.numerator, v2.numerator]", "_CORNERS[v2.numerator, v1.numerator]",
+     node_ids(NOGO_TESTS, "test_each_corner_matches_the_steps_recomputed_on_each_call")),
+    ("a finite grid's values validated a second time", VALUATION,
+     'return cls._built(f"finite({n})", ', 'return cls(f"finite({n})", ',
+     node_ids(VALUATION_TESTS, "test_the_grid_constructors_build_exact_values_once")),
     ("C-COLLAPSE moved to the (0, 0) corner", NOGO,
      "(C_COLLAPSE, (C_TRUE,)) if v1 else", "(C_COLLAPSE, (C_TRUE,)) if not v1 else",
      node_ids(NOGO_TESTS, "test_corner_one_one_is_collapse_violation")),
@@ -282,10 +295,23 @@ MUTANTS = [
      "{a: _jsonable(v) for a, v in zip(atoms[::-1], pair)}",
      node_ids(CLI_TESTS, "test_nogo_default_run")),
     ("scan: a violating pair also listed as consistent", CLI,
-     "        else:\n            violation = _violation_payload(violation)\n",
-     "        else:\n            consistent.append([l1, l2])\n"
-     "            violation = _violation_payload(violation)\n",
-     node_ids(CLI_TESTS, "test_scan_values_3")),
+     "        del consistent[k]\n", "",
+     node_ids(CLI_TESTS, "test_scan_values_3",
+              "test_scan_report_matches_a_cell_by_cell_reference")),
+    ("scan: violating cells deleted lowest index first", CLI,
+     "for k, violation in reversed(report.violations):",
+     "for k, violation in report.violations:",
+     node_ids(CLI_TESTS, "test_text_reports_keep_their_layout",
+              "test_scan_report_matches_a_cell_by_cell_reference")),
+    ("scan text: the wrong separator in the consistent: line", CLI,
+     'consistent = "), (".join(map(", ".join, p["consistent"]))',
+     'consistent = "),(".join(map(", ".join, p["consistent"]))',
+     node_ids(CLI_TESTS, "test_text_reports_keep_their_layout",
+              "test_scan_report_matches_a_cell_by_cell_reference")),
+    ("scan text: a violating row written over the line of its index", CLI,
+     "lines[start + k] = ", "lines[k] = ",
+     node_ids(CLI_TESTS, "test_text_reports_keep_their_layout",
+              "test_scan_report_matches_a_cell_by_cell_reference")),
     ("the auditor: transitivity not checked", LATTICE,
      "if missing := up[j] & ~up_i:", "if missing := 0:",
      node_ids(LATTICE_TESTS, "test_verify_reports_a_chain_that_does_not_close")),
@@ -327,6 +353,10 @@ MUTANTS = [
      "elif pending[-1] == 0:", "elif pending[-1] == 0 or code == 5:",
      node_ids(FORMULA_TESTS, "test_parse_agrees_with_the_character_loop",
               "test_parse_errors_carry_position")),
+    ("parse: ')' reduces past '('", FORMULA,
+     "binds = code if binary else 1", "binds = code if binary else 0",
+     node_ids(FORMULA_TESTS, "test_parse_agrees_with_the_character_loop",
+              "test_a_parsed_tree_survives_pickle_and_copy")),
     ("parse: '(' closed by a token other than ')'", FORMULA,
      "            if code != 5:\n                raise _refusal(", "            if False:\n                raise _refusal(",
      node_ids(FORMULA_TESTS, "test_parse_agrees_with_the_character_loop",
